@@ -86,11 +86,6 @@ class BallOracle:
         return math.sqrt(max(0.0, self.R**2 - 2.0 * (self.N - 1) * t / self.L))
 
 
-def ball_solution(x, oracle: BallOracle) -> float:
-    """Oracle value at a point; negative outside the ball (not clamped)."""
-    return oracle.value(x)
-
-
 def supersolution_bound(x, R: float, L: float, N: int) -> float:
     """Quadratic upper barrier L(R^2 - |x|^2)/(2(N-1)); needs L > 1.
 

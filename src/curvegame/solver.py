@@ -8,7 +8,12 @@ point x of the domain,
 where A, B are eps-game caps drawn from a fixed finite axis family, and u = 0
 outside the domain.  This module discretizes u on a uniform grid, evaluates the
 right-hand side with a quadrature grid on the sphere that is shared by all cap
-pairs, and iterates from w = 0.
+pairs, and iterates from w = 0.  One sweep kernel serves 2D and 3D: a sparse
+nonnegative map `cover` takes a node's samples to band sums (circle: axis
+steps and shortest arcs; sphere: one row per cap pair i <= j), and `maxmin`
+turns those into max over Paul's axes of min over Carol's axes.  For nodes
+whose samples all lie in the domain, `cover` is merged with the
+interpolation weights into one map of the gathered node values.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -18,10 +23,11 @@ the grid is exactly h = eps/2 from 0.2 up.  3D grids keep h = eps/2.
 Monotonicity of the iteration is preserved exactly in floating point: every
 update is composed of non-negatively weighted sums of field values (accumulated
 in a fixed order; on the circle each band is its shortest arc plus a run of
-whole axis-spacing steps, so no subtraction ever occurs), minima, maxima,
-multiplication by a positive constant, and addition of a constant.  All of
-these are monotone under IEEE round-to-nearest, so w_{n+1} >= w_n holds
-bit-for-bit, not just approximately.
+whole axis-spacing steps, on the sphere each pair row carries the weights
+member_i member_j w_q / denom_ij, so no subtraction ever occurs), minima,
+maxima, multiplication by a positive constant, and addition of a constant.
+All of these are monotone under IEEE round-to-nearest, so w_{n+1} >= w_n
+holds bit-for-bit, not just approximately.
 """
 
 from __future__ import annotations
@@ -295,9 +301,6 @@ class ValueField:
         mesh = np.meshgrid(*self.grid_axes(), indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
-    def interior_points(self) -> np.ndarray:
-        return self.node_points()[self.interior_mask.ravel()]
-
     def copy_with(self, values: np.ndarray) -> "ValueField":
         return ValueField(self.domain, self.lo, self.h, values,
                           iterations=self.iterations,
@@ -342,6 +345,12 @@ def _snap(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1.0 - _SNAP, 1.0, t)
 
 
+def _strides(shape) -> np.ndarray:
+    """Flat-index step of each axis of a row-major array of this shape."""
+    return np.array([int(np.prod(shape[a + 1:], dtype=np.int64))
+                     for a in range(len(shape))])
+
+
 def _multilinear(values: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at grid coordinates g, shape (m, dim)."""
     shape = values.shape
@@ -351,7 +360,7 @@ def _multilinear(values: np.ndarray, g: np.ndarray) -> np.ndarray:
         np.clip(i0[:, a], 0, shape[a] - 2, out=i0[:, a])
     t = _snap(np.clip(g - i0, 0.0, 1.0))
     flat = values.ravel()
-    strides = np.array([int(np.prod(shape[a + 1:], dtype=np.int64)) for a in range(dim)])
+    strides = _strides(shape)
     base = i0 @ strides
     out = np.zeros(g.shape[0])
     for corner in range(1 << dim):
@@ -401,7 +410,21 @@ def _arc_cells(ua: float, ub: float, Q: int) -> list:
             + [(fb % Q, max(ub - fb + 0.5, 0.0))])
 
 
-class _CircleBellman:
+class _Bellman:
+    """max over Paul's axes of the min over Carol's axes of the cap-pair
+    band averages, from samples of the field at x + eps v_q.
+
+    A subclass sets `nodes`, the (Q, dim) unit directions v_q, and `cover`,
+    a sparse nonnegative map from the Q samples to the rows that its
+    `maxmin` combines.
+    """
+
+    def reduce(self, V: np.ndarray) -> np.ndarray:
+        """V: (Q, m) samples; returns (m,) max_i min_j of pair averages."""
+        return self.maxmin(self.cover @ V)
+
+
+class _CircleBellman(_Bellman):
     """max-min of cap-pair averages from samples on a shared circle grid.
 
     The circle is split into Q equal cells centered at angles 2*pi*q/Q.  An
@@ -483,18 +506,24 @@ class _CircleBellman:
         np.minimum(low[: M // 2], high[M:], out=low[: M // 2])
         return low.max(axis=0)
 
-    def reduce(self, V: np.ndarray) -> np.ndarray:
-        """V: (Q, m) samples; returns (m,) max_i min_j of pair averages."""
-        return self.maxmin(self.cover @ V)
 
-
-class _SphereBellman:
+class _SphereBellman(_Bellman):
     """max-min of cap-pair averages on a shared product grid over S^2.
 
     Heights use Gauss-Legendre nodes, azimuths a uniform grid; the area element
     is the product of the two weights.  Cap membership is fractional near the
     cap edge (linear ramp across one cell) so that averages vary smoothly as
-    caps rotate; weights stay in [0, 1], keeping the reduction monotone.
+    caps rotate; memberships stay in [0, 1].
+
+    `cover` has one row per cap pair (i, j), i <= j, in row-major order: the
+    band average sum_q member_i member_j w_q V_q / denom_ij, with
+    denom_ij = sum_q member_i member_j w_q, as one nonnegative weight per
+    sample (exact zeros dropped).  It is built one cap i at a time, so the
+    dense pairs x samples array never exists.  `maxmin` expands the pair rows
+    to the full M x M table through a fixed index (the band of (j, i) is the
+    band of (i, j)), takes the min over Carol's j, then the max over Paul's i.
+    Every weight is nonnegative and nothing is subtracted, so the map from
+    samples to result is monotone exactly in floating point.
     """
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
@@ -530,31 +559,42 @@ class _SphereBellman:
         np.clip(span, 1e-15, None, out=span)
         member = np.clip((dots + theta) / span + 0.5, 0.0, 1.0)
         self.member = np.ascontiguousarray(member.T)  # (M, Q3)
-        wm = self.member * wq[None, :]
-        self.denom = np.einsum("iq,jq->ij", wm, self.member, optimize=False)
-        if not np.all(self.denom > 1e-12):
-            raise InvalidParameterError("degenerate cap pair on the quadrature grid")
+        upper = np.triu_indices(M)
+        self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> row of cover
+        self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
+        # a weight is nonzero exactly where both memberships are: their
+        # products with w_q stay far above the underflow threshold
+        support = self.member > 0.0
+        both = support.astype(float)
+        counts = (both @ both.T)[upper].astype(np.int64)
+        indptr = np.concatenate([[0], np.cumsum(counts)])
+        indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
+        indices = np.empty(indptr[-1], dtype=indptr.dtype)
+        data = np.empty(indptr[-1])
+        for i in range(M):
+            block = (self.member[i] * wq) * self.member[i:]  # pairs (i, j >= i)
+            denom = block.sum(axis=1)
+            if not np.all(denom > 1e-12):
+                raise InvalidParameterError("degenerate cap pair on the quadrature grid")
+            block /= denom[:, None]
+            keep = support[i] & support[i:]
+            at = slice(indptr[self.pair[i, i]], indptr[self.pair[i, M - 1] + 1])
+            indices[at] = np.nonzero(keep)[1]
+            data[at] = block[keep]
+        self.cover = sparse.csr_matrix((data, indices, indptr),
+                                       shape=(upper[0].size, wq.size))
 
-    def reduce(self, V: np.ndarray) -> np.ndarray:
-        """V: (Q3, m) samples; returns (m,) max_i min_j of pair averages."""
-        m = V.shape[1]
-        out = np.empty(m)
-        wV = V * self.weights[:, None]  # (Q3, m)
-        chunk = max(1, int(2e6 // (self.M * V.shape[0])) or 1)
-        for s in range(0, m, chunk):
-            w = wV[:, s : s + chunk]  # (Q3, c)
-            part = self.member[:, :, None] * w[None, :, :]  # (M, Q3, c)
-            num = np.einsum("iqc,jq->ijc", part, self.member, optimize=False)
-            avg = num / self.denom[:, :, None]
-            out[s : s + chunk] = avg.min(axis=1).max(axis=0)
-        return out
+    def maxmin(self, R: np.ndarray) -> np.ndarray:
+        """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
+        of the cap-pair averages."""
+        return R[self.pair].min(axis=1).max(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # the operator
 
 
-def _make_bellman(dim: int, cfg: SolverConfig):
+def _make_bellman(dim: int, cfg: SolverConfig) -> _Bellman:
     theta = sphere.theta_eps(cfg.eps, dim)
     if dim == 2:
         return _CircleBellman(theta, cfg.axis_count, cfg.quad_order)
@@ -562,128 +602,66 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
 
 class _Kernel:
-    """One Bellman sweep over all interior grid nodes of a field.
+    """One Bellman sweep over all interior grid nodes of a field, in 2D and
+    3D, in blocks of nodes that keep the reduce in cache.
 
     The sample of direction q at a node is the multilinear interpolant at
-    x + eps v_q: the same integer corner offsets and nonnegative corner
-    weights at every node.  This class gathers all Q samples of every node
-    and reduces them (the sphere path); _CircleKernel sweeps the circle.
-    """
-
-    def __init__(self, domain, cfg: SolverConfig, proto: ValueField):
-        self.domain = domain
-        self.cfg = cfg
-        self.bellman = _make_bellman(domain.dim, cfg)
-        self.proto = proto
-        self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
-        pts = proto.node_points()[self.int_flat]
-        self.n_interior = pts.shape[0]
-        shape = proto.shape
-        dim = domain.dim
-        Q = self.bellman.nodes.shape[0]
-        steps = cfg.eps * self.bellman.nodes / proto.h  # (Q, dim), grid units
-        fi = np.floor(steps).astype(np.int64)
-        t = _snap(steps - fi)
-        ncor = 1 << dim
-        weights = np.ones((Q, ncor))
-        for corner in range(ncor):
-            for a in range(dim):
-                if corner >> a & 1:
-                    weights[:, corner] *= t[:, a]
-                else:
-                    weights[:, corner] *= 1.0 - t[:, a]
-        self.fi = fi
-        self.corner_weights = weights
-        # interior nodes sit at least pad cells from every box face, so the
-        # stencil of x + eps v is always inside the inner window below
-        pad = int(math.ceil(cfg.eps / proto.h)) + 1
-        gnode = np.rint((pts - proto.lo) / proto.h).astype(np.int64)
-        if np.any(gnode < pad) or np.any(gnode >= np.asarray(shape) - pad):
-            raise InvalidParameterError("grid collar too small for eps step")
-        self.pad = pad
-        self._prepare(pts, gnode)
-
-    def _prepare(self, pts: np.ndarray, gnode: np.ndarray) -> None:
-        dim = self.domain.dim
-        pad = self.pad
-        inner_shape = tuple(n - 2 * pad for n in self.proto.shape)
-        self.inner_shape = inner_shape
-        inner_strides = np.array(
-            [int(np.prod(inner_shape[a + 1:], dtype=np.int64)) for a in range(dim)]
-        )
-        self.inner_flat = (gnode - pad) @ inner_strides
-        Q = self.bellman.nodes.shape[0]
-        sample_pts = pts[None, :, :] + self.cfg.eps * self.bellman.nodes[:, None, :]
-        flat = sample_pts.reshape(-1, dim)
-        self.inside = self.domain.contains(flat).reshape(Q, self.n_interior)
-
-    def sample_field(self, values: np.ndarray) -> np.ndarray:
-        """V[q, x] = field at node x + eps v_q (0 outside the domain)."""
-        Q = self.fi.shape[0]
-        dim = values.ndim
-        pad = self.pad
-        shape = values.shape
-        V = np.empty((Q, self.n_interior))
-        for q in range(Q):
-            acc = None
-            for corner in range(self.corner_weights.shape[1]):
-                wgt = self.corner_weights[q, corner]
-                if wgt == 0.0:
-                    continue
-                window = tuple(
-                    slice(pad + self.fi[q, a] + (corner >> a & 1),
-                          shape[a] - pad + self.fi[q, a] + (corner >> a & 1))
-                    for a in range(dim)
-                )
-                term = wgt * values[window]
-                acc = term if acc is None else acc + term
-            samples = acc.reshape(-1)[self.inner_flat]
-            V[q] = np.where(self.inside[q], samples, 0.0)
-        return V
-
-    def sweep(self, values: np.ndarray) -> np.ndarray:
-        """Interior Bellman right-hand sides, shape (n_interior,)."""
-        V = self.sample_field(values)
-        return self.bellman.reduce(V) + self.cfg.eps**2 * self.cfg.K
-
-
-class _CircleKernel(_Kernel):
-    """The 2D sweep, in blocks of nodes that keep the reduce in cache.
-
-    A block gathers, for each distinct stencil offset, the field value at
-    that offset from each of its nodes: one gather for the whole block.
-    Nodes whose samples all lie in the domain ("deep" nodes) then need only
-    the merged map cover @ samp, which takes the gathered values straight
-    to the step sums and shortest arcs of the reduce.  The other ("rim")
-    nodes form all Q samples with samp, zero those outside the domain and
-    apply cover.  Both maps have nonnegative weights, so the sweep stays
-    exactly monotone.
+    x + eps v_q: the same flat stencil offsets (the grid strides over the 2^N
+    cell corners) and nonnegative corner weights at every node.  `samp` maps
+    the field values at the distinct offsets to the Q samples.  A block
+    gathers, for each offset, the field value at that offset from each of
+    its nodes: one gather for the whole block.  Nodes whose samples all lie
+    in the domain ("deep" nodes) then need only the merged map cover @ samp,
+    which takes the gathered values straight to the rows of the reduce (step
+    sums and shortest arcs on the circle, cap-pair averages on the sphere).
+    The other ("rim") nodes form all Q samples with samp, zero those outside
+    the domain and apply cover.  Both maps have nonnegative weights, so the
+    sweep stays exactly monotone.
     """
 
     BLOCK = 256
 
-    def _prepare(self, pts: np.ndarray, gnode: np.ndarray) -> None:
-        Q = self.fi.shape[0]
+    def __init__(self, domain, cfg: SolverConfig, proto: ValueField):
+        self.cfg = cfg
+        self.bellman = bell = _make_bellman(domain.dim, cfg)
+        self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
+        self.n_interior = self.int_flat.size
+        pts = proto.node_points()[self.int_flat]
+        dim = domain.dim
+        Q = bell.nodes.shape[0]
         B = self.BLOCK
-        ny = self.proto.shape[1]
-        # flat offset of each (direction, corner) stencil node
-        offs = np.stack([(self.fi[:, 0] + (c & 1)) * ny + self.fi[:, 1] + (c >> 1 & 1)
-                         for c in range(4)], axis=1).ravel()
-        w = self.corner_weights.ravel()
+        # interior nodes sit at least pad cells from every box face, so the
+        # stencil of x + eps v is always inside the node array
+        pad = int(math.ceil(cfg.eps / proto.h)) + 1
+        gnode = np.rint((pts - proto.lo) / proto.h).astype(np.int64)
+        if np.any(gnode < pad) or np.any(gnode >= np.asarray(proto.shape) - pad):
+            raise InvalidParameterError("grid collar too small for eps step")
+        step = cfg.eps * bell.nodes
+        fi = np.floor(step / proto.h).astype(np.int64)
+        t = _snap(step / proto.h - fi)
+        # flat offset and weight of each (direction, corner) stencil node
+        strides = _strides(proto.shape)
+        offs = np.empty((Q, 1 << dim), dtype=np.int64)
+        w = np.ones((Q, 1 << dim))
+        for c in range(1 << dim):
+            bits = np.array([c >> a & 1 for a in range(dim)])
+            offs[:, c] = (fi + bits) @ strides
+            for a in range(dim):
+                w[:, c] *= t[:, a] if bits[a] else 1.0 - t[:, a]
+        w, offs = w.ravel(), offs.ravel()
         nz = w > 0.0
         offsets, col = np.unique(offs[nz], return_inverse=True)
-        rows = np.repeat(np.arange(Q), 4)[nz]
+        rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
                                       shape=(Q, offsets.size))
-        self.merged = (self.bellman.cover @ self.samp).tocsr()
+        self.merged = (bell.cover @ self.samp).tocsr()
         # a node is deep when every x + eps v_q is inside the domain
-        step = self.cfg.eps * self.bellman.nodes
         deep = np.empty(self.n_interior, dtype=bool)
         outside = []
         for s in range(0, self.n_interior, B):
             p = pts[s : s + B]
-            inside = self.domain.contains(
-                (p[None, :, :] + step[:, None, :]).reshape(-1, 2)
+            inside = domain.contains(
+                (p[None, :, :] + step[:, None, :]).reshape(-1, dim)
             ).reshape(Q, p.shape[0])
             deep[s : s + B] = inside.all(axis=0)
             outside.append(~inside[:, ~deep[s : s + B]])
@@ -709,10 +687,6 @@ class _CircleKernel(_Kernel):
             V[outside] = 0.0
             out[pos] = bell.maxmin(bell.cover @ V)
         return out + self.cfg.eps**2 * self.cfg.K
-
-
-def _kernel(domain, cfg: SolverConfig, proto: ValueField) -> _Kernel:
-    return (_CircleKernel if domain.dim == 2 else _Kernel)(domain, cfg, proto)
 
 
 def _bellman_core(field: ValueField, pts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -757,7 +731,7 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
             f"eps must be at most {SUPERSOLUTION_EPS_MAX} for a convergent iteration"
         )
     field = empty_field(domain, cfg) if start is None else start
-    kernel = _kernel(domain, cfg, field)
+    kernel = _Kernel(domain, cfg, field)
     vals = field.values.copy()
     flat = vals.ravel()
     interior = kernel.int_flat
@@ -788,7 +762,7 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
     """sup over interior nodes of |field - bellman_rhs(field)|."""
     cfg = resolve_config(cfg, field.domain.dim)
-    kernel = _kernel(field.domain, cfg, field)
+    kernel = _Kernel(field.domain, cfg, field)
     rhs = kernel.sweep(field.values)
     cur = field.values.ravel()[kernel.int_flat]
     return float(np.max(np.abs(cur - rhs))) if cur.size else 0.0
@@ -806,7 +780,7 @@ def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
     cfg = resolve_config(cfg, field.domain.dim)
     if not np.all(field.values[~field.interior_mask] >= 0.0):
         return False, math.inf
-    kernel = _kernel(field.domain, cfg, field)
+    kernel = _Kernel(field.domain, cfg, field)
     rhs = kernel.sweep(field.values)
     cur = field.values.ravel()[kernel.int_flat]
     if cur.size == 0:

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvegame import solver, sphere
+from curvegame import analysis, solver, sphere
 from curvegame.errors import (
     InvalidParameterError,
     NonConvergenceError,
@@ -15,6 +15,10 @@ from curvegame.errors import (
 # deterministic so later runs must reproduce it to rounding.
 CENTER_EPS02 = 0.4804309588710462
 ITERS_EPS02 = 58
+
+# Sweep count of the 3D solve on the unit ball at eps = 0.4, 64 axes,
+# quadrature order 16 (the benchmark's ball3-solve config).
+ITERS_BALL3 = 14
 
 DISK = solver.unit_ball(2)
 
@@ -231,6 +235,24 @@ def test_circle_reduce_matches_cell_coverage(M, Q, eps):
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
+@pytest.mark.parametrize("M", [8, 64])
+@pytest.mark.parametrize("eps", [0.4, 0.2])
+def test_sphere_reduce_matches_pair_sum(M, eps):
+    """The pair-row cover and its maxmin against a plain double loop over
+    every cap pair of the membership-weighted quadrature sum."""
+    theta = sphere.theta_eps(eps, 3)
+    bell = solver._SphereBellman(theta, sphere.fibonacci_axes(M), 16)
+    V = np.random.default_rng(M).random((bell.nodes.shape[0], 4))
+    avg = np.empty((M, M, V.shape[1]))
+    for i in range(M):
+        for j in range(M):
+            w = bell.member[i] * bell.member[j] * bell.weights
+            avg[i, j] = w @ V / w.sum()
+    expected = avg.min(axis=1).max(axis=0)
+    got = bell.maxmin(bell.cover @ V)
+    assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+
 def test_constant_field_is_near_fixed_point_shift():
     # band averages of a constant equal the constant, so one sweep adds
     # exactly eps^2 K on top of it
@@ -288,6 +310,26 @@ def test_exterior_nodes_stay_zero():
     f = solver.value_iteration(DISK, cfg2(0.3))
     assert np.all(f.values[~f.interior_mask] == 0.0)
     assert np.all(f.values[f.interior_mask] > 0.0)
+
+
+def test_ball3_solve_end_to_end():
+    """3D solve on the unit ball at coarse eps against the oracle
+    u = (1 - |x|^2)/4: frozen sweep count, DPP residual, zero exterior,
+    centre and sup error, and byte-identical reruns."""
+    c = solver.resolve_config(
+        solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
+    ball = solver.unit_ball(3)
+    f = solver.value_iteration(ball, c)
+    assert f.iterations == ITERS_BALL3
+    assert solver.dpp_residual(f, c) < c.tol_iter
+    assert np.all(f.values[~f.interior_mask] == 0.0)
+    u = analysis.BallOracle(R=1.0, L=1.0, N=3)
+    assert solver.interpolate(f, np.zeros(3)) == pytest.approx(0.25, rel=0.1)
+    inside = f.interior_mask.ravel()
+    err = np.abs(f.values.ravel()[inside] - u.values(f.node_points()[inside]))
+    assert err.max() <= 0.05
+    again = solver.value_iteration(ball, c)
+    assert again.values.tobytes() == f.values.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -225,10 +225,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         sp = None
         if cfg.get("paul"):
             sp = _strategy(cfg["paul"], cfg, field, domain, "paul")
+        t0 = time.perf_counter()
         report = game.martingale_diagnostic(
             x0, z, sp=sp, n=n, eps=eps, domain=domain, seed=seed,
             threads=threads,
         )
+        wall = time.perf_counter() - t0
         report["mode"] = "diagnostic"
         report["effective_config"] = {
             "eps": eps, "n": n, "seed": seed, "x0": list(map(float, x0)),
@@ -236,6 +238,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "domain": domain.as_dict(),
         }
         _write(out / "diagnostic.json", solver.dumps_compact(report) + "\n")
+        _write_simulate_manifest(out, "diagnostic", n, report["rounds_pooled"],
+                                 report["fallbacks"], wall)
         print(f"simulate: diagnostic increment_pass={report['increment_pass']} "
               f"osth_pass={report['osth_pass']}")
         return EXIT_OK
@@ -246,18 +250,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     carol = cfg.get("carol", "gradient")
     sp = _strategy(paul, cfg, field, domain, "paul")
     sc = _strategy(carol, cfg, field, domain, "carol")
+    t0 = time.perf_counter()
     episodes = game.run_episodes(x0, sp, sc, n, eps, domain, seed,
                                  threads=threads)
+    wall = time.perf_counter() - t0
     payoffs = np.array([e.payoff for e in episodes])
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    fallbacks = int(sum(e.fallbacks for e in episodes))
     artifact = {
         "mode": "estimate",
         "mean": mean,
         "stderr": stderr,
         "n": n,
         "mean_rounds": float(np.mean([e.tau for e in episodes])),
-        "fallback_rounds": int(sum(e.fallbacks for e in episodes)),
+        "fallback_rounds": fallbacks,
         "effective_config": {
             "eps": eps, "n": n, "seed": seed, "x0": list(map(float, x0)),
             "paul": paul, "carol": carol, "domain": domain.as_dict(),
@@ -268,8 +275,25 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if cfg.get("trace"):
         lines = [solver.dumps_compact(e.to_json_dict()) for e in episodes]
         _write(out / str(cfg["trace"]), "\n".join(lines) + "\n")
+    _write_simulate_manifest(out, "estimate", n, sum(e.tau for e in episodes),
+                             fallbacks, wall)
     print(f"simulate: mean={mean:.17g} stderr={stderr:.17g} n={n}")
     return EXIT_OK
+
+
+def _write_simulate_manifest(out: Path, mode: str, episodes: int, rounds: int,
+                             fallbacks: int, wall: float) -> None:
+    # game counters and timings; kept out of the byte-stable artifacts
+    manifest = {
+        "command": "simulate",
+        "mode": mode,
+        "episodes": episodes,
+        "rounds": rounds,
+        "fallback_rounds": fallbacks,
+        "wall_time_s": wall,
+        "rounds_per_s": rounds / wall if wall > 0 else None,
+    }
+    _write(out / "simulate_manifest.json", solver.dumps_compact(manifest) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -496,7 +520,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="RNG seed override")
         p.add_argument("--threads", type=int,
-                       help=f"thread cap (default: {_THREADS_ENV} or cores)")
+                       help=f"thread cap (default: {_THREADS_ENV} or cores); "
+                            "accepted and checked, every command runs in one "
+                            "thread")
 
     p = sub.add_parser("solve", help="value-iterate a DPP field")
     common(p)

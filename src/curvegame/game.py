@@ -1,21 +1,34 @@
 """Monte Carlo simulation of the two-player cap game.
 
-One round from position x: Paul picks a cap A, Carol a cap B (both of measure
-half the sphere plus the margin delta_eps), a direction v is drawn uniformly
-from A cap B, and the position moves to x + eps v.  The game stops on exit
-from the domain and pays eps^2 * K * tau.
+One round from position x: Paul picks a cap A, Carol a cap B (both of
+threshold theta_eps(eps, N), so of measure half the sphere plus the margin
+delta_eps), a direction v is drawn uniformly from A cap B, and the position
+moves to x + eps v.  The game stops on exit from the domain and pays
+eps^2 * K * tau.
 
-A Strategy is a callable (x, round_index, eps) -> Cap, optionally returning
-(Cap, fallback_flag) so degenerate positions (zero gradient, x = z) can be
-recorded in the episode trace.  Strategies must be stateless: episodes run
-independently, each on its own counter-derived random stream, so estimates are
-reproducible regardless of scheduling.
+All episodes of a run are played in lockstep.  The positions of the episodes
+still in play form an (m, N) array; each round makes one call per player,
+one batch band draw (sphere.sample_bands) and one exit test, and episodes
+that have exited drop out.  play_episode is the same engine with one episode.
+
+A Strategy is a callable (X, k, eps) -> (axes, fallback): X holds the (m, N)
+positions in play at round k, axes the (m, N) unit cap axes, and fallback an
+(m,) bool mask of the degenerate positions (zero gradient, x = z) where the
+strategy fell back to a fixed axis; fallbacks are counted per episode.  Row i
+of the result may depend on row i of X, k and eps only.
+
+Episode i of run_episodes draws from its own stream SeedSequence(seed,
+spawn_key=(i,)), read in chunks into a buffer of its own, so its draws depend
+on (seed, i) and its own path alone: results do not depend on the number of
+episodes or on the thread count.  On the circle a round reads one uniform and
+repeats the arithmetic of CapIntersection.sample, so an episode equals the
+same episode played with scalar caps bit for bit.  On S^2 a round reads
+blocks of attempts until one lies in the band.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,6 +38,9 @@ from . import sphere
 from .errors import InvalidParameterError, RunawayEpisodeError
 
 ROUND_CAP = 10**8
+
+# Uniforms buffered per episode between refills from its stream.
+_BUFFER = 128
 
 Strategy = Callable
 
@@ -59,18 +75,12 @@ class McEstimate:
     n: int
 
 
-def _unpack(choice):
-    if isinstance(choice, tuple):
-        return choice
-    return choice, False
-
-
 def fixed_axis_strategy(axis) -> Strategy:
     """Always pick the cap around one fixed axis."""
     axis = sphere.unit_vector(np.asarray(axis, dtype=float))
 
-    def strategy(x, k: int, eps: float):
-        return sphere.game_cap(axis, eps), False
+    def strategy(X, k: int, eps: float):
+        return np.tile(axis, (len(X), 1)), np.zeros(len(X), dtype=bool)
 
     return strategy
 
@@ -83,9 +93,9 @@ def mirrored_strategy(other: Strategy) -> Strategy:
     eps^2.
     """
 
-    def strategy(x, k: int, eps: float):
-        cap, fb = _unpack(other(x, k, eps))
-        return sphere.Cap(-np.asarray(cap.axis), cap.theta), fb
+    def strategy(X, k: int, eps: float):
+        axes, fallback = other(X, k, eps)
+        return -axes, fallback
 
     return strategy
 
@@ -98,21 +108,16 @@ def radial_exit_strategy(z) -> Strategy:
     """
     z = np.asarray(z, dtype=float)
 
-    def strategy(x, k: int, eps: float):
-        d = np.asarray(x, dtype=float) - z
-        norm = math.sqrt(float(d @ d))
-        if norm < 1e-12:
-            axis = np.zeros_like(z)
-            axis[0] = 1.0
-            return sphere.game_cap(axis, eps), True
-        return sphere.game_cap(d / norm, eps), False
+    def strategy(X, k: int, eps: float):
+        d = X - z
+        norm = np.sqrt(sphere.row_dot(d, d))
+        fallback = norm < 1e-12
+        norm[fallback] = 1.0
+        axes = d / norm[:, None]
+        axes[fallback] = np.eye(len(z))[0]
+        return axes, fallback
 
     return strategy
-
-
-def _gradient_tables(field) -> list:
-    # np.gradient: central differences inside, one-sided at the box edges
-    return list(np.gradient(field.values, field.h))
 
 
 def gradient_cap_strategy(field, player: str) -> Strategy:
@@ -126,64 +131,140 @@ def gradient_cap_strategy(field, player: str) -> Strategy:
     if side not in ("paul", "carol"):
         raise InvalidParameterError("player must be 'paul' or 'carol'")
     sign = 1.0 if side == "paul" else -1.0
-    grads = _gradient_tables(field)
-    lo = [float(c) for c in field.lo]
+    # np.gradient: central differences inside, one-sided at the box edges;
+    # one flat table per component, entry r for node r of the flattened grid
+    tables = [g.ravel() for g in np.gradient(field.values, field.h)]
+    lo = np.asarray(field.lo, dtype=float)
     h = field.h
-    shape = field.shape
     dim = field.domain.dim
+    top = np.asarray(field.shape) - 2
+    strides = np.array([math.prod(field.shape[a + 1:]) for a in range(dim)])
+    # cell corners c, first axis fastest ((0,0), (1,0), (0,1), (1,1) in 2D):
+    # flat node offsets, and for each axis the row of [1 - t; t] that gives
+    # the corner's weight factor
+    bits = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
+    offsets = (bits @ strides)[:, None]
+    factor = bits * dim + np.arange(dim)
 
-    if dim == 2:
-        # Nested lists: scalar indexing is several times cheaper than on
-        # ndarrays, and this closure runs twice per game round.
-        gx, gy = grads[0].tolist(), grads[1].tolist()
-
-        def strategy(x, k: int, eps: float):
-            u = (float(x[0]) - lo[0]) / h
-            v = (float(x[1]) - lo[1]) / h
-            i = min(int(u), shape[0] - 2)
-            j = min(int(v), shape[1] - 2)
-            tu = u - i
-            tv = v - j
-            w00 = (1.0 - tu) * (1.0 - tv)
-            w10 = tu * (1.0 - tv)
-            w01 = (1.0 - tu) * tv
-            w11 = tu * tv
-            r0, r1 = gx[i], gx[i + 1]
-            a = w00 * r0[j] + w10 * r1[j] + w01 * r0[j + 1] + w11 * r1[j + 1]
-            r0, r1 = gy[i], gy[i + 1]
-            b = w00 * r0[j] + w10 * r1[j] + w01 * r0[j + 1] + w11 * r1[j + 1]
-            norm = math.sqrt(a * a + b * b)
-            if norm < 1e-10:
-                return sphere.game_cap(np.array([1.0, 0.0]), eps), True
-            axis = np.array([sign * a / norm, sign * b / norm])
-            return sphere.game_cap(axis, eps), False
-
-        return strategy
-
-    gx, gy, gz = (t.tolist() for t in grads)
-
-    def strategy(x, k: int, eps: float):
-        coords = [(float(x[a]) - lo[a]) / h for a in range(3)]
-        idx = [min(int(c), shape[a] - 2) for a, c in enumerate(coords)]
-        t = [c - i for c, i in zip(coords, idx)]
-        g = [0.0, 0.0, 0.0]
-        i, j, l = idx
-        for di in (0, 1):
-            for dj in (0, 1):
-                for dl in (0, 1):
-                    w = ((t[0] if di else 1.0 - t[0])
-                         * (t[1] if dj else 1.0 - t[1])
-                         * (t[2] if dl else 1.0 - t[2]))
-                    g[0] += w * gx[i + di][j + dj][l + dl]
-                    g[1] += w * gy[i + di][j + dj][l + dl]
-                    g[2] += w * gz[i + di][j + dj][l + dl]
-        norm = math.sqrt(g[0] ** 2 + g[1] ** 2 + g[2] ** 2)
-        if norm < 1e-10:
-            return sphere.game_cap(np.array([1.0, 0.0, 0.0]), eps), True
-        axis = sign / norm * np.array(g)
-        return sphere.game_cap(axis, eps), False
+    def strategy(X, k: int, eps: float):
+        u = (X - lo) / h
+        cell = np.minimum(u.astype(np.intp), top)
+        t = (u - cell).T
+        st = np.concatenate([1.0 - t, t])
+        w = st[factor[:, 0]]
+        for a in range(1, dim):
+            w = w * st[factor[:, a]]
+        node = offsets + cell @ strides  # (corners, m)
+        g = []
+        for table in tables:
+            terms = w * table.take(node)
+            acc = terms[0]
+            for c in range(1, 2**dim):
+                acc = acc + terms[c]
+            g.append(acc)
+        norm = g[0] * g[0]
+        for gc in g[1:]:
+            norm = norm + gc * gc
+        norm = np.sqrt(norm)
+        fallback = norm < 1e-10
+        norm[fallback] = 1.0
+        axes = np.stack([sign * gc / norm for gc in g], axis=1)
+        axes[fallback] = np.eye(dim)[0]
+        return axes, fallback
 
     return strategy
+
+
+def _unit_axes(axes) -> np.ndarray:
+    # Cap's rule, row-wise: reject ~zero rows, rescale rows off unit length
+    axes = np.asarray(axes, dtype=float)
+    n2 = sphere.row_dot(axes, axes)
+    off = ~(np.abs(n2 - 1.0) <= 1e-12)
+    if off.any():
+        if not (n2 >= 1e-24).all():
+            raise InvalidParameterError("cannot normalize a (near) zero vector")
+        axes = np.where(off[:, None], axes / np.sqrt(n2)[:, None], axes)
+    return axes
+
+
+class _Streams:
+    """Uniforms per episode, refilled in chunks from that episode's stream.
+
+    Generator.random(shape) yields the same values as as many scalar calls,
+    so row i reads its stream in order however the rows are grouped.
+    """
+
+    def __init__(self, rngs: list, width: int):
+        self.rngs = rngs
+        self.chunk = max(1, _BUFFER // width)
+        self.buf = np.empty((len(rngs), self.chunk, width))
+        self.cur = np.full(len(rngs), self.chunk)
+
+    def take(self, rows: np.ndarray) -> np.ndarray:
+        """The next draw of each of the (distinct) rows: (len(rows), width)."""
+        cur = self.cur[rows]
+        empty = cur == self.chunk
+        if empty.any():
+            for i in rows[empty]:
+                self.buf[i] = self.rngs[i].random(self.buf.shape[1:])
+            cur[empty] = 0
+        self.cur[rows] = cur + 1
+        return self.buf[rows, cur]
+
+
+def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
+          payoff_k: float | None, seed: int | None, indices,
+          max_rounds: int) -> list:
+    """Play one episode per generator in lockstep; Episodes in rngs' order."""
+    x0 = np.asarray(x0, dtype=float)
+    if not domain.contains(x0):
+        raise InvalidParameterError("x0 must lie inside the domain")
+    if not eps > 0:
+        raise InvalidParameterError("eps must be positive")
+    N = domain.dim
+    K = sphere.constant_C(N) if payoff_k is None else float(payoff_k)
+    theta = sphere.theta_eps(eps, N)
+    n = len(rngs)
+    streams = _Streams(rngs, sphere.band_draw_width(N))
+    active = np.arange(n)
+    x = np.tile(x0, (n, 1))
+    # (episode rows, positions) of every round, start first
+    log = [(active, x)]
+    fallbacks = np.zeros(n, dtype=np.int64)
+    tau = np.zeros(n, dtype=np.int64)
+    k = 0
+    while True:
+        axes_p, fb_p = sp(x, k, eps)
+        axes_c, fb_c = sc(x, k, eps)
+        if fb_p.any() or fb_c.any():
+            fallbacks[active] += np.add(fb_p, fb_c, dtype=np.int64)
+        axes_p, axes_c = _unit_axes(axes_p), _unit_axes(axes_c)
+        v = sphere.sample_bands(axes_p, axes_c, theta,
+                                lambda rows: streams.take(active[rows]))
+        assert sphere.in_bands(v, axes_p, axes_c, theta).all(), \
+            "sampled direction left the band"
+        x = x + eps * v
+        k += 1
+        log.append((active, x))
+        inside = domain.contains(x)
+        if not inside.all():
+            tau[active[~inside]] = k
+            active, x = active[inside], x[inside]
+            if not active.size:
+                break
+        if k >= max_rounds:
+            raise RunawayEpisodeError(
+                f"episode exceeded {max_rounds} rounds without exiting"
+            )
+    rows = np.concatenate([r for r, _ in log])
+    order = np.argsort(rows, kind="stable")
+    positions = np.concatenate([p for _, p in log])[order]
+    paths = np.split(positions, np.cumsum(tau + 1)[:-1])
+    return [
+        Episode(positions=p, tau=int(t), payoff=eps * eps * K * int(t),
+                eps=eps, seed=seed, index=i, fallbacks=int(f))
+        for p, t, f, i in zip(paths, tau, fallbacks, indices)
+    ]
 
 
 def play_episode(x0, sp: Strategy, sc: Strategy, eps: float, domain, rng,
@@ -197,36 +278,8 @@ def play_episode(x0, sp: Strategy, sc: Strategy, eps: float, domain, rng,
     RunawayEpisodeError if max_rounds is reached, which signals a
     mis-specified strategy rather than a long game.
     """
-    x = np.asarray(x0, dtype=float).copy()
-    if not domain.contains(x):
-        raise InvalidParameterError("x0 must lie inside the domain")
-    if not eps > 0:
-        raise InvalidParameterError("eps must be positive")
-    K = sphere.constant_C(domain.dim) if payoff_k is None else float(payoff_k)
-    positions = [x]
-    fallbacks = 0
-    k = 0
-    while True:
-        cap_p, fb_p = _unpack(sp(x, k, eps))
-        cap_c, fb_c = _unpack(sc(x, k, eps))
-        fallbacks += int(fb_p) + int(fb_c)
-        band = sphere.intersect_caps(cap_p, cap_c)
-        v = band.sample(rng)
-        assert band.contains(v), "sampled direction left the band"
-        # x is rebound, never mutated, so the history list can alias it.
-        x = x + eps * v
-        positions.append(x)
-        k += 1
-        if not domain.contains(x):
-            return Episode(
-                positions=np.asarray(positions), tau=k,
-                payoff=eps * eps * K * k, eps=eps,
-                seed=seed, index=index, fallbacks=fallbacks,
-            )
-        if k >= max_rounds:
-            raise RunawayEpisodeError(
-                f"episode exceeded {max_rounds} rounds without exiting"
-            )
+    return _play(x0, sp, sc, eps, domain, [rng], payoff_k=payoff_k,
+                 seed=seed, indices=[index], max_rounds=max_rounds)[0]
 
 
 def _episode_rng(seed: int, index: int):
@@ -240,22 +293,16 @@ def run_episodes(x0, sp: Strategy, sc: Strategy, n: int, eps: float, domain,
                  payoff_k: float | None = None) -> list:
     """n independent episodes on counter-derived streams; order-stable output.
 
-    Episode i always uses the stream split (seed, i), so the result is the
-    same for any thread count.
+    Episode i always uses the stream split (seed, i), so its result does not
+    depend on n.  The episodes run in lockstep in the calling thread; threads
+    is accepted for compatibility and changes nothing.
     """
     if n < 1:
         raise InvalidParameterError("need at least one episode")
-
-    def one(i: int) -> Episode:
-        return play_episode(
-            x0, sp, sc, eps, domain, _episode_rng(seed, i),
-            payoff_k=payoff_k, seed=seed, index=i,
-        )
-
-    if threads <= 1:
-        return [one(i) for i in range(n)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(one, range(n)))
+    return _play(x0, sp, sc, eps, domain,
+                 [_episode_rng(seed, i) for i in range(n)],
+                 payoff_k=payoff_k, seed=seed, indices=range(n),
+                 max_rounds=ROUND_CAP)
 
 
 def estimate_value(x0, sp: Strategy, sc: Strategy, n: int, eps: float,

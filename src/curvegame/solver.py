@@ -93,8 +93,9 @@ class Ball:
             for v, c in zip(p, self.center):
                 d += (float(v) - c) ** 2
             return d < self.radius**2
+        # the scalar sum, one coordinate at a time, so both paths agree
         d = p - np.asarray(self.center)
-        return np.einsum("ij,ij->i", d, d) < self.radius**2
+        return sphere.row_dot(d, d) < self.radius**2
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -139,7 +140,7 @@ class Ellipse:
                 d += ((float(v) - c) / s) ** 2
             return d < 1.0
         d = (p - np.asarray(self.center)) / np.asarray(self.semi_axes)
-        return np.einsum("ij,ij->i", d, d) < 1.0
+        return sphere.row_dot(d, d) < 1.0
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -844,9 +845,13 @@ def load_field(path) -> tuple:
     domain = domain_from_dict(header["domain"])
     shape = tuple(header["grid_shape"])
     raw = (path.parent / header["values_file"]).read_text().strip()
-    vals = np.array(
-        [[float(v) for v in line.split(",")] for line in raw.splitlines()]
-    ).reshape(shape)
+    vals = np.array(raw.replace("\n", ",").split(","), dtype=float)
+    if vals.size != math.prod(shape):
+        raise InvalidParameterError(
+            f"{header['values_file']} holds {vals.size} values, "
+            f"grid_shape {list(shape)} needs {math.prod(shape)}"
+        )
+    vals = vals.reshape(shape)
     field = ValueField(
         domain, np.asarray(header["box_lo"], dtype=float), float(header["grid_h"]),
         vals,

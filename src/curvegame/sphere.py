@@ -17,6 +17,10 @@ coordinates (azimuth phi, height t), which every quadrature here relies on.
 
 Scalar functions integrated over regions are called with an (m, N) array of
 unit vectors and must return an (m,) array.
+
+sample_bands draws once from each of m bands at a time, for the game engine:
+on the circle with the arc arithmetic of CapIntersection.sample, on S^2 by
+drawing uniformly on the first cap and keeping draws inside the second.
 """
 
 from __future__ import annotations
@@ -125,8 +129,7 @@ class Cap:
     theta: float
 
     def __post_init__(self):
-        # Inline of unit_vector: caps are built once per game round, so the
-        # already-normalized common case skips the divide and the copy.
+        # Inline of unit_vector that leaves an already-unit axis untouched.
         arr = np.asarray(self.axis, dtype=float)
         n2 = float(arr @ arr)
         if n2 < 1e-24:
@@ -443,6 +446,134 @@ def sample_uniform(region: CapIntersection, rng,
     """Uniform draw from the region: exact arc inversion on the circle,
     rejection from uniform sphere samples on S^2."""
     return region.sample(rng, attempt_bound)
+
+
+# Attempts per block of the batch band draw on S^2 (see sample_bands).
+_BAND_BLOCK = 32
+
+
+def band_draw_width(N: int) -> int:
+    """Uniforms per row that one call of sample_bands' draw must return: one
+    on the circle, a block of _BAND_BLOCK (height, azimuth) attempts on S^2."""
+    _check_dim(N)
+    return 1 if N == 2 else 2 * _BAND_BLOCK
+
+
+def row_dot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """<v, a> over the last axis, summed coordinate by coordinate from the
+    first, the order in which the scalar code sums."""
+    s = v[..., 0] * a[..., 0]
+    for k in range(1, v.shape[-1]):
+        s += v[..., k] * a[..., k]
+    return s
+
+
+def in_bands(v: np.ndarray, a: np.ndarray, b: np.ndarray,
+             theta: float) -> np.ndarray:
+    """Row mask of v lying in both caps {<., a> >= -theta}, {<., b> >= -theta}."""
+    return (row_dot(v, a) >= -theta) & (row_dot(v, b) >= -theta)
+
+
+def sample_bands(a: np.ndarray, b: np.ndarray, theta: float, draw,
+                 attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
+    """One uniform draw from each band {v : <v, a_i> >= -theta, <v, b_i> >= -theta}.
+
+    a, b are (m, N) unit axes and theta in [0, 1).  draw(rows) returns
+    (len(rows), band_draw_width(N)) uniforms in [0, 1) for those rows; each
+    row's draws are read in order, so a row's result depends only on its own
+    axes and uniforms.
+
+    N=2 reads one uniform per row and does the arithmetic of
+    CapIntersection.sample in the same order, so row i equals the scalar draw
+    from intersect_caps(Cap(a_i, theta), Cap(b_i, theta)) bit for bit.  N=3
+    draws attempts uniformly on cap a (Archimedes: height uniform on
+    [-theta, 1] along a_i, azimuth uniform) and keeps the first attempt of a
+    block that lies in both caps; rows without one read another block.  The
+    band has measure at least 2 delta against 2 pi + delta for the cap, so an
+    attempt is accepted with probability at least delta / (pi + delta / 2).
+    """
+    if a.shape[1] == 2:
+        return _sample_arcs(a, b, theta, draw(np.arange(len(a)))[:, 0])
+    return _sample_caps3(a, b, theta, draw, attempt_bound)
+
+
+def _sample_arcs(a: np.ndarray, b: np.ndarray, theta: float,
+                 u: np.ndarray) -> np.ndarray:
+    # CapIntersection.arcs and _sample2 with the three shifted candidate
+    # arcs as rows, every scalar operation kept in its order.  math.atan2
+    # per axis: numpy's SIMD arctan2 rounds differently on some inputs.
+    m = len(a)
+    x, y = np.concatenate([a, b]).T.tolist()
+    ang = np.fromiter(map(math.atan2, y, x), dtype=float, count=2 * m)
+    a1, a2 = ang[:m], ang[m:]
+    w = math.acos(-theta)
+    shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])
+    s = np.maximum(a1 - w, a2 - w + shift)
+    e = np.minimum(a1 + w, a2 + w + shift)
+    length = e - s
+    keep = length > 1e-14
+    kept = np.where(keep, length, 0.0)
+    total = kept[0] + kept[1] + kept[2]
+    if (total <= 1e-14).any():
+        raise DegenerateRegionError("cannot sample a ~zero measure region")
+    # rest[j]: the uniform less every kept arc before arc j, subtracted in turn
+    rest = np.empty_like(s)
+    rest[0] = u * total
+    rest[1] = rest[0] - kept[0]
+    rest[2] = rest[1] - kept[1]
+    hit = keep & (rest <= length)
+    j = hit.argmax(axis=0)
+    cols = np.arange(m)
+    phi = s[j, cols] + rest[j, cols]
+    # no hit: u landed past the far endpoint of the last arc by rounding
+    last = np.where(keep[2], e[2], np.where(keep[1], e[1], e[0]))
+    phi = np.where(hit[j, cols], phi, last)
+    return np.stack([np.cos(phi), np.sin(phi)], axis=1)
+
+
+def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise cross product of (m, 3) arrays (np.cross costs ~10x more)."""
+    out = np.empty_like(a)
+    out[:, 0] = a[:, 1] * b[:, 2] - a[:, 2] * b[:, 1]
+    out[:, 1] = a[:, 2] * b[:, 0] - a[:, 0] * b[:, 2]
+    out[:, 2] = a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+    return out
+
+
+def _orthobases(axes: np.ndarray):
+    """Row-wise _orthobasis: (m, 3) pairs orthonormal to each unit axis."""
+    e = np.zeros_like(axes)
+    e[np.arange(len(axes)), np.argmin(np.abs(axes), axis=1)] = 1.0
+    u = _cross(axes, e)
+    u /= np.sqrt(row_dot(u, u))[:, None]
+    return u, _cross(axes, u)
+
+
+def _sample_caps3(a: np.ndarray, b: np.ndarray, theta: float, draw,
+                  attempt_bound: int) -> np.ndarray:
+    e1, e2 = _orthobases(a)
+    out = np.empty_like(a)
+    rows = np.arange(len(a))
+    n = _BAND_BLOCK
+    for _ in range(max(1, attempt_bound // n)):
+        u = draw(rows)
+        t = u[:, :n] * (1.0 + theta) - theta
+        phi = TWO_PI * u[:, n:]
+        r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
+        ar, br = a[rows, None, :], b[rows, None, :]
+        v = (t[..., None] * ar + (r * np.cos(phi))[..., None] * e1[rows, None, :]
+             + (r * np.sin(phi))[..., None] * e2[rows, None, :])
+        # the cap a test only drops heights rounded below -theta
+        ok = in_bands(v, ar, br, theta)
+        got = ok.any(axis=1)
+        first = ok.argmax(axis=1)
+        out[rows[got]] = v[got, first[got]]
+        rows = rows[~got]
+        if not rows.size:
+            return out
+    raise SamplingFailureError(
+        f"no accepted sample in {attempt_bound} attempts; region nearly degenerate"
+    )
 
 
 def circle_axes(M: int) -> np.ndarray:

@@ -10,9 +10,7 @@ interpolation biases the fixed point by O(h^2/eps^2) of the value; at a
 fixed h = eps/2 that deficit does not shrink with eps and the sup error
 grows along the sweep, while under the law it falls like eps.
 
-The game-vs-DPP gate is red, for two measured causes.  Cost: its eps = 0.1
-Monte Carlo plays about 4M rounds through the scalar game loop, about
-200 s on two GIL-bound threads against the 120 s budget.  Discretization:
+The game-vs-DPP gate is red, for one measured cause, the discretization:
 the game (which plays continuum steps) lands at 0.5084 +- 0.0007 at the
 centre, while the grid gives 0.4741, 0.4852, 0.4964 and 0.5007 at
 h/eps = 1/2, 1/2.83, 1/4 and 1/6; the gap shrinks only about linearly in

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from curvegame import cli, solver
+from curvegame import analysis, cli, solver
 from curvegame.errors import InvalidParameterError
 
 
@@ -139,6 +140,77 @@ def test_simulate_with_field_and_determinism(tmp_path):
     assert est["effective_config"]["eps"] == 0.3
     assert est["effective_config"]["paul"] == "gradient"
     assert 0.0 < est["mean"] < 1.0
+
+
+# estimate.json and sha256 of the trace, recorded with the one-episode-at-a-
+# time game loop; the 2D arc arithmetic must not move a bit since
+FROZEN_2D = {
+    ("0,0", 3): (
+        '{"mode": "estimate", "mean": 0.50150000000000006, "stderr": '
+        '0.0094922370441621485, "n": 40, "mean_rounds": 100.3, '
+        '"fallback_rounds": 80, "effective_config": {"eps": '
+        '0.10000000000000001, "n": 40, "seed": 3, "x0": [0, 0], "paul": '
+        '"gradient", "carol": "gradient", "domain": {"shape": "ball", '
+        '"center": [0, 0], "radius": 1}, "field": "field.json"}}\n',
+        "3f64b18e819b548ff59624fb3166b4aabe71bc45206f178dfefe40e69f94fc6c",
+    ),
+    ("0.4,-0.3", 4): (
+        '{"mode": "estimate", "mean": 0.37450000000000011, "stderr": '
+        '0.0085631140992586969, "n": 40, "mean_rounds": 74.900000000000006, '
+        '"fallback_rounds": 0, "effective_config": {"eps": '
+        '0.10000000000000001, "n": 40, "seed": 4, "x0": [0.40000000000000002, '
+        '-0.29999999999999999], "paul": "gradient", "carol": "gradient", '
+        '"domain": {"shape": "ball", "center": [0, 0], "radius": 1}, '
+        '"field": "field.json"}}\n',
+        "f855f19cd0a1f8e909f6572dfb44da80ad0602288133072d477b333a5d5dd88f",
+    ),
+}
+
+
+def test_simulate_2d_bytes_frozen(tmp_path, monkeypatch):
+    # gradient strategies on the disk oracle sampled on the default eps=0.1
+    # grid; a relative field path keeps the artifact free of tmp_path
+    monkeypatch.chdir(tmp_path)
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.1), 2)
+    oracle = analysis.BallOracle(R=1.0, L=1.0, N=2)
+    solver.save_field(
+        solver.field_from_function(solver.unit_ball(2), cfg, oracle.values),
+        "field.json", cfg=cfg,
+    )
+    for (x0, seed), (estimate, trace_sha) in FROZEN_2D.items():
+        out = f"out{seed}"
+        assert run("simulate", "--field", "field.json", "--n", "40",
+                   "--seed", str(seed), f"--x0={x0}", "--trace", "t.jsonl",
+                   "--out", out) == 0
+        assert (tmp_path / out / "estimate.json").read_text() == estimate
+        trace = (tmp_path / out / "t.jsonl").read_bytes()
+        assert hashlib.sha256(trace).hexdigest() == trace_sha
+
+
+def test_simulate_manifest_counts(tmp_path):
+    out = tmp_path / "out"
+    assert run("simulate", "--eps", "0.2", "--n", "30", "--seed", "3",
+               "--paul", "radial", "--carol", "radial", "--x0", "0,0",
+               "--trace", "t.jsonl", "--out", str(out)) == 0
+    est = read_json(out / "estimate.json")
+    man = read_json(out / "simulate_manifest.json")
+    taus = [json.loads(line)["tau"]
+            for line in (out / "t.jsonl").read_text().splitlines()]
+    assert man["command"] == "simulate" and man["mode"] == "estimate"
+    assert man["episodes"] == 30 and man["rounds"] == sum(taus)
+    # radial strategies fall back at x0 = z, once per player
+    assert man["fallback_rounds"] == est["fallback_rounds"] == 60
+    assert man["wall_time_s"] > 0 and man["rounds_per_s"] > 0
+    assert not any("time" in k or "per_s" in k for k in est)
+
+    diag = tmp_path / "diag"
+    assert run("simulate", "--mode", "diagnostic", "--eps", "0.2", "--n", "20",
+               "--seed", "7", "--x0", "0.3,0.0", "--out", str(diag)) == 0
+    rep = read_json(diag / "diagnostic.json")
+    man = read_json(diag / "simulate_manifest.json")
+    assert man["mode"] == "diagnostic" and man["episodes"] == 20
+    assert man["rounds"] == rep["rounds_pooled"]
+    assert man["fallback_rounds"] == rep["fallbacks"]
 
 
 def test_simulate_trace_jsonl(tmp_path):

@@ -20,25 +20,25 @@ def rng(seed=0):
 
 def test_fixed_axis_normalizes():
     s = game.fixed_axis_strategy([3.0, 0.0])
-    cap, fb = s(np.zeros(2), 0, 0.1)
-    assert np.allclose(cap.axis, [1.0, 0.0])
-    assert not fb
-    assert cap.theta == pytest.approx(sphere.theta_eps(0.1, 2))
+    axes, fb = s(np.zeros((1, 2)), 0, 0.1)
+    assert axes.shape == (1, 2)
+    assert np.allclose(axes, [[1.0, 0.0]])
+    assert not fb.any()
 
 
 def test_mirrored_flips_axis():
     s = game.fixed_axis_strategy([0.0, 1.0])
     m = game.mirrored_strategy(s)
-    cap, _ = m(np.zeros(2), 0, 0.1)
-    assert np.allclose(cap.axis, [0.0, -1.0])
+    axes, _ = m(np.zeros((1, 2)), 0, 0.1)
+    assert np.allclose(axes, [[0.0, -1.0]])
 
 
 def test_radial_exit_aims_outward_and_falls_back_at_center():
     s = game.radial_exit_strategy([0.0, 0.0])
-    cap, fb = s(np.array([0.0, 0.5]), 0, 0.1)
-    assert np.allclose(cap.axis, [0.0, 1.0]) and not fb
-    cap, fb = s(np.array([0.0, 0.0]), 0, 0.1)
-    assert fb and np.allclose(cap.axis, [1.0, 0.0])
+    axes, fb = s(np.array([[0.0, 0.5]]), 0, 0.1)
+    assert np.allclose(axes, [[0.0, 1.0]]) and not fb.any()
+    axes, fb = s(np.array([[0.0, 0.0]]), 0, 0.1)
+    assert fb.all() and np.allclose(axes, [[1.0, 0.0]])
 
 
 def test_gradient_strategy_sides():
@@ -47,18 +47,18 @@ def test_gradient_strategy_sides():
     f = solver.field_from_function(
         DISK, c, lambda p: 1.0 - np.einsum("ij,ij->i", p, p)
     )
-    x = np.array([0.5, 0.0])
-    cap_p, fb = game.gradient_cap_strategy(f, "paul")(x, 0, 0.1)
-    assert not fb and cap_p.axis[0] < -0.99
-    cap_c, fb = game.gradient_cap_strategy(f, "carol")(x, 0, 0.1)
-    assert not fb and cap_c.axis[0] > 0.99
+    x = np.array([[0.5, 0.0]])
+    axes_p, fb = game.gradient_cap_strategy(f, "paul")(x, 0, 0.1)
+    assert not fb.any() and axes_p[0, 0] < -0.99
+    axes_c, fb = game.gradient_cap_strategy(f, "carol")(x, 0, 0.1)
+    assert not fb.any() and axes_c[0, 0] > 0.99
 
 
 def test_gradient_strategy_flat_field_falls_back():
     c = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
     f = solver.empty_field(DISK, c)
-    cap, fb = game.gradient_cap_strategy(f, "paul")(np.zeros(2), 0, 0.1)
-    assert fb and np.allclose(cap.axis, [1.0, 0.0])
+    axes, fb = game.gradient_cap_strategy(f, "paul")(np.zeros((1, 2)), 0, 0.1)
+    assert fb.all() and np.allclose(axes, [[1.0, 0.0]])
 
 
 def test_gradient_strategy_player_validated():
@@ -73,8 +73,46 @@ def test_gradient_strategy_3d_runs():
     f = solver.field_from_function(
         BALL, c, lambda p: 1.0 - np.einsum("ij,ij->i", p, p)
     )
-    cap, fb = game.gradient_cap_strategy(f, "carol")(np.array([0.0, 0.0, 0.4]), 0, 0.1)
-    assert not fb and cap.axis[2] > 0.99
+    axes, fb = game.gradient_cap_strategy(f, "carol")(
+        np.array([[0.0, 0.0, 0.4]]), 0, 0.1)
+    assert not fb.any() and axes[0, 2] > 0.99
+
+
+def test_strategy_rows_are_independent():
+    # a batch call gives row by row what one-row calls give
+    c = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    f = solver.field_from_function(
+        DISK, c, lambda p: 1.0 - np.einsum("ij,ij->i", p, p)
+    )
+    X = np.array([[0.5, 0.0], [0.0, 0.0], [-0.2, 0.7], [0.3, -0.3]])
+    for s in (game.gradient_cap_strategy(f, "paul"),
+              game.radial_exit_strategy([0.0, 0.0]),
+              game.mirrored_strategy(game.radial_exit_strategy([0.1, 0.0]))):
+        axes, fb = s(X, 0, 0.1)
+        for i in range(len(X)):
+            one_axes, one_fb = s(X[i:i + 1], 0, 0.1)
+            assert np.array_equal(axes[i:i + 1], one_axes)
+            assert fb[i] == one_fb[0]
+
+
+def test_episode_steps_lie_in_theta_eps_band():
+    # every step is a direction in the band of two caps of threshold
+    # theta_eps: Paul's fixed e1 and Carol's radial axis at that position
+    for domain, eps in ((DISK, 0.1), (BALL, 0.2)):
+        N = domain.dim
+        e1 = np.eye(N)[0]
+        theta = sphere.theta_eps(eps, N)
+        episodes = game.run_episodes(
+            np.zeros(N), game.fixed_axis_strategy(e1),
+            game.radial_exit_strategy(np.zeros(N)), 20, eps, domain, seed=2,
+        )
+        for e in episodes:
+            x = e.positions[:-1]
+            v = np.diff(e.positions, axis=0) / eps
+            r = np.sqrt(np.einsum("ij,ij->i", x, x))
+            radial = np.where(r[:, None] > 1e-12, x / np.maximum(r, 1e-300)[:, None], e1)
+            assert np.all(v @ e1 >= -theta - 1e-12)
+            assert np.all(np.einsum("ij,ij->i", v, radial) >= -theta - 1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +220,42 @@ def test_episode_streams_are_independent_of_batch_size():
     long = game.run_episodes(*common, 10, 0.1, DISK, 23)
     for x, y in zip(short, long):
         assert np.array_equal(x.positions, y.positions)
+
+
+def test_run_episodes_deterministic_and_thread_invariant_3d():
+    args = (np.zeros(3), game.fixed_axis_strategy([1.0, 0.0, 0.0]),
+            game.radial_exit_strategy([0.0, 0.0, 0.0]), 20, 0.2, BALL, 17)
+    a = game.run_episodes(*args)
+    b = game.run_episodes(*args)
+    c = game.run_episodes(*args, threads=4)
+    for x, y in zip(a, b):
+        assert np.array_equal(x.positions, y.positions)
+    for x, y in zip(a, c):
+        assert x.payoff == y.payoff and np.array_equal(x.positions, y.positions)
+
+
+def test_episode_streams_are_independent_of_batch_size_3d():
+    common = (np.array([0.1, 0.0, -0.2]), game.fixed_axis_strategy([0.0, 0.0, 1.0]),
+              game.radial_exit_strategy([0.0, 0.0, 0.0]))
+    short = game.run_episodes(*common, 3, 0.2, BALL, 23)
+    long = game.run_episodes(*common, 10, 0.2, BALL, 23)
+    for x, y in zip(short, long):
+        assert np.array_equal(x.positions, y.positions)
+
+
+def test_play_episode_is_one_row_of_the_batch():
+    # the lockstep engine with one episode replays episode i of a batch
+    for domain, eps in ((DISK, 0.1), (BALL, 0.2)):
+        N = domain.dim
+        sp = game.fixed_axis_strategy(np.eye(N)[0])
+        sc = game.radial_exit_strategy(np.zeros(N))
+        batch = game.run_episodes(np.zeros(N), sp, sc, 6, eps, domain, 31)
+        for i in (0, 5):
+            one = game.play_episode(np.zeros(N), sp, sc, eps, domain,
+                                    game._episode_rng(31, i), seed=31, index=i)
+            assert np.array_equal(one.positions, batch[i].positions)
+            assert (one.tau, one.payoff, one.fallbacks, one.index) == \
+                (batch[i].tau, batch[i].payoff, batch[i].fallbacks, i)
 
 
 def test_estimate_value_needs_two_episodes():

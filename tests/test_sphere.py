@@ -309,6 +309,124 @@ def test_sample_uniform_wrapper_matches_region():
 
 
 # ---------------------------------------------------------------------------
+# batch band draws
+
+
+def sample_bands(a, b, theta, rng, **kw):
+    width = sphere.band_draw_width(a.shape[1])
+    return sphere.sample_bands(
+        a, b, theta, lambda rows: rng.random((len(rows), width)), **kw
+    )
+
+
+def test_sample_bands_circle_matches_scalar_bitwise():
+    # row i of the batch draw is the scalar draw with the same uniform
+    rng = np.random.default_rng(2)
+    ang = rng.uniform(-math.pi, math.pi, size=(400, 2))
+    ang[:50, 1] = ang[:50, 0]  # aligned
+    ang[50:100, 1] = ang[50:100, 0] + math.pi  # opposite
+    a = np.stack([np.cos(ang[:, 0]), np.sin(ang[:, 0])], axis=1)
+    b = np.stack([np.cos(ang[:, 1]), np.sin(ang[:, 1])], axis=1)
+    for eps in (0.5, 0.1, 0.01):
+        theta = sphere.theta_eps(eps, 2)
+        got = sample_bands(a, b, theta, np.random.default_rng(7))
+        want_rng = np.random.default_rng(7)
+        for i in range(len(a)):
+            region = sphere.intersect_caps(sphere.Cap(a[i], theta),
+                                           sphere.Cap(b[i], theta))
+            assert np.array_equal(got[i], region.sample(want_rng)), (eps, i)
+
+
+# (label, Paul's axis, Carol's axis) on S^2
+PAIRS_3D = [
+    ("opposite", [0.0, 0.0, 1.0], [0.0, 0.0, -1.0]),
+    ("tilted60", [0.0, 0.0, 1.0], [math.sin(math.pi / 3), 0.0, math.cos(math.pi / 3)]),
+    ("aligned", [0.6, 0.0, 0.8], [0.6, 0.0, 0.8]),
+]
+
+
+def band_moment_z(draws, a, b, theta):
+    """|z| scores of the sample means of v.a, v.b and (v.a)^2 against the
+    band averages by quadrature."""
+    region = sphere.intersect_caps(sphere.Cap(a, theta), sphere.Cap(b, theta))
+    z = []
+    for f in (lambda v: v @ a, lambda v: v @ b, lambda v: (v @ a) ** 2):
+        x = f(draws)
+        want = region.average(f, order=64)
+        z.append(abs(x.mean() - want) / (x.std(ddof=1) / math.sqrt(len(x)) + 1e-300))
+    return z
+
+
+def whole_cap_draws(a, theta, rng, n):
+    """Uniform on the cap around a alone: the 3D draw without Carol's test."""
+    t = rng.random(n) * (1.0 + theta) - theta
+    phi = TWO_PI * rng.random(n)
+    e1, e2 = sphere._orthobases(np.tile(a, (n, 1)))
+    r = np.sqrt(1.0 - t * t)[:, None]
+    return (t[:, None] * a + r * np.cos(phi)[:, None] * e1
+            + r * np.sin(phi)[:, None] * e2)
+
+
+def test_sample_bands_sphere_uniform_on_band():
+    n = 4000
+    rng = np.random.default_rng(13)
+    for eps in (0.1, 0.01):
+        theta = sphere.theta_eps(eps, 3)
+        for label, pa, pb in PAIRS_3D:
+            a, b = np.array(pa), np.array(pb)
+            A, B = np.tile(a, (n, 1)), np.tile(b, (n, 1))
+            v = sample_bands(A, B, theta, rng)
+            assert np.all(np.abs(np.sqrt(sphere.row_dot(v, v)) - 1.0) < 1e-12)
+            assert sphere.in_bands(v, A, B, theta).all(), (eps, label)
+            z = band_moment_z(v, a, b, theta)
+            assert max(z) <= 4.0, (eps, label, z)
+
+
+def test_band_moment_check_rejects_whole_cap_draws():
+    # the check above must catch a draw that skips the test against cap b
+    n = 4000
+    rng = np.random.default_rng(13)
+    for eps in (0.1, 0.01):
+        theta = sphere.theta_eps(eps, 3)
+        worst = max(
+            max(band_moment_z(whole_cap_draws(np.array(pa), theta, rng, n),
+                              np.array(pa), np.array(pb), theta))
+            for _, pa, pb in PAIRS_3D
+        )
+        assert worst > 4.0, eps
+
+
+def test_sample_bands_streams_are_per_row():
+    # a row's draw depends on its own uniforms only, not on the other rows
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(6, 3))
+    a = a / np.sqrt(sphere.row_dot(a, a))[:, None]
+    b = -a
+    theta = sphere.theta_eps(0.1, 3)
+    width = sphere.band_draw_width(3)
+    streams = [np.random.default_rng(100 + i) for i in range(6)]
+
+    def draw(rows, which):
+        return np.stack([streams[which[r]].random(width) for r in rows])
+
+    full = sphere.sample_bands(a, b, theta, lambda r: draw(r, list(range(6))))
+    streams = [np.random.default_rng(100 + i) for i in range(6)]
+    part = sphere.sample_bands(a[3:], b[3:], theta, lambda r: draw(r, [3, 4, 5]))
+    assert np.array_equal(full[3:], part)
+
+
+def test_sample_bands_degenerate_raise():
+    rng = np.random.default_rng(0)
+    # theta = 0 and opposite axes: the band is a point pair on the circle
+    # and the equator on the sphere
+    with pytest.raises(DegenerateRegionError):
+        sample_bands(np.array([[0.0, 1.0]]), np.array([[0.0, -1.0]]), 0.0, rng)
+    with pytest.raises(SamplingFailureError):
+        sample_bands(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]),
+                     0.0, rng, attempt_bound=256)
+
+
+# ---------------------------------------------------------------------------
 # axis families
 
 

@@ -15,8 +15,8 @@ byte-identical artifacts.  Artifacts embed their full effective
 configuration; wall-clock timings go only to manifests and never into files
 meant for byte comparison.
 
-Exit codes: 0 success, 1 usage or config error, 2 solver non-convergence,
-3 verification failure.
+Exit codes: 0 success (and --help), 1 usage or config error (a malformed
+command line included), 2 solver non-convergence, 3 verification failure.
 """
 
 from __future__ import annotations
@@ -464,7 +464,8 @@ def cmd_converge(args: argparse.Namespace) -> int:
     eps_list = [float(e) for e in cfg.get("eps_list", [0.2, 0.1, 0.05])]
     t_list = [float(t) for t in cfg.get("t_list", [0.25])]
     template = solver.SolverConfig(
-        eps=eps_list[0],
+        # each row sets its own eps; the study rejects an empty list
+        eps=eps_list[0] if eps_list else 0.0,
         K=None if cfg.get("K") is None else float(cfg["K"]),
         axis_count=None if cfg.get("axis_count") is None else int(cfg["axis_count"]),
         quad_order=None if cfg.get("quad_order") is None else int(cfg["quad_order"]),
@@ -508,8 +509,17 @@ def cmd_converge(args: argparse.Namespace) -> int:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse exits 2 on a malformed command line, but 2 means
+    non-convergence here: report it as a usage error instead."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InvalidParameterError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="curvegame",
         description="DPP solver, game simulator and verification front end",
     )
@@ -579,8 +589,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
+        if args.threads is not None and args.threads < 1:
+            raise InvalidParameterError(f"--threads must be >= 1, got {args.threads}")
         return args.func(args)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,10 +20,10 @@ of the result may depend on row i of X, k and eps only.
 Episode i of run_episodes draws from its own stream SeedSequence(seed,
 spawn_key=(i,)), read in chunks into a buffer of its own, so its draws depend
 on (seed, i) and its own path alone: results do not depend on the number of
-episodes or on the thread count.  On the circle a round reads one uniform and
-repeats the arithmetic of CapIntersection.sample, so an episode equals the
-same episode played with scalar caps bit for bit.  On S^2 a round reads
-blocks of attempts until one lies in the band.
+episodes or on the thread count.  On the circle a round reads one uniform;
+on S^2 it reads blocks of attempts until one lies in the band.  Either way a
+step is the draw that CapIntersection.sample makes from the same uniforms,
+as both run sphere.sample_bands.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import sphere
+from . import solver, sphere
 from .errors import InvalidParameterError, RunawayEpisodeError
 
 ROUND_CAP = 10**8
@@ -138,23 +138,14 @@ def gradient_cap_strategy(field, player: str) -> Strategy:
     h = field.h
     dim = field.domain.dim
     top = np.asarray(field.shape) - 2
-    strides = np.array([math.prod(field.shape[a + 1:]) for a in range(dim)])
-    # cell corners c, first axis fastest ((0,0), (1,0), (0,1), (1,1) in 2D):
-    # flat node offsets, and for each axis the row of [1 - t; t] that gives
-    # the corner's weight factor
-    bits = (np.arange(2**dim)[:, None] >> np.arange(dim)) & 1
-    offsets = (bits @ strides)[:, None]
-    factor = bits * dim + np.arange(dim)
+    stencil = solver.multilinear_stencil(field.shape)
 
     def strategy(X, k: int, eps: float):
         u = (X - lo) / h
         cell = np.minimum(u.astype(np.intp), top)
-        t = (u - cell).T
-        st = np.concatenate([1.0 - t, t])
-        w = st[factor[:, 0]]
-        for a in range(1, dim):
-            w = w * st[factor[:, a]]
-        node = offsets + cell @ strides  # (corners, m)
+        # no snap to nodes, unlike interpolate: it would move the axes, and
+        # so the 3D traces, at points a rounding error off a grid line
+        node, w = stencil(cell, u - cell)
         g = []
         for table in tables:
             terms = w * table.take(node)
@@ -173,18 +164,6 @@ def gradient_cap_strategy(field, player: str) -> Strategy:
         return axes, fallback
 
     return strategy
-
-
-def _unit_axes(axes) -> np.ndarray:
-    # Cap's rule, row-wise: reject ~zero rows, rescale rows off unit length
-    axes = np.asarray(axes, dtype=float)
-    n2 = sphere.row_dot(axes, axes)
-    off = ~(np.abs(n2 - 1.0) <= 1e-12)
-    if off.any():
-        if not (n2 >= 1e-24).all():
-            raise InvalidParameterError("cannot normalize a (near) zero vector")
-        axes = np.where(off[:, None], axes / np.sqrt(n2)[:, None], axes)
-    return axes
 
 
 class _Streams:
@@ -238,10 +217,10 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
         axes_c, fb_c = sc(x, k, eps)
         if fb_p.any() or fb_c.any():
             fallbacks[active] += np.add(fb_p, fb_c, dtype=np.int64)
-        axes_p, axes_c = _unit_axes(axes_p), _unit_axes(axes_c)
-        v = sphere.sample_bands(axes_p, axes_c, theta,
+        axes_p, axes_c = sphere.unit_axes(axes_p), sphere.unit_axes(axes_c)
+        v = sphere.sample_bands(axes_p, axes_c, theta, theta,
                                 lambda rows: streams.take(active[rows]))
-        assert sphere.in_bands(v, axes_p, axes_c, theta).all(), \
+        assert sphere.in_bands(v, axes_p, axes_c, theta, theta).all(), \
             "sampled direction left the band"
         x = x + eps * v
         k += 1

@@ -67,6 +67,14 @@ _SNAP = 1e-9
 # domains
 
 
+def _points(points, dim: int) -> np.ndarray:
+    """points as a float array whose last axis has length dim."""
+    p = np.asarray(points, dtype=float)
+    if p.shape[-1:] != (dim,):
+        raise InvalidParameterError(f"points must have {dim} coordinates")
+    return p
+
+
 @dataclass(frozen=True)
 class Ball:
     """Open ball {|x - center| < radius}."""
@@ -87,15 +95,11 @@ class Ball:
         return len(self.center)
 
     def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            d = 0.0
-            for v, c in zip(p, self.center):
-                d += (float(v) - c) ** 2
-            return d < self.radius**2
-        # the scalar sum, one coordinate at a time, so both paths agree
+        """Membership of a point (bool) or of the rows of an (m, dim) batch."""
+        p = _points(points, self.dim)
         d = p - np.asarray(self.center)
-        return sphere.row_dot(d, d) < self.radius**2
+        inside = sphere.row_dot(d, d) < self.radius**2
+        return bool(inside) if p.ndim == 1 else inside
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -133,14 +137,11 @@ class Ellipse:
         return len(self.center)
 
     def contains(self, points):
-        p = np.asarray(points, dtype=float)
-        if p.ndim == 1:
-            d = 0.0
-            for v, c, s in zip(p, self.center, self.semi_axes):
-                d += ((float(v) - c) / s) ** 2
-            return d < 1.0
+        """Membership of a point (bool) or of the rows of an (m, dim) batch."""
+        p = _points(points, self.dim)
         d = (p - np.asarray(self.center)) / np.asarray(self.semi_axes)
-        return sphere.row_dot(d, d) < 1.0
+        inside = sphere.row_dot(d, d) < 1.0
+        return bool(inside) if p.ndim == 1 else inside
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -346,34 +347,40 @@ def _snap(t: np.ndarray) -> np.ndarray:
     return np.where(t > 1.0 - _SNAP, 1.0, t)
 
 
-def _strides(shape) -> np.ndarray:
-    """Flat-index step of each axis of a row-major array of this shape."""
-    return np.array([int(np.prod(shape[a + 1:], dtype=np.int64))
-                     for a in range(len(shape))])
+def multilinear_stencil(shape) -> Callable:
+    """stencil(cell, t) of multilinear interpolation in a row-major array of
+    this shape: from integer cell corners cell and fractions t, both (m, dim),
+    the flat node index and the weight of each of the 2^dim cell corners, both
+    (2^dim, m).  Corners run first axis fastest ((0,0), (1,0), (0,1), (1,1)
+    in 2D); a weight is the product of the axis factors 1 - t or t taken from
+    axis 0 up."""
+    dim = len(shape)
+    strides = np.array([math.prod(shape[a + 1:]) for a in range(dim)])
+    bits = (np.arange(1 << dim)[:, None] >> np.arange(dim)) & 1
+    offsets = (bits @ strides)[:, None]
+    # row of [1 - t; t] (axes first) that gives each corner's factor per axis
+    factor = bits * dim + np.arange(dim)
+
+    def stencil(cell: np.ndarray, t: np.ndarray) -> tuple:
+        st = np.concatenate([1.0 - t.T, t.T])
+        w = st[factor[:, 0]]
+        for a in range(1, dim):
+            w = w * st[factor[:, a]]
+        return offsets + cell @ strides, w
+
+    return stencil
 
 
 def _multilinear(values: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Multilinear interpolation at grid coordinates g, shape (m, dim)."""
     shape = values.shape
-    dim = len(shape)
     i0 = np.floor(g).astype(np.int64)
-    for a in range(dim):
+    for a in range(len(shape)):
         np.clip(i0[:, a], 0, shape[a] - 2, out=i0[:, a])
-    t = _snap(np.clip(g - i0, 0.0, 1.0))
-    flat = values.ravel()
-    strides = _strides(shape)
-    base = i0 @ strides
+    node, w = multilinear_stencil(shape)(i0, _snap(np.clip(g - i0, 0.0, 1.0)))
     out = np.zeros(g.shape[0])
-    for corner in range(1 << dim):
-        offs = 0
-        w = np.ones(g.shape[0])
-        for a in range(dim):
-            if corner >> a & 1:
-                offs += strides[a]
-                w = w * t[:, a]
-            else:
-                w = w * (1.0 - t[:, a])
-        out += w * flat[base + offs]
+    for term in w * values.take(node):
+        out += term
     return out
 
 
@@ -639,17 +646,9 @@ class _Kernel:
             raise InvalidParameterError("grid collar too small for eps step")
         step = cfg.eps * bell.nodes
         fi = np.floor(step / proto.h).astype(np.int64)
-        t = _snap(step / proto.h - fi)
         # flat offset and weight of each (direction, corner) stencil node
-        strides = _strides(proto.shape)
-        offs = np.empty((Q, 1 << dim), dtype=np.int64)
-        w = np.ones((Q, 1 << dim))
-        for c in range(1 << dim):
-            bits = np.array([c >> a & 1 for a in range(dim)])
-            offs[:, c] = (fi + bits) @ strides
-            for a in range(dim):
-                w[:, c] *= t[:, a] if bits[a] else 1.0 - t[:, a]
-        w, offs = w.ravel(), offs.ravel()
+        offs, w = multilinear_stencil(proto.shape)(fi, _snap(step / proto.h - fi))
+        w, offs = w.T.ravel(), offs.T.ravel()
         nz = w > 0.0
         offsets, col = np.unique(offs[nz], return_inverse=True)
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
@@ -760,12 +759,16 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
     )
 
 
+def _interior_sweep(field: ValueField, cfg: SolverConfig) -> tuple:
+    """(Bellman right-hand sides, field values) at the interior nodes, from
+    one sweep with the resolved config cfg."""
+    kernel = _Kernel(field.domain, cfg, field)
+    return kernel.sweep(field.values), field.values.ravel()[kernel.int_flat]
+
+
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
     """sup over interior nodes of |field - bellman_rhs(field)|."""
-    cfg = resolve_config(cfg, field.domain.dim)
-    kernel = _Kernel(field.domain, cfg, field)
-    rhs = kernel.sweep(field.values)
-    cur = field.values.ravel()[kernel.int_flat]
+    rhs, cur = _interior_sweep(field, resolve_config(cfg, field.domain.dim))
     return float(np.max(np.abs(cur - rhs))) if cur.size else 0.0
 
 
@@ -781,9 +784,7 @@ def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
     cfg = resolve_config(cfg, field.domain.dim)
     if not np.all(field.values[~field.interior_mask] >= 0.0):
         return False, math.inf
-    kernel = _Kernel(field.domain, cfg, field)
-    rhs = kernel.sweep(field.values)
-    cur = field.values.ravel()[kernel.int_flat]
+    rhs, cur = _interior_sweep(field, cfg)
     if cur.size == 0:
         return True, -math.inf
     worst = float(np.max(rhs - cur))

@@ -18,9 +18,10 @@ coordinates (azimuth phi, height t), which every quadrature here relies on.
 Scalar functions integrated over regions are called with an (m, N) array of
 unit vectors and must return an (m,) array.
 
-sample_bands draws once from each of m bands at a time, for the game engine:
-on the circle with the arc arithmetic of CapIntersection.sample, on S^2 by
-drawing uniformly on the first cap and keeping draws inside the second.
+The primitives of a game round are row-wise, and Cap and CapIntersection
+call them on one row: unit_axes normalizes axes, row_dot and in_bands test
+membership, and sample_bands draws once from each of m bands (on the circle
+by arc arithmetic, on S^2 uniformly on the first cap, kept in the second).
 """
 
 from __future__ import annotations
@@ -107,12 +108,9 @@ def constant_C(N: int) -> float:
 
 
 def unit_vector(v) -> np.ndarray:
-    """Normalized copy of v; rejects vectors too short to carry a direction."""
-    v = np.asarray(v, dtype=float)
-    n = float(np.linalg.norm(v))
-    if n < 1e-12:
-        raise InvalidParameterError("cannot normalize a (near) zero vector")
-    return v / n
+    """Normalized copy of v (unit_axes on one row); rejects vectors too short
+    to carry a direction."""
+    return unit_axes([v])[0]
 
 
 @dataclass(frozen=True)
@@ -129,14 +127,7 @@ class Cap:
     theta: float
 
     def __post_init__(self):
-        # Inline of unit_vector that leaves an already-unit axis untouched.
-        arr = np.asarray(self.axis, dtype=float)
-        n2 = float(arr @ arr)
-        if n2 < 1e-24:
-            raise InvalidParameterError("cannot normalize a (near) zero vector")
-        if abs(n2 - 1.0) > 1e-12:
-            arr = arr / math.sqrt(n2)
-        object.__setattr__(self, "axis", arr)
+        object.__setattr__(self, "axis", unit_axes([self.axis])[0])
         if not 0.0 <= self.theta <= 1.0 + 1e-15:
             raise InvalidParameterError(f"cap theta must lie in [0, 1], got {self.theta}")
         object.__setattr__(self, "theta", float(min(self.theta, 1.0)))
@@ -152,9 +143,8 @@ class Cap:
     def contains(self, v):
         """Membership; a single vector gives a bool, a batch gives a mask."""
         v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            return bool(float(v @ self.axis) >= -self.theta)
-        return v @ self.axis >= -self.theta
+        inside = row_dot(v, self.axis) >= -self.theta
+        return bool(inside) if v.ndim == 1 else inside
 
 
 def game_cap(axis, eps: float) -> Cap:
@@ -173,17 +163,6 @@ def _leggauss(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-def _orthobasis(axis: np.ndarray):
-    """Deterministic orthonormal pair spanning the plane orthogonal to axis."""
-    k = int(np.argmin(np.abs(axis)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    u = np.cross(axis, e)
-    u /= np.linalg.norm(u)
-    w = np.cross(axis, u)
-    return u, w
 
 
 # Panel kinds for the N=3 height decomposition.
@@ -226,12 +205,9 @@ class CapIntersection:
     def contains(self, v):
         """Membership; a single vector gives a bool, a batch gives a mask."""
         v = np.asarray(v, dtype=float)
-        if v.ndim == 1:
-            a, b = self.cap_a, self.cap_b
-            return bool(
-                float(v @ a.axis) >= -a.theta and float(v @ b.axis) >= -b.theta
-            )
-        return self.cap_a.contains(v) & self.cap_b.contains(v)
+        a, b = self.cap_a, self.cap_b
+        inside = in_bands(v, a.axis, b.axis, a.theta, b.theta)
+        return bool(inside) if v.ndim == 1 else inside
 
     def average(self, f, order: int = 32) -> float:
         nodes, weights = self.quadrature(order)
@@ -247,9 +223,13 @@ class CapIntersection:
         return self._quadrature3(order)
 
     def sample(self, rng, attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
-        if self.dim == 2:
-            return self._sample2(rng)
-        return self._sample3(rng, attempt_bound)
+        """One uniform draw from the region: sample_bands on one row."""
+        if self.is_empty:
+            raise DegenerateRegionError("cannot sample a ~zero measure region")
+        a, b = self.cap_a, self.cap_b
+        width = band_draw_width(self.dim)
+        return sample_bands(a.axis[None, :], b.axis[None, :], a.theta, b.theta,
+                            lambda rows: rng.random((1, width)), attempt_bound)[0]
 
     # -- N = 2: explicit arcs ---------------------------------------------
 
@@ -283,28 +263,13 @@ class CapIntersection:
         w = np.concatenate(weights)
         return np.stack([np.cos(phi), np.sin(phi)], axis=1), w
 
-    def _sample2(self, rng) -> np.ndarray:
-        arcs = self.arcs()
-        total = sum(e - s for s, e in arcs)
-        if total <= 1e-14:
-            raise DegenerateRegionError("cannot sample a ~zero measure region")
-        # Single uniform draw: pick the arc and the angle within it at once.
-        u = rng.random() * total
-        for s, e in arcs:
-            if u <= e - s:
-                phi = s + u
-                return np.array([math.cos(phi), math.sin(phi)])
-            u -= e - s
-        phi = arcs[-1][1]  # u landed on the far endpoint by rounding
-        return np.array([math.cos(phi), math.sin(phi)])
-
     # -- N = 3: height panels ----------------------------------------------
 
     def _frame3(self):
         pole = self.cap_a.axis
         b3 = float(np.dot(pole, self.cap_b.axis))
         rho = math.sqrt(max(0.0, 1.0 - b3 * b3))
-        e1, e2 = _orthobasis(pole)
+        (e1,), (e2,) = _orthobases(pole[None, :])
         if 1.0 - abs(b3) < _ALIGNED_TOL:
             psi = 0.0
         else:
@@ -388,24 +353,6 @@ class CapIntersection:
         )
         return nodes, w
 
-    def _sample3(self, rng, attempt_bound: int) -> np.ndarray:
-        if self.is_empty:
-            raise DegenerateRegionError("cannot sample a ~zero measure region")
-        # Rejection from the uniform sphere with a plain membership test.
-        chunk = 256
-        attempts = 0
-        while attempts < attempt_bound:
-            g = rng.normal(size=(chunk, 3))
-            g /= np.linalg.norm(g, axis=1, keepdims=True)
-            ok = self.contains(g)
-            attempts += chunk
-            idx = np.nonzero(ok)[0]
-            if idx.size:
-                return g[idx[0]]
-        raise SamplingFailureError(
-            f"no accepted sample in {attempt_bound} attempts; region nearly degenerate"
-        )
-
 
 def intersect_caps(a: Cap, b: Cap) -> CapIntersection:
     """Intersection region of two caps; empty regions are representable."""
@@ -435,17 +382,10 @@ def equator_average(axis, f, N: int, order: int = 64) -> float:
         p = np.array([-axis[1], axis[0]])
         pts = np.stack([p, -p])
         return float(np.mean(np.asarray(f(pts), dtype=float)))
-    e1, e2 = _orthobasis(axis)
+    (e1,), (e2,) = _orthobases(axis[None, :])
     phi = TWO_PI * np.arange(order) / order
     pts = np.cos(phi)[:, None] * e1[None, :] + np.sin(phi)[:, None] * e2[None, :]
     return float(np.mean(np.asarray(f(pts), dtype=float)))
-
-
-def sample_uniform(region: CapIntersection, rng,
-                   attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
-    """Uniform draw from the region: exact arc inversion on the circle,
-    rejection from uniform sphere samples on S^2."""
-    return region.sample(rng, attempt_bound)
 
 
 # Attempts per block of the batch band draw on S^2 (see sample_bands).
@@ -459,9 +399,25 @@ def band_draw_width(N: int) -> int:
     return 1 if N == 2 else 2 * _BAND_BLOCK
 
 
+def unit_axes(axes) -> np.ndarray:
+    """(m, N) cap axes as unit vectors: rows within 1e-12 of unit squared
+    length are kept as they are, other rows are divided by their length.
+    Raises InvalidParameterError for a (near) zero row."""
+    axes = np.asarray(axes, dtype=float)
+    n2 = row_dot(axes, axes)
+    off = ~(np.abs(n2 - 1.0) <= 1e-12)
+    if off.any():
+        if not (n2 >= 1e-24).all():
+            raise InvalidParameterError("cannot normalize a (near) zero vector")
+        axes = np.where(off[:, None], axes / np.sqrt(n2)[:, None], axes)
+    return axes
+
+
 def row_dot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
     """<v, a> over the last axis, summed coordinate by coordinate from the
-    first, the order in which the scalar code sums."""
+    first; a single vector gives a 0-d result."""
+    if v.shape[-1] != a.shape[-1]:
+        raise InvalidParameterError("vectors of different dimension")
     s = v[..., 0] * a[..., 0]
     for k in range(1, v.shape[-1]):
         s += v[..., k] * a[..., k]
@@ -469,47 +425,47 @@ def row_dot(v: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def in_bands(v: np.ndarray, a: np.ndarray, b: np.ndarray,
-             theta: float) -> np.ndarray:
-    """Row mask of v lying in both caps {<., a> >= -theta}, {<., b> >= -theta}."""
-    return (row_dot(v, a) >= -theta) & (row_dot(v, b) >= -theta)
+             theta_a: float, theta_b: float) -> np.ndarray:
+    """Row mask of v lying in both caps {<., a> >= -theta_a}, {<., b> >= -theta_b}."""
+    return (row_dot(v, a) >= -theta_a) & (row_dot(v, b) >= -theta_b)
 
 
-def sample_bands(a: np.ndarray, b: np.ndarray, theta: float, draw,
-                 attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
-    """One uniform draw from each band {v : <v, a_i> >= -theta, <v, b_i> >= -theta}.
+def sample_bands(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
+                 draw, attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
+    """One uniform draw from each band {v : <v, a_i> >= -theta_a, <v, b_i> >= -theta_b}.
 
-    a, b are (m, N) unit axes and theta in [0, 1).  draw(rows) returns
-    (len(rows), band_draw_width(N)) uniforms in [0, 1) for those rows; each
-    row's draws are read in order, so a row's result depends only on its own
-    axes and uniforms.
+    a, b are (m, N) unit axes and theta_a, theta_b in [0, 1].  draw(rows)
+    returns (len(rows), band_draw_width(N)) uniforms in [0, 1) for those
+    rows; each row's draws are read in order, so a row's result depends only
+    on its own axes and uniforms.
 
-    N=2 reads one uniform per row and does the arithmetic of
-    CapIntersection.sample in the same order, so row i equals the scalar draw
-    from intersect_caps(Cap(a_i, theta), Cap(b_i, theta)) bit for bit.  N=3
-    draws attempts uniformly on cap a (Archimedes: height uniform on
-    [-theta, 1] along a_i, azimuth uniform) and keeps the first attempt of a
-    block that lies in both caps; rows without one read another block.  The
-    band has measure at least 2 delta against 2 pi + delta for the cap, so an
-    attempt is accepted with probability at least delta / (pi + delta / 2).
+    N=2 reads one uniform per row: the region is at most two arcs (see
+    CapIntersection.arcs), and the uniform times their total length picks
+    the arc and the angle within it at once.  N=3 draws attempts uniformly
+    on cap a (Archimedes: height uniform on [-theta_a, 1] along a_i, azimuth
+    uniform) and keeps the first attempt of a block that lies in both caps;
+    rows without one read another block.  A game band has measure at least
+    2 delta against 2 pi + delta for the cap, so an attempt is accepted with
+    probability at least delta / (pi + delta / 2).
     """
     if a.shape[1] == 2:
-        return _sample_arcs(a, b, theta, draw(np.arange(len(a)))[:, 0])
-    return _sample_caps3(a, b, theta, draw, attempt_bound)
+        return _sample_arcs(a, b, theta_a, theta_b, draw(np.arange(len(a)))[:, 0])
+    return _sample_caps3(a, b, theta_a, theta_b, draw, attempt_bound)
 
 
-def _sample_arcs(a: np.ndarray, b: np.ndarray, theta: float,
+def _sample_arcs(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
                  u: np.ndarray) -> np.ndarray:
-    # CapIntersection.arcs and _sample2 with the three shifted candidate
-    # arcs as rows, every scalar operation kept in its order.  math.atan2
-    # per axis: numpy's SIMD arctan2 rounds differently on some inputs.
+    # CapIntersection.arcs with the three shifted candidate arcs as rows.
+    # math.atan2 per axis: numpy's SIMD arctan2 rounds differently on some
+    # inputs, and the draws are frozen bit for bit.
     m = len(a)
     x, y = np.concatenate([a, b]).T.tolist()
     ang = np.fromiter(map(math.atan2, y, x), dtype=float, count=2 * m)
     a1, a2 = ang[:m], ang[m:]
-    w = math.acos(-theta)
+    wa, wb = math.acos(-theta_a), math.acos(-theta_b)
     shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])
-    s = np.maximum(a1 - w, a2 - w + shift)
-    e = np.minimum(a1 + w, a2 + w + shift)
+    s = np.maximum(a1 - wa, a2 - wb + shift)
+    e = np.minimum(a1 + wa, a2 + wb + shift)
     length = e - s
     keep = length > 1e-14
     kept = np.where(keep, length, 0.0)
@@ -541,7 +497,8 @@ def _cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _orthobases(axes: np.ndarray):
-    """Row-wise _orthobasis: (m, 3) pairs orthonormal to each unit axis."""
+    """Deterministic orthonormal pairs (u, w), each (m, 3), spanning the
+    plane orthogonal to each unit axis row."""
     e = np.zeros_like(axes)
     e[np.arange(len(axes)), np.argmin(np.abs(axes), axis=1)] = 1.0
     u = _cross(axes, e)
@@ -549,22 +506,22 @@ def _orthobases(axes: np.ndarray):
     return u, _cross(axes, u)
 
 
-def _sample_caps3(a: np.ndarray, b: np.ndarray, theta: float, draw,
-                  attempt_bound: int) -> np.ndarray:
+def _sample_caps3(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
+                  draw, attempt_bound: int) -> np.ndarray:
     e1, e2 = _orthobases(a)
     out = np.empty_like(a)
     rows = np.arange(len(a))
     n = _BAND_BLOCK
     for _ in range(max(1, attempt_bound // n)):
         u = draw(rows)
-        t = u[:, :n] * (1.0 + theta) - theta
+        t = u[:, :n] * (1.0 + theta_a) - theta_a
         phi = TWO_PI * u[:, n:]
         r = np.sqrt(np.maximum(0.0, 1.0 - t * t))
         ar, br = a[rows, None, :], b[rows, None, :]
         v = (t[..., None] * ar + (r * np.cos(phi))[..., None] * e1[rows, None, :]
              + (r * np.sin(phi))[..., None] * e2[rows, None, :])
         # the cap a test only drops heights rounded below -theta
-        ok = in_bands(v, ar, br, theta)
+        ok = in_bands(v, ar, br, theta_a, theta_b)
         got = ok.any(axis=1)
         first = ok.argmax(axis=1)
         out[rows[got]] = v[got, first[got]]

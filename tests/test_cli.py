@@ -48,6 +48,40 @@ def test_malformed_config_exits_one(tmp_path):
     assert not out.exists()
 
 
+def test_malformed_command_line_exits_one(capsys):
+    # argparse alone would exit 2, the non-convergence code
+    for argv in (["solve", "--eps", "abc"], ["solve", "--bogus"], ["bogus"],
+                 ["simulate", "--x0", "a,b"], []):
+        assert run(*argv) == 1, argv
+    assert "invalid float value" in capsys.readouterr().err
+    for argv in (["--help"], ["solve", "--help"]):
+        with pytest.raises(SystemExit) as exc:
+            run(*argv)
+        assert exc.value.code == 0
+
+
+def test_threads_below_one_exit_one(tmp_path):
+    out = tmp_path / "out"
+    fast = {
+        "solve": ["--eps", "0.5"],
+        "simulate": ["--eps", "0.5", "--n", "4", "--paul", "radial",
+                     "--carol", "radial"],
+        "verify": [], "levelset": [], "converge": [],
+    }
+    for command, args in fast.items():
+        for threads in ("0", "-3"):
+            code = run(command, *args, "--threads", threads, "--out", str(out))
+            assert code == 1, (command, threads)
+    assert not out.exists()
+
+
+def test_converge_empty_eps_list_exits_one(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run("converge", "--eps-list", ",", "--out", str(out)) == 1
+    assert "need at least one eps" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_grid_exits_one_without_output(tmp_path):
     out = tmp_path / "out"
     code = run("solve", "--eps", "0.2", "--grid-h", "0.3", "--out", str(out))

@@ -53,6 +53,17 @@ def test_ellipse_contains():
     assert not e.contains(np.array([0.0, 1.1]))
 
 
+def test_contains_rejects_other_dimensions():
+    # a point of another dimension is an error, not a shorter or longer point
+    for domain, bad in ((solver.unit_ball(2), [0.1, 0.2, 5.0]),
+                        (solver.Ellipse((0.0, 0.0), (1.0, 2.0)), [0.5]),
+                        (solver.unit_ball(3), np.zeros((4, 2)))):
+        with pytest.raises(InvalidParameterError):
+            domain.contains(bad)
+    assert solver.unit_ball(2).contains([0.1, 0.2]) is True
+    assert solver.Ellipse((0.0, 0.0), (1.0, 2.0)).contains([0.0, 2.5]) is False
+
+
 def test_domain_validation():
     with pytest.raises(InvalidParameterError):
         solver.Ball(center=(0.0, 0.0), radius=0.0)

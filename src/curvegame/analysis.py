@@ -16,11 +16,9 @@ operator (direct second-order form versus normalized equator average).
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CriticalPointError, InvalidParameterError
 from .solver import SolverConfig, ValueField, resolve_config, value_iteration
@@ -305,6 +303,10 @@ def hausdorff_distance(a: LevelSetMask, b: LevelSetMask) -> float:
         return 0.0
     if a.is_empty or b.is_empty:
         return math.inf
+    # imported here: scipy.spatial takes about 0.2 s to load, and only the
+    # levelset and converge commands reach this function
+    from scipy.spatial import cKDTree
+
     pa, pb = a.points(), b.points()
     d_ab = cKDTree(pb).query(pa)[0].max()
     d_ba = cKDTree(pa).query(pb)[0].max()
@@ -350,8 +352,7 @@ def _study_row(domain, eps: float, template: SolverConfig | None,
 
 
 def convergence_study(domain, eps_list, template: SolverConfig | None = None,
-                      *, t_values=(), L: float = 1.0,
-                      parallel: bool = False) -> list:
+                      *, t_values=(), L: float = 1.0) -> list:
     """Solve per eps on a centered-oracle ball domain and tabulate errors.
 
     Each row reports the interior sup-norm error against the ball oracle
@@ -359,17 +360,12 @@ def convergence_study(domain, eps_list, template: SolverConfig | None = None,
     collar, and the Hausdorff distance between computed and oracle
     superlevel sets for every requested t.  tol_iter and grid_h follow the
     per-eps defaults; K, axis_count, quad_order and max_iter are taken from
-    the template when one is given.  Solver non-convergence propagates.
+    the template when one is given.  The rows are solved one after another
+    in the calling thread.  Solver non-convergence propagates.
     """
     if not hasattr(domain, "radius"):
         raise InvalidParameterError("convergence study needs a ball domain")
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise InvalidParameterError("need at least one eps")
-    if parallel:
-        with ThreadPoolExecutor(max_workers=len(eps_list)) as pool:
-            return list(pool.map(
-                lambda e: _study_row(domain, e, template, t_values, L),
-                eps_list,
-            ))
     return [_study_row(domain, e, template, t_values, L) for e in eps_list]

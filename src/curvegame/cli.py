@@ -9,7 +9,11 @@ levelset   threshold a stored field into superlevel masks, tabulate as CSV
 converge   oracle convergence study on a ball domain, tabulate as CSV
 
 Each run reads one JSON config document (--config); command line flags
-override config values, which override built-in defaults.  All float output
+override config values, which override built-in defaults.  A config key must
+name a flag of its command (underscores for dashes) or a key the command reads
+from configs only, such as domain; any other key is a usage error.  The seven
+solver settings are declared once, in SOLVER_SETTINGS.  --threads is accepted
+and checked, but every command runs in one thread.  All float output
 is printed with 17 significant digits, so identical configs and seeds give
 byte-identical artifacts.  Artifacts embed their full effective
 configuration; wall-clock timings go only to manifests and never into files
@@ -22,8 +26,8 @@ command line included), 2 solver non-convergence, 3 verification failure.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -38,26 +42,28 @@ EXIT_USAGE = 1
 EXIT_NONCONVERGENCE = 2
 EXIT_VERIFY = 3
 
-_THREADS_ENV = "CURVEGAME_THREADS"
+# The SolverConfig settings, name -> type: the solve flags, the subsets the
+# other commands take and _solver_config are all built from this table.
+SOLVER_SETTINGS = {
+    "eps": float, "K": float, "axis_count": int, "quad_order": int,
+    "tol_iter": float, "max_iter": int, "grid_h": float,
+}
+
+# parsed names that are not settings: the subcommand and the run's plumbing
+_NOT_SETTINGS = {"command", "func", "config", "out", "threads"}
+
+# keys each command reads from a config file but takes no flag for
+_CONFIG_ONLY = {
+    "solve": {"domain"},
+    "simulate": {"domain", "axis"},
+    "verify": {"domain", "lemma_function", "lemma_eps_list", *SOLVER_SETTINGS},
+    "levelset": set(),
+    "converge": {"domain"},
+}
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
-
-
-def _default_threads() -> int:
-    env = os.environ.get(_THREADS_ENV)
-    if env is not None:
-        try:
-            n = int(env)
-        except ValueError:
-            raise InvalidParameterError(
-                f"{_THREADS_ENV} must be an integer, got {env!r}"
-            )
-        if n < 1:
-            raise InvalidParameterError(f"{_THREADS_ENV} must be >= 1")
-        return n
-    return os.cpu_count() or 1
 
 
 def _load_config(path: str | None) -> dict:
@@ -74,14 +80,18 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
-def _effective(config: dict, args: argparse.Namespace, keys) -> dict:
-    """Flag > config > absent.  Flags use the same names with dashes."""
-    out = dict(config)
-    for key in keys:
-        v = getattr(args, key, None)
-        if v is not None:
-            out[key] = v
-    return out
+def _effective(args: argparse.Namespace) -> dict:
+    """Flag > config > absent.  Flags use the same names with dashes; a
+    config key that names no flag and is not in _CONFIG_ONLY is an error."""
+    config = _load_config(args.config)
+    flags = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
+    unknown = set(config) - set(flags) - _CONFIG_ONLY[args.command]
+    if unknown:
+        raise InvalidParameterError(
+            f"{args.command}: unknown config key(s) {', '.join(sorted(unknown))}"
+        )
+    config.update((k, v) for k, v in flags.items() if v is not None)
+    return config
 
 
 def _domain(cfg: dict):
@@ -91,19 +101,16 @@ def _domain(cfg: dict):
     return solver.domain_from_dict(entry)
 
 
-def _solver_config(cfg: dict, dim: int) -> solver.SolverConfig:
-    if "eps" not in cfg:
+def _solver_config(cfg: dict) -> solver.SolverConfig:
+    """The unresolved SolverConfig of cfg's settings.  Each value is parsed
+    from its text by the table type, as its flag would be; an absent or null
+    setting keeps its default."""
+    if cfg.get("eps") is None:
         raise InvalidParameterError("config needs eps")
-    raw = solver.SolverConfig(
-        eps=float(cfg["eps"]),
-        K=None if cfg.get("K") is None else float(cfg["K"]),
-        axis_count=None if cfg.get("axis_count") is None else int(cfg["axis_count"]),
-        quad_order=None if cfg.get("quad_order") is None else int(cfg["quad_order"]),
-        tol_iter=None if cfg.get("tol_iter") is None else float(cfg["tol_iter"]),
-        max_iter=int(cfg.get("max_iter", 100_000)),
-        grid_h=None if cfg.get("grid_h") is None else float(cfg["grid_h"]),
-    )
-    return solver.resolve_config(raw, dim)
+    return solver.SolverConfig(**{
+        k: cast(str(cfg[k])) for k, cast in SOLVER_SETTINGS.items()
+        if cfg.get(k) is not None
+    })
 
 
 def _point(value, dim: int, name: str) -> np.ndarray:
@@ -136,13 +143,9 @@ def _fmt(x) -> str:
 # solve
 
 
-def cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _effective(_load_config(args.config), args,
-                     ["eps", "K", "axis_count", "quad_order", "tol_iter",
-                      "max_iter", "grid_h"])
+def cmd_solve(cfg: dict, out: Path) -> int:
     domain = _domain(cfg)
-    scfg = _solver_config(cfg, domain.dim)
-    out = Path(args.out)
+    scfg = solver.resolve_config(_solver_config(cfg), domain.dim)
     t0 = time.perf_counter()
     status = EXIT_OK
     try:
@@ -161,7 +164,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     solver.save_field(field, field_path, cfg=scfg)
     manifest = {
         "command": "solve",
-        "config": solver.config_as_dict(scfg),
+        "config": dataclasses.asdict(scfg),
         "domain": domain.as_dict(),
         "converged": converged,
         "iterations": field.iterations,
@@ -199,10 +202,7 @@ def _strategy(name: str, cfg: dict, field, domain, player: str):
     )
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _effective(_load_config(args.config), args,
-                     ["eps", "n", "seed", "mode", "paul", "carol", "field",
-                      "trace", "x0", "z"])
+def cmd_simulate(cfg: dict, out: Path) -> int:
     field = None
     header = None
     if cfg.get("field"):
@@ -215,10 +215,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     eps = float(cfg["eps"])
     seed = int(cfg.get("seed", 0))
     n = int(cfg.get("n", 1000))
-    threads = args.threads if args.threads is not None else _default_threads()
     mode = cfg.get("mode", "estimate")
     x0 = _point(cfg.get("x0", [0.0] * domain.dim), domain.dim, "x0")
-    out = Path(args.out)
 
     if mode == "diagnostic":
         z = _point(cfg.get("z", [0.0] * domain.dim), domain.dim, "z")
@@ -228,7 +226,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         t0 = time.perf_counter()
         report = game.martingale_diagnostic(
             x0, z, sp=sp, n=n, eps=eps, domain=domain, seed=seed,
-            threads=threads,
         )
         wall = time.perf_counter() - t0
         report["mode"] = "diagnostic"
@@ -251,8 +248,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sp = _strategy(paul, cfg, field, domain, "paul")
     sc = _strategy(carol, cfg, field, domain, "carol")
     t0 = time.perf_counter()
-    episodes = game.run_episodes(x0, sp, sc, n, eps, domain, seed,
-                                 threads=threads)
+    episodes = game.run_episodes(x0, sp, sc, n, eps, domain, seed)
     wall = time.perf_counter() - t0
     payoffs = np.array([e.payoff for e in episodes])
     mean = float(np.mean(payoffs))
@@ -308,15 +304,14 @@ def _lemma_function(name: str):
     raise InvalidParameterError(f"unknown lemma function {name!r}")
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
-    cfg = _effective(_load_config(args.config), args, ["eps", "K", "seed"])
-    eps = float(cfg.get("eps", 0.2))
+def cmd_verify(cfg: dict, out: Path) -> int:
+    domain = _domain(cfg)
+    scfg = solver.resolve_config(_solver_config({"eps": 0.2, **cfg}), domain.dim)
+    eps, K = scfg.eps, scfg.K
     seed = int(cfg.get("seed", 0))
     checks = []
 
     # payoff constant: the game constant must match the operator constant
-    domain = _domain(cfg)
-    K = float(cfg.get("K", sphere.constant_C(domain.dim)))
     c_exact = sphere.constant_C(domain.dim)
     checks.append({
         "name": "payoff_constant",
@@ -355,7 +350,6 @@ def cmd_verify(args: argparse.Namespace) -> int:
     })
 
     # solve + DPP comparison + oracle agreement
-    scfg = _solver_config({**cfg, "eps": eps, "K": K}, domain.dim)
     field = solver.value_iteration(domain, scfg)
     residual = solver.dpp_residual(field, scfg)
     checks.append({
@@ -400,7 +394,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         "effective_config": {"eps": eps, "K": K, "seed": seed,
                              "domain": domain.as_dict()},
     }
-    _write(Path(args.out) / "verify_report.json",
+    _write(out / "verify_report.json",
            solver.dumps_compact(report) + "\n")
     for c in checks:
         print(f"verify: {c['name']}: {'pass' if c['passed'] else 'FAIL'}")
@@ -411,8 +405,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # levelset
 
 
-def cmd_levelset(args: argparse.Namespace) -> int:
-    cfg = _effective(_load_config(args.config), args, ["field", "t_list", "L"])
+def cmd_levelset(cfg: dict, out: Path) -> int:
     if not cfg.get("field"):
         raise InvalidParameterError("levelset needs a field artifact; pass --field")
     field, header = solver.load_field(cfg["field"])
@@ -436,7 +429,6 @@ def cmd_levelset(args: argparse.Namespace) -> int:
             ref = analysis.oracle_superlevel_set(field, oracle, t)
             d = _fmt(analysis.hausdorff_distance(mask, ref))
         lines.append(f"{_fmt(eps)},{_fmt(t)},{mask.count},{d}")
-    out = Path(args.out)
     _write(out / "levelset.csv", "\n".join(lines) + "\n")
     manifest = {
         "command": "levelset",
@@ -454,29 +446,18 @@ def cmd_levelset(args: argparse.Namespace) -> int:
 # converge
 
 
-def cmd_converge(args: argparse.Namespace) -> int:
-    cfg = _effective(_load_config(args.config), args,
-                     ["eps_list", "t_list", "K", "axis_count", "quad_order",
-                      "max_iter", "L", "parallel"])
+def cmd_converge(cfg: dict, out: Path) -> int:
     domain = _domain(cfg)
     if not hasattr(domain, "radius"):
         raise InvalidParameterError("converge needs a ball domain")
     eps_list = [float(e) for e in cfg.get("eps_list", [0.2, 0.1, 0.05])]
     t_list = [float(t) for t in cfg.get("t_list", [0.25])]
-    template = solver.SolverConfig(
-        # each row sets its own eps; the study rejects an empty list
-        eps=eps_list[0] if eps_list else 0.0,
-        K=None if cfg.get("K") is None else float(cfg["K"]),
-        axis_count=None if cfg.get("axis_count") is None else int(cfg["axis_count"]),
-        quad_order=None if cfg.get("quad_order") is None else int(cfg["quad_order"]),
-        max_iter=int(cfg.get("max_iter", 100_000)),
-    )
+    # each row sets its own eps; the study rejects an empty list
+    template = _solver_config({**cfg, "eps": 0.0})
     L = float(cfg.get("L", 1.0))
     t0 = time.perf_counter()
-    rows = analysis.convergence_study(
-        domain, eps_list, template, t_values=t_list, L=L,
-        parallel=bool(cfg.get("parallel", False)),
-    )
+    rows = analysis.convergence_study(domain, eps_list, template,
+                                      t_values=t_list, L=L)
     wall = time.perf_counter() - t0
     header_cols = ["eps", "grid_h", "iterations", "sup_error", "boundary_max"]
     # column labels read better in shortest form; data cells stay exact
@@ -487,7 +468,6 @@ def cmd_converge(args: argparse.Namespace) -> int:
                  _fmt(r["sup_error"]), _fmt(r["boundary_max"])]
         cells += [_fmt(r["hausdorff"][t]) for t in t_list]
         lines.append(",".join(cells))
-    out = Path(args.out)
     _write(out / "converge.csv", "\n".join(lines) + "\n")
     manifest = {
         "command": "converge",
@@ -525,29 +505,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, settings):
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, help="RNG seed override")
         p.add_argument("--threads", type=int,
-                       help=f"thread cap (default: {_THREADS_ENV} or cores); "
-                            "accepted and checked, every command runs in one "
-                            "thread")
+                       help="thread cap, at least 1; accepted and checked, "
+                            "every command runs in one thread")
+        for key in settings:
+            p.add_argument("--" + key.replace("_", "-"), type=SOLVER_SETTINGS[key])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("solve", help="value-iterate a DPP field")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--K", type=float)
-    p.add_argument("--axis-count", dest="axis_count", type=int)
-    p.add_argument("--quad-order", dest="quad_order", type=int)
-    p.add_argument("--tol-iter", dest="tol_iter", type=float)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
-    p.add_argument("--grid-h", dest="grid_h", type=float)
-    p.set_defaults(func=cmd_solve)
+    command("solve", cmd_solve, "value-iterate a DPP field", SOLVER_SETTINGS)
 
-    p = sub.add_parser("simulate", help="Monte Carlo estimates and diagnostics")
-    common(p)
-    p.add_argument("--eps", type=float)
+    p = command("simulate", cmd_simulate, "Monte Carlo estimates and diagnostics",
+                ["eps"])
     p.add_argument("--n", type=int)
     p.add_argument("--mode", choices=["estimate", "diagnostic"])
     p.add_argument("--field", help="field artifact for gradient strategies")
@@ -556,34 +530,21 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x0", type=_float_list, help="start point, comma separated")
     p.add_argument("--z", type=_float_list, help="reference point, comma separated")
     p.add_argument("--trace", help="episode trace JSONL filename")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="run the verification suite")
-    common(p)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--K", type=float)
-    p.set_defaults(func=cmd_verify)
+    command("verify", cmd_verify, "run the verification suite", ["eps", "K"])
 
-    p = sub.add_parser("levelset", help="superlevel masks of a stored field")
-    common(p)
+    p = command("levelset", cmd_levelset, "superlevel masks of a stored field", [])
     p.add_argument("--field", help="field artifact to threshold")
     p.add_argument("--t-list", dest="t_list", type=_float_list,
                    help="levels, comma separated")
     p.add_argument("--L", type=float, help="oracle source constant")
-    p.set_defaults(func=cmd_levelset)
 
-    p = sub.add_parser("converge", help="oracle convergence study")
-    common(p)
+    p = command("converge", cmd_converge, "oracle convergence study",
+                ["K", "axis_count", "quad_order", "max_iter"])
     p.add_argument("--eps-list", dest="eps_list", type=_float_list,
                    help="eps values, comma separated")
     p.add_argument("--t-list", dest="t_list", type=_float_list)
-    p.add_argument("--K", type=float)
-    p.add_argument("--axis-count", dest="axis_count", type=int)
-    p.add_argument("--quad-order", dest="quad_order", type=int)
-    p.add_argument("--max-iter", dest="max_iter", type=int)
     p.add_argument("--L", type=float)
-    p.add_argument("--parallel", action="store_true", default=None)
-    p.set_defaults(func=cmd_converge)
 
     return top
 
@@ -593,7 +554,7 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.threads is not None and args.threads < 1:
             raise InvalidParameterError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(args)
+        return args.func(_effective(args), Path(args.out))
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -247,18 +247,6 @@ def default_grid_h(eps: float, dim: int) -> float:
     if dim == 2:
         return eps / 2.0 * min(1.0, math.sqrt(eps / GRID_LAW_EPS))
     return eps / 2.0
-
-
-def config_as_dict(cfg: SolverConfig) -> dict:
-    return {
-        "eps": cfg.eps,
-        "K": cfg.K,
-        "axis_count": cfg.axis_count,
-        "quad_order": cfg.quad_order,
-        "tol_iter": cfg.tol_iter,
-        "max_iter": cfg.max_iter,
-        "grid_h": cfg.grid_h,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -828,7 +816,7 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None,
     if field.final_increment is not None:
         header["final_increment"] = field.final_increment
     if cfg is not None:
-        header["config"] = config_as_dict(cfg)
+        header["config"] = asdict(cfg)
     if extra:
         header.update(extra)
     path.write_text(dumps_compact(header) + "\n")

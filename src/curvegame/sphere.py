@@ -237,17 +237,9 @@ class CapIntersection:
         """Arc decomposition [(start, end), ...] with end > start, 0 to 2 arcs."""
         if self.dim != 2:
             raise InvalidParameterError("arcs are defined for the circle only")
-        a1 = math.atan2(self.cap_a.axis[1], self.cap_a.axis[0])
-        a2 = math.atan2(self.cap_b.axis[1], self.cap_b.axis[0])
-        w1 = math.acos(-self.cap_a.theta)
-        w2 = math.acos(-self.cap_b.theta)
-        out = []
-        for shift in (-TWO_PI, 0.0, TWO_PI):
-            s = max(a1 - w1, a2 - w2 + shift)
-            e = min(a1 + w1, a2 + w2 + shift)
-            if e - s > 1e-14:
-                out.append((s, e))
-        return out
+        a, b = self.cap_a, self.cap_b
+        s, e, keep = _arc_rows(a.axis[None, :], b.axis[None, :], a.theta, b.theta)
+        return [(float(s[k, 0]), float(e[k, 0])) for k in range(3) if keep[k, 0]]
 
     def _quadrature2(self, order: int):
         xg, wg = _leggauss(order)
@@ -453,9 +445,10 @@ def sample_bands(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
     return _sample_caps3(a, b, theta_a, theta_b, draw, attempt_bound)
 
 
-def _sample_arcs(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
-                 u: np.ndarray) -> np.ndarray:
-    # CapIntersection.arcs with the three shifted candidate arcs as rows.
+def _arc_rows(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float):
+    """Candidate arcs of the circle bands of unit axis rows a, b (m, 2): the
+    arc of cap b shifted by -2 pi, 0 and 2 pi cut to the arc of cap a, as
+    (3, m) rows of start s, end e and the mask keep of the nonempty ones."""
     # math.atan2 per axis: numpy's SIMD arctan2 rounds differently on some
     # inputs, and the draws are frozen bit for bit.
     m = len(a)
@@ -466,8 +459,13 @@ def _sample_arcs(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
     shift = np.array([[-TWO_PI], [0.0], [TWO_PI]])
     s = np.maximum(a1 - wa, a2 - wb + shift)
     e = np.minimum(a1 + wa, a2 + wb + shift)
+    return s, e, e - s > 1e-14
+
+
+def _sample_arcs(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
+                 u: np.ndarray) -> np.ndarray:
+    s, e, keep = _arc_rows(a, b, theta_a, theta_b)
     length = e - s
-    keep = length > 1e-14
     kept = np.where(keep, length, 0.0)
     total = kept[0] + kept[1] + kept[2]
     if (total <= 1e-14).any():
@@ -479,7 +477,7 @@ def _sample_arcs(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
     rest[2] = rest[1] - kept[1]
     hit = keep & (rest <= length)
     j = hit.argmax(axis=0)
-    cols = np.arange(m)
+    cols = np.arange(len(a))
     phi = s[j, cols] + rest[j, cols]
     # no hit: u landed past the far endpoint of the last arc by rounding
     last = np.where(keep[2], e[2], np.where(keep[1], e[1], e[0]))

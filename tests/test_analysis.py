@@ -301,14 +301,6 @@ def test_convergence_study_structure():
         assert math.isfinite(r["hausdorff"][0.1])
 
 
-def test_convergence_study_parallel_matches():
-    seq = analysis.convergence_study(DISK, [0.5, 0.4])
-    par = analysis.convergence_study(DISK, [0.5, 0.4], parallel=True)
-    for a, b in zip(seq, par):
-        assert a["sup_error"] == b["sup_error"]
-        assert a["iterations"] == b["iterations"]
-
-
 def test_convergence_study_needs_ball():
     e = solver.Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.5))
     with pytest.raises(InvalidParameterError):

@@ -1,11 +1,15 @@
 import hashlib
+import importlib.util
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from curvegame import analysis, cli, solver
-from curvegame.errors import InvalidParameterError
 
 
 def run(*argv):
@@ -20,17 +24,14 @@ def read_json(path):
 # plumbing
 
 
-def test_default_threads_env(monkeypatch):
-    monkeypatch.setenv("CURVEGAME_THREADS", "3")
-    assert cli._default_threads() == 3
-    monkeypatch.setenv("CURVEGAME_THREADS", "abc")
-    with pytest.raises(InvalidParameterError):
-        cli._default_threads()
-    monkeypatch.setenv("CURVEGAME_THREADS", "0")
-    with pytest.raises(InvalidParameterError):
-        cli._default_threads()
-    monkeypatch.delenv("CURVEGAME_THREADS")
-    assert cli._default_threads() >= 1
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only levelset and converge need the KD-tree; it loads on first use
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, curvegame.cli; "
+            "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial loaded'")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
 
 
 def test_float_list_parsing():
@@ -46,6 +47,108 @@ def test_malformed_config_exits_one(tmp_path):
     out = tmp_path / "out"
     assert run("solve", "--config", str(bad), "--out", str(out)) == 1
     assert not out.exists()
+
+
+def test_unknown_config_keys_exit_one(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    for command, doc in [
+        ("solve", {"eps": 0.3, "axis_cont": 8}),
+        ("solve", {"eps": 0.3, "threads": 2}),
+        ("simulate", {"eps": 0.5, "lemma_function": "one"}),
+        ("verify", {"parallel": True}),
+        ("levelset", {"domain": {"shape": "ball", "center": [0, 0], "radius": 1}}),
+        # converge resets both per eps
+        ("converge", {"tol_iter": 1e-4}),
+        ("converge", {"grid_h": 0.1}),
+        ("converge", {"parallel": True}),
+    ]:
+        cfg.write_text(json.dumps(doc))
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 1, doc
+        assert not out.exists()
+    spec = importlib.util.spec_from_file_location(
+        "workloads", Path(__file__).resolve().parents[1] / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    readme = {"domain": {"shape": "ball", "center": [0, 0], "radius": 1.0}}
+    for doc, flags in [(workloads.BALL3_CONFIG, []), (readme, ["--eps", "0.5"])]:
+        cfg.write_text(json.dumps(doc))
+        assert run("solve", "--config", str(cfg), *flags, "--out", str(out)) == 0
+
+
+def test_config_keys_each_command_reads_are_accepted(tmp_path):
+    cfg = tmp_path / "cfg.json"
+    disk = {"shape": "ball", "center": [0, 0], "radius": 1.0}
+    settings = {"eps": 0.3, "K": 0.5, "axis_count": 8, "quad_order": 16,
+                "tol_iter": 1e-4, "max_iter": 10, "grid_h": 0.1}
+    docs = {
+        "solve": {"domain": disk, "seed": 1, **settings},
+        "simulate": {"domain": disk, "axis": [1, 0], "eps": 0.3, "n": 4,
+                     "mode": "estimate", "field": "f.json", "paul": "radial",
+                     "carol": "radial", "x0": [0, 0], "z": [0, 0],
+                     "trace": "t.jsonl", "seed": 1},
+        "verify": {"domain": disk, "lemma_function": "one",
+                   "lemma_eps_list": [0.01], "seed": 1, **settings},
+        "levelset": {"field": "f.json", "t_list": [0.1], "L": 1.0, "seed": 1},
+        "converge": {"domain": disk, "eps_list": [0.3], "t_list": [0.1],
+                     "K": 0.5, "axis_count": 8, "quad_order": 16,
+                     "max_iter": 10, "L": 1.0, "seed": 1},
+    }
+    for command, doc in docs.items():
+        cfg.write_text(json.dumps(doc))
+        args = cli._build_parser().parse_args([command, "--config", str(cfg)])
+        assert cli._effective(args) == doc
+
+
+# one non-default valid value per solver setting
+SETTING_VALUES = {"eps": 0.4, "K": 0.6, "axis_count": 16, "quad_order": 32,
+                  "tol_iter": 1e-3, "max_iter": 5000, "grid_h": 0.2}
+
+
+def test_solver_settings_same_as_flag_and_config_key(tmp_path):
+    assert set(SETTING_VALUES) == set(cli.SOLVER_SETTINGS)
+    cfg = tmp_path / "cfg.json"
+    for key, value in SETTING_VALUES.items():
+        flag = "--" + key.replace("_", "-")
+        eps = [] if key == "eps" else ["--eps", "0.5"]
+        a, b = tmp_path / key / "flag", tmp_path / key / "config"
+        assert run("solve", *eps, flag, str(value), "--out", str(a)) == 0, key
+        cfg.write_text(json.dumps({key: value}))
+        assert run("solve", *eps, "--config", str(cfg), "--out", str(b)) == 0, key
+        header = read_json(a / "field.json")["config"]
+        assert header == read_json(b / "field.json")["config"], key
+        assert header[key] == value, key
+        bad = ["abc", value + 0.5] if isinstance(value, int) else ["abc"]
+        for v in bad:
+            out = tmp_path / key / "bad"
+            assert run("solve", *eps, flag, str(v), "--out", str(out)) == 1, (key, v)
+            cfg.write_text(json.dumps({key: v}))
+            assert run("solve", *eps, "--config", str(cfg),
+                       "--out", str(out)) == 1, (key, v)
+            assert not out.exists()
+
+
+def test_verify_and_converge_take_axis_count_from_config(tmp_path, monkeypatch):
+    seen = []
+    solve, study = solver.value_iteration, analysis.convergence_study
+
+    def spy_solve(domain, cfg, *a, **kw):
+        seen.append(("verify", cfg.axis_count))
+        return solve(domain, cfg, *a, **kw)
+
+    def spy_study(domain, eps_list, template, **kw):
+        seen.append(("converge", template.axis_count))
+        return study(domain, eps_list, template, **kw)
+
+    monkeypatch.setattr(solver, "value_iteration", spy_solve)
+    monkeypatch.setattr(analysis, "convergence_study", spy_study)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"axis_count": 16}))
+    assert run("verify", "--config", str(cfg), "--eps", "0.5",
+               "--out", str(tmp_path / "v")) == 0
+    assert run("converge", "--config", str(cfg), "--eps-list", "0.5",
+               "--out", str(tmp_path / "c")) == 0
+    assert seen == [("verify", 16), ("converge", 16)]
 
 
 def test_malformed_command_line_exits_one(capsys):

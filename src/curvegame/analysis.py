@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriticalPointError, InvalidParameterError
-from .solver import SolverConfig, ValueField, resolve_config, value_iteration
+from .solver import SolverConfig, ValueField, resolve_config, solve
 from .sphere import (
     Cap,
     constant_C,
@@ -325,7 +325,7 @@ def _study_row(domain, eps: float, template: SolverConfig | None,
     cfg = resolve_config(
         replace(base, eps=float(eps), tol_iter=None, grid_h=None), domain.dim
     )
-    field = value_iteration(domain, cfg)
+    field = solve(domain, cfg)
     oracle = BallOracle(R=domain.radius, L=L, N=domain.dim)
     pts = field.node_points()
     centered = pts - np.asarray(domain.center)

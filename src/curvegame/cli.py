@@ -2,7 +2,8 @@
 
 Subcommands
 -----------
-solve      value-iterate a DPP field, write it with a run manifest
+solve      solve the DPP (policy iteration, monotone polish), write the field
+           with a run manifest
 simulate   Monte Carlo value estimates or martingale diagnostics
 verify     verification suite: band lemma, operator forms, DPP comparison
 levelset   threshold a stored field into superlevel masks, tabulate as CSV
@@ -12,7 +13,9 @@ Each run reads one JSON config document (--config); command line flags
 override config values, which override built-in defaults.  A config key must
 name a flag of its command (underscores for dashes) or a key the command reads
 from configs only, such as domain; any other key is a usage error.  The seven
-solver settings are declared once, in SOLVER_SETTINGS.  --threads is accepted
+solver settings are declared once, in SOLVER_SETTINGS, and the other typed
+flags in FLAG_TYPES; a config value is parsed from its text by its flag's type
+(a list flag's value from its comma-separated items).  --threads is accepted
 and checked, but every command runs in one thread.  All float output
 is printed with 17 significant digits, so identical configs and seeds give
 byte-identical artifacts.  Artifacts embed their full effective
@@ -49,6 +52,18 @@ SOLVER_SETTINGS = {
     "tol_iter": float, "max_iter": int, "grid_h": float,
 }
 
+
+def _float_list(s: str) -> list:
+    return [float(v) for v in s.split(",") if v.strip()]
+
+
+# The other typed flags, name -> type.  The parser takes each flag's type
+# from these two tables, and _effective parses config values with them.
+FLAG_TYPES = {
+    "seed": int, "threads": int, "n": int, "L": float, "x0": _float_list,
+    "z": _float_list, "t_list": _float_list, "eps_list": _float_list,
+}
+
 # parsed names that are not settings: the subcommand and the run's plumbing
 _NOT_SETTINGS = {"command", "func", "config", "out", "threads"}
 
@@ -80,9 +95,21 @@ def _load_config(path: str | None) -> dict:
     return doc
 
 
+def _parse(key: str, value, parse):
+    """A config value parsed from its text as its flag would be: the text of
+    a list flag's value is its comma-separated items, else its str()."""
+    listed = isinstance(value, list) and parse is _float_list
+    text = ",".join(map(str, value)) if listed else str(value)
+    try:
+        return parse(text)
+    except ValueError:
+        raise InvalidParameterError(f"config key {key}: invalid value {value!r}")
+
+
 def _effective(args: argparse.Namespace) -> dict:
     """Flag > config > absent.  Flags use the same names with dashes; a
-    config key that names no flag and is not in _CONFIG_ONLY is an error."""
+    config key that names no flag and is not in _CONFIG_ONLY is an error.
+    Typed config values are parsed like their flags (FLAG_TYPES)."""
     config = _load_config(args.config)
     flags = {k: v for k, v in vars(args).items() if k not in _NOT_SETTINGS}
     unknown = set(config) - set(flags) - _CONFIG_ONLY[args.command]
@@ -90,6 +117,12 @@ def _effective(args: argparse.Namespace) -> dict:
         raise InvalidParameterError(
             f"{args.command}: unknown config key(s) {', '.join(sorted(unknown))}"
         )
+    types = {**SOLVER_SETTINGS, **FLAG_TYPES}
+    for k in [k for k in config if k in types]:
+        if config[k] is None:
+            del config[k]  # null keeps the default, as an absent key does
+        else:
+            config[k] = _parse(k, config[k], types[k])
     config.update((k, v) for k, v in flags.items() if v is not None)
     return config
 
@@ -102,14 +135,12 @@ def _domain(cfg: dict):
 
 
 def _solver_config(cfg: dict) -> solver.SolverConfig:
-    """The unresolved SolverConfig of cfg's settings.  Each value is parsed
-    from its text by the table type, as its flag would be; an absent or null
-    setting keeps its default."""
+    """The unresolved SolverConfig of cfg's settings, already parsed by
+    _effective; an absent or null setting keeps its default."""
     if cfg.get("eps") is None:
         raise InvalidParameterError("config needs eps")
     return solver.SolverConfig(**{
-        k: cast(str(cfg[k])) for k, cast in SOLVER_SETTINGS.items()
-        if cfg.get(k) is not None
+        k: cfg[k] for k in SOLVER_SETTINGS if cfg.get(k) is not None
     })
 
 
@@ -123,10 +154,6 @@ def _point(value, dim: int, name: str) -> np.ndarray:
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text)
-
-
-def _float_list(s: str) -> list:
-    return [float(v) for v in s.split(",") if v.strip()]
 
 
 def _fmt(x) -> str:
@@ -149,7 +176,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     status = EXIT_OK
     try:
-        field = solver.value_iteration(domain, scfg)
+        field = solver.solve(domain, scfg)
         converged = True
     except NonConvergenceError as exc:
         field = exc.field
@@ -158,7 +185,9 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         print(f"solve: no convergence in {exc.iterations} sweeps "
               f"(last increment {exc.increment:.17g})", file=sys.stderr)
     wall = time.perf_counter() - t0
-    residual = solver.dpp_residual(field, scfg)
+    # the residual sweep ran inside solve, on the kernel it built
+    telemetry = field.telemetry
+    residual = telemetry["residual"]
     out.mkdir(parents=True, exist_ok=True)
     field_path = out / "field.json"
     solver.save_field(field, field_path, cfg=scfg)
@@ -171,10 +200,13 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         "final_increment": field.final_increment,
         "residual": residual,
         "wall_time_s": wall,
+        # phase times, counts and sizes; never in the field files
+        "solver": {k: v for k, v in telemetry.items() if k != "residual"},
     }
     _write(out / "solve_manifest.json", solver.dumps_compact(manifest) + "\n")
     print(f"solve: {'converged' if converged else 'PARTIAL'} "
-          f"iters={field.iterations} residual={residual:.17g} -> {field_path}")
+          f"sweeps={field.iterations} policy_steps={telemetry['policy_steps']} "
+          f"residual={residual:.17g} -> {field_path}")
     return status
 
 
@@ -213,8 +245,8 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     if "eps" not in cfg:
         raise InvalidParameterError("config needs eps")
     eps = float(cfg["eps"])
-    seed = int(cfg.get("seed", 0))
-    n = int(cfg.get("n", 1000))
+    seed = cfg.get("seed", 0)
+    n = cfg.get("n", 1000)
     mode = cfg.get("mode", "estimate")
     x0 = _point(cfg.get("x0", [0.0] * domain.dim), domain.dim, "x0")
 
@@ -308,7 +340,7 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     domain = _domain(cfg)
     scfg = solver.resolve_config(_solver_config({"eps": 0.2, **cfg}), domain.dim)
     eps, K = scfg.eps, scfg.K
-    seed = int(cfg.get("seed", 0))
+    seed = cfg.get("seed", 0)
     checks = []
 
     # payoff constant: the game constant must match the operator constant
@@ -409,12 +441,12 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
     if not cfg.get("field"):
         raise InvalidParameterError("levelset needs a field artifact; pass --field")
     field, header = solver.load_field(cfg["field"])
-    t_list = [float(t) for t in cfg.get("t_list", [0.1, 0.25, 0.4])]
+    t_list = cfg.get("t_list", [0.1, 0.25, 0.4])
     eps = header.get("config", {}).get("eps")
     oracle = None
     if hasattr(field.domain, "radius"):
         oracle = analysis.BallOracle(
-            R=field.domain.radius, L=float(cfg.get("L", 1.0)), N=field.domain.dim
+            R=field.domain.radius, L=cfg.get("L", 1.0), N=field.domain.dim
         )
     vmax = float(field.values.max())
     lines = ["eps,t,count,hausdorff_vs_oracle"]
@@ -434,7 +466,7 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
         "command": "levelset",
         "field": str(cfg["field"]),
         "t_list": t_list,
-        "L": float(cfg.get("L", 1.0)),
+        "L": cfg.get("L", 1.0),
         "field_config": header.get("config"),
     }
     _write(out / "levelset_manifest.json", solver.dumps_compact(manifest) + "\n")
@@ -450,11 +482,11 @@ def cmd_converge(cfg: dict, out: Path) -> int:
     domain = _domain(cfg)
     if not hasattr(domain, "radius"):
         raise InvalidParameterError("converge needs a ball domain")
-    eps_list = [float(e) for e in cfg.get("eps_list", [0.2, 0.1, 0.05])]
-    t_list = [float(t) for t in cfg.get("t_list", [0.25])]
+    eps_list = cfg.get("eps_list", [0.2, 0.1, 0.05])
+    t_list = cfg.get("t_list", [0.25])
     # each row sets its own eps; the study rejects an empty list
     template = _solver_config({**cfg, "eps": 0.0})
-    L = float(cfg.get("L", 1.0))
+    L = cfg.get("L", 1.0)
     t0 = time.perf_counter()
     rows = analysis.convergence_study(domain, eps_list, template,
                                       t_values=t_list, L=L)
@@ -509,8 +541,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed override")
-        p.add_argument("--threads", type=int,
+        p.add_argument("--seed", type=FLAG_TYPES["seed"], help="RNG seed override")
+        p.add_argument("--threads", type=FLAG_TYPES["threads"],
                        help="thread cap, at least 1; accepted and checked, "
                             "every command runs in one thread")
         for key in settings:
@@ -518,33 +550,35 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(func=func)
         return p
 
-    command("solve", cmd_solve, "value-iterate a DPP field", SOLVER_SETTINGS)
+    command("solve", cmd_solve,
+            "solve the DPP: policy iteration, then a certified monotone polish",
+            SOLVER_SETTINGS)
 
     p = command("simulate", cmd_simulate, "Monte Carlo estimates and diagnostics",
                 ["eps"])
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=FLAG_TYPES["n"])
     p.add_argument("--mode", choices=["estimate", "diagnostic"])
     p.add_argument("--field", help="field artifact for gradient strategies")
     p.add_argument("--paul", help="gradient | radial | fixed_axis")
     p.add_argument("--carol", help="gradient | radial | fixed_axis")
-    p.add_argument("--x0", type=_float_list, help="start point, comma separated")
-    p.add_argument("--z", type=_float_list, help="reference point, comma separated")
+    p.add_argument("--x0", type=FLAG_TYPES["x0"], help="start point, comma separated")
+    p.add_argument("--z", type=FLAG_TYPES["z"], help="reference point, comma separated")
     p.add_argument("--trace", help="episode trace JSONL filename")
 
     command("verify", cmd_verify, "run the verification suite", ["eps", "K"])
 
     p = command("levelset", cmd_levelset, "superlevel masks of a stored field", [])
     p.add_argument("--field", help="field artifact to threshold")
-    p.add_argument("--t-list", dest="t_list", type=_float_list,
+    p.add_argument("--t-list", dest="t_list", type=FLAG_TYPES["t_list"],
                    help="levels, comma separated")
-    p.add_argument("--L", type=float, help="oracle source constant")
+    p.add_argument("--L", type=FLAG_TYPES["L"], help="oracle source constant")
 
     p = command("converge", cmd_converge, "oracle convergence study",
                 ["K", "axis_count", "quad_order", "max_iter"])
-    p.add_argument("--eps-list", dest="eps_list", type=_float_list,
+    p.add_argument("--eps-list", dest="eps_list", type=FLAG_TYPES["eps_list"],
                    help="eps values, comma separated")
-    p.add_argument("--t-list", dest="t_list", type=_float_list)
-    p.add_argument("--L", type=float)
+    p.add_argument("--t-list", dest="t_list", type=FLAG_TYPES["t_list"])
+    p.add_argument("--L", type=FLAG_TYPES["L"])
 
     return top
 

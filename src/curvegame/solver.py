@@ -1,4 +1,4 @@
-"""Grid discretization and monotone value iteration for the game value function.
+"""Grid discretization and the DPP solvers for the game value function.
 
 The value function u^eps satisfies a dynamic programming principle: at every
 point x of the domain,
@@ -6,10 +6,16 @@ point x of the domain,
     u(x) = max_a min_b  avg_{A(a) cap B(b)} u(x + eps v) dsigma(v)  +  eps^2 K,
 
 where A, B are eps-game caps drawn from a fixed finite axis family, and u = 0
-outside the domain.  This module discretizes u on a uniform grid, evaluates the
-right-hand side with a quadrature grid on the sphere that is shared by all cap
-pairs, and iterates from w = 0.  One sweep kernel serves 2D and 3D: a sparse
-nonnegative map `cover` takes a node's samples to band sums (circle: axis
+outside the domain.  This module discretizes u on a uniform grid and evaluates
+the right-hand side T with a quadrature grid on the sphere that is shared by
+all cap pairs.  Two solvers find the fixed point of T.  `value_iteration`,
+the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
+runs Howard policy iteration: fix each node's pair of axes, evaluate that
+linear policy with cheap sparse matvecs, sweep once for the next pair, and
+repeat (4 to 8 sweeps on the unit disk); it then scales the result by
+lam <= 1 into a subsolution that one sweep certifies exactly, and polishes
+it with the same monotone iteration.  One sweep kernel serves 2D and 3D: a
+sparse nonnegative map `cover` takes a node's samples to band sums (circle: axis
 steps and shortest arcs; sphere: one row per cap pair i <= j), and `maxmin`
 turns those into max over Paul's axes of min over Carol's axes.  For nodes
 whose samples all lie in the domain, `cover` is merged with the
@@ -27,13 +33,16 @@ whole axis-spacing steps, on the sphere each pair row carries the weights
 member_i member_j w_q / denom_ij, so no subtraction ever occurs), minima,
 maxima, multiplication by a positive constant, and addition of a constant.
 All of these are monotone under IEEE round-to-nearest, so w_{n+1} >= w_n
-holds bit-for-bit, not just approximately.
+holds bit-for-bit, not just approximately.  In `solve` the same holds for the
+polish chain from the certified start; the policy evaluations before it need
+no such property, because only the certificate vouches for what they give.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 from typing import Callable, Iterable
@@ -51,7 +60,7 @@ from .errors import (
 TWO_PI = 2.0 * math.pi
 
 # Monotone iterates stay below the explicit quadratic supersolution only for
-# eps below this threshold; value_iteration refuses larger eps.
+# eps below this threshold; value_iteration and solve refuse larger eps.
 SUPERSOLUTION_EPS_MAX = 0.5
 
 # Below this eps the default 2D grid spacing shrinks like eps^{3/2}; at and
@@ -269,6 +278,8 @@ class ValueField:
         self.values = np.asarray(values, dtype=float)
         self.iterations = iterations
         self.final_increment = final_increment
+        # solver timings and counts, set by solve; never serialized
+        self.telemetry = None
         if self.values.ndim != domain.dim:
             raise InvalidParameterError("values rank must match domain dimension")
         nodes = self.node_points()
@@ -406,13 +417,42 @@ def _arc_cells(ua: float, ub: float, Q: int) -> list:
             + [(fb % Q, max(ub - fb + 0.5, 0.0))])
 
 
+def _take_min(best: np.ndarray, arg, new: np.ndarray, label) -> None:
+    """best = min(best, new) in place; where new is smaller, also arg = label
+    (arg may be None).  Ties keep the earlier entry.  The label update is
+    arithmetic, arg += smaller * (label - arg): masked copies branch on
+    every element and cost several times more."""
+    if arg is None:
+        np.minimum(best, new, out=best)
+        return
+    smaller = new < best
+    np.minimum(best, new, out=best)
+    step = np.subtract(label, arg, dtype=arg.dtype)
+    step *= smaller
+    arg += step
+
+
+def _runs(starts: list, counts: list) -> tuple:
+    """Integer runs, concatenated.  starts and counts are lists of int
+    arrays, all of one length m; entry j of the i-th pair of arrays is the
+    run starts[i][j], ..., starts[i][j] + counts[i][j] - 1.  Returns (the j
+    of each element, the element)."""
+    start = np.concatenate(starts)
+    count = np.concatenate(counts)
+    owner = np.repeat(np.tile(np.arange(starts[0].size), len(starts)), count)
+    first = np.repeat(np.cumsum(count) - count, count)
+    return owner, np.repeat(start, count) + np.arange(owner.size) - first
+
+
 class _Bellman:
     """max over Paul's axes of the min over Carol's axes of the cap-pair
     band averages, from samples of the field at x + eps v_q.
 
     A subclass sets `nodes`, the (Q, dim) unit directions v_q, and `cover`,
     a sparse nonnegative map from the Q samples to the rows that its
-    `maxmin` combines.
+    `maxmin` combines.  `maxmin(R, policy=True)` also returns the chosen
+    axes, and `selection` takes cover's rows to the band average of a
+    chosen pair.
     """
 
     def reduce(self, V: np.ndarray) -> np.ndarray:
@@ -471,9 +511,13 @@ class _CircleBellman(_Bellman):
         length = lambda k: max(2.0 * W - k * Q / M, 0.0) if k <= kmax else 0.0
         self.scale = [1.0 / (length(k) + length(M - k)) for k in range(M // 2 + 1)]
 
-    def maxmin(self, R: np.ndarray) -> np.ndarray:
+    def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (rows, m); returns (m,) max_i min_j of
-        the cap-pair averages."""
+        the cap-pair averages.  With policy, returns (values, paul, carol):
+        the same values, Paul's first maximizing axis and Carol's minimizing
+        axis against it, read off as the running minima are taken (a tie
+        goes to the pair met first: larger separations, then low before
+        high)."""
         M, kmax = self.M, self.kmax
         m = R.shape[1]
         steps = R[: M + kmax - 1]
@@ -483,6 +527,10 @@ class _CircleBellman(_Bellman):
         low = np.full((M, m), np.inf)
         high = np.full((M + M // 2, m), np.inf)
         band = np.empty((M, m))
+        # with policy, Carol's axis minus Paul's at each running min
+        low_off = np.zeros((M, m), dtype=np.int32) if policy else None
+        high_off = np.zeros((M + M // 2, m), dtype=np.int32) if policy else None
+        part = lambda a, s: None if a is None else a[s]
         second = {}
         for k in range(kmax, -1, -1):
             if k < kmax:
@@ -495,12 +543,38 @@ class _CircleBellman(_Bellman):
                     band *= self.scale[k]
                 else:
                     np.multiply(arc, self.scale[k], out=band)
-                np.minimum(low, band, out=low)
+                _take_min(low, low_off, band, k)
                 if k:
-                    np.minimum(high[k : k + M], band, out=high[k : k + M])
-        np.minimum(low, high[:M], out=low)
-        np.minimum(low[: M // 2], high[M:], out=low[: M // 2])
-        return low.max(axis=0)
+                    s = slice(k, k + M)
+                    _take_min(high[s], part(high_off, s), band, -k)
+        _take_min(low, low_off, high[:M], part(high_off, slice(M)))
+        _take_min(low[: M // 2], part(low_off, slice(M // 2)), high[M:],
+                  part(high_off, slice(M, None)))
+        if not policy:
+            return low.max(axis=0)
+        paul = low.argmax(axis=0)
+        cols = np.arange(m)
+        return low[paul, cols], paul, (paul + low_off[paul, cols]) % M
+
+    def selection(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
+        """(m, rows of cover): row r takes cover's rows to the band average
+        of the pair (paul[r], carol[r]), scale[k] times its step sums and
+        shortest arcs (the linear part of maxmin for that pair)."""
+        M, kmax = self.M, self.kmax
+        off = (carol - paul) % M
+        # the band of a pair is that of (base, base + k), k <= M/2
+        k = np.minimum(off, M - off)
+        base = np.where(off <= M // 2, paul, carol)
+        arc0 = M + kmax - 1  # row of the shortest arc A_kmax[0]
+        # A_k[base]: A_kmax[base] plus steps base + k, ..., base + kmax - 1
+        two = k >= M - kmax  # near-opposite pairs also meet in A_{M-k}[base + k]
+        i2 = (base + k) % M
+        ones = np.ones_like(k)
+        owner, cols = _runs([arc0 + base, base + k, arc0 + i2, i2 + M - k],
+                            [ones, kmax - k, two * ones, two * (kmax - M + k)])
+        data = np.asarray(self.scale)[k[owner]]
+        return sparse.csr_matrix((data, (owner, cols)),
+                                 shape=(paul.size, self.cover.shape[0]))
 
 
 class _SphereBellman(_Bellman):
@@ -580,10 +654,23 @@ class _SphereBellman(_Bellman):
         self.cover = sparse.csr_matrix((data, indices, indptr),
                                        shape=(upper[0].size, wq.size))
 
-    def maxmin(self, R: np.ndarray) -> np.ndarray:
+    def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
-        of the cap-pair averages."""
-        return R[self.pair].min(axis=1).max(axis=0)
+        of the cap-pair averages, and with policy also Paul's first
+        maximizing axis and Carol's first minimizing axis against it."""
+        inner = R[self.pair].min(axis=1)
+        if not policy:
+            return inner.max(axis=0)
+        paul = inner.argmax(axis=0)
+        cols = np.arange(R.shape[1])
+        carol = R[self.pair[paul].T, cols].argmin(axis=0)
+        return inner[paul, cols], paul, carol
+
+    def selection(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
+        """(m, pair rows): row r picks the pair row of (paul[r], carol[r])."""
+        m = paul.size
+        return sparse.csr_matrix((np.ones(m), (np.arange(m), self.pair[paul, carol])),
+                                 shape=(m, self.cover.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -621,6 +708,7 @@ class _Kernel:
         self.cfg = cfg
         self.bellman = bell = _make_bellman(domain.dim, cfg)
         self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
+        self.shape = proto.shape
         self.n_interior = self.int_flat.size
         pts = proto.node_points()[self.int_flat]
         dim = domain.dim
@@ -654,27 +742,75 @@ class _Kernel:
             deep[s : s + B] = inside.all(axis=0)
             outside.append(~inside[:, ~deep[s : s + B]])
         outside = np.concatenate(outside, axis=1) if outside else np.zeros((Q, 0), bool)
+        self.offsets = offsets
         gather = lambda pos: self.int_flat[pos][None, :] + offsets[:, None]
-        sel = np.flatnonzero(deep)
-        self.deep_blocks = [(sel[s : s + B], gather(sel[s : s + B]))
-                            for s in range(0, sel.size, B)]
-        sel = np.flatnonzero(~deep)
+        self.deep = np.flatnonzero(deep)
+        self.deep_blocks = [(self.deep[s : s + B], gather(self.deep[s : s + B]))
+                            for s in range(0, self.deep.size, B)]
+        self.rim = sel = np.flatnonzero(~deep)
         self.rim_blocks = [(sel[s : s + B], gather(sel[s : s + B]),
                             np.ascontiguousarray(outside[:, s : s + B]))
                            for s in range(0, sel.size, B)]
 
-    def sweep(self, values: np.ndarray) -> np.ndarray:
-        """Interior Bellman right-hand sides, shape (n_interior,)."""
+    def embed(self, u: np.ndarray) -> np.ndarray:
+        """Grid array holding u at the interior nodes and 0 elsewhere."""
+        vals = np.zeros(self.shape)
+        vals.ravel()[self.int_flat] = u
+        return vals
+
+    def _rows(self, values: np.ndarray):
+        """(interior positions, cover rows of their samples), block by block."""
         flat = values.ravel()
-        bell = self.bellman
-        out = np.empty(self.n_interior)
         for pos, idx in self.deep_blocks:
-            out[pos] = bell.maxmin(self.merged @ flat[idx])
+            yield pos, self.merged @ flat[idx]
         for pos, idx, outside in self.rim_blocks:
             V = self.samp @ flat[idx]
             V[outside] = 0.0
-            out[pos] = bell.maxmin(bell.cover @ V)
+            yield pos, self.bellman.cover @ V
+
+    def sweep(self, values: np.ndarray) -> np.ndarray:
+        """Interior Bellman right-hand sides, shape (n_interior,)."""
+        out = np.empty(self.n_interior)
+        for pos, R in self._rows(values):
+            out[pos] = self.bellman.maxmin(R)
         return out + self.cfg.eps**2 * self.cfg.K
+
+    def policy_sweep(self, values: np.ndarray) -> tuple:
+        """sweep(values), bit for bit, with Paul's and Carol's chosen axes
+        at each interior node."""
+        out = np.empty(self.n_interior)
+        paul = np.empty(self.n_interior, dtype=np.intp)
+        carol = np.empty(self.n_interior, dtype=np.intp)
+        for pos, R in self._rows(values):
+            out[pos], paul[pos], carol[pos] = self.bellman.maxmin(R, policy=True)
+        return out + self.cfg.eps**2 * self.cfg.K, paul, carol
+
+    def policy_matrix(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
+        """The linear part of the sweep with the pairs (paul, carol) fixed:
+        a nonnegative, substochastic map of the interior values, shape
+        (n_interior, n_interior).  A row is the pair's band weights composed
+        with samp (deep nodes through merged; rim nodes through cover with
+        the samples outside the domain dropped), gathered at the node's
+        stencil offsets; exterior nodes, which hold 0, are dropped."""
+        bell = self.bellman
+        sel = bell.selection(paul, carol)
+        deep = (sel[self.deep] @ self.merged).tocoo()
+        rim = (sel[self.rim] @ bell.cover).tocoo()
+        outside = [o for *_, o in self.rim_blocks]
+        outside = np.concatenate(outside, axis=1) if outside else np.zeros((0, 0), bool)
+        keep = ~outside[rim.col, rim.row]
+        rim = (sparse.csr_matrix((rim.data[keep], (rim.row[keep], rim.col[keep])),
+                                 shape=rim.shape) @ self.samp).tocoo()
+        rows = np.concatenate([self.deep[deep.row], self.rim[rim.row]])
+        flat = self.int_flat[rows] + self.offsets[np.concatenate([deep.col, rim.col])]
+        data = np.concatenate([deep.data, rim.data])
+        # position of each grid node among the interior nodes, -1 outside
+        where = np.full(math.prod(self.shape), -1)
+        where[self.int_flat] = np.arange(self.n_interior)
+        cols = where[flat]
+        keep = cols >= 0
+        n = self.n_interior
+        return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
 def _bellman_core(field: ValueField, pts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
@@ -703,6 +839,53 @@ def bellman_rhs(field: ValueField, x, cfg: SolverConfig) -> float:
     return float(_bellman_core(field, x[None, :], cfg)[0])
 
 
+def _iteration_config(cfg: SolverConfig, dim: int) -> SolverConfig:
+    cfg = resolve_config(cfg, dim)
+    if cfg.eps > SUPERSOLUTION_EPS_MAX:
+        raise InvalidParameterError(
+            f"eps must be at most {SUPERSOLUTION_EPS_MAX} for a convergent iteration"
+        )
+    return cfg
+
+
+def _chain(kernel: _Kernel, vals: np.ndarray, cfg: SolverConfig, n: int,
+           first: np.ndarray | None = None, monitor: Callable | None = None) -> tuple:
+    """Monotone value iteration from the grid array vals until the sup
+    increment drops below tol_iter or the sweep count n reaches max_iter.
+
+    first, when given, is kernel.sweep(vals), already run and counted in n.
+    Every sweep is checked to be node-wise >= its input.  Returns (grid
+    array of the last iterate, sweep count, last increment, converged).
+    """
+    interior = kernel.int_flat
+    cur = vals.ravel()[interior]
+    increment = math.inf
+    while first is not None or n < cfg.max_iter:
+        if first is None:
+            new = kernel.sweep(vals)
+            n += 1
+        else:
+            new, first = first, None
+        if not np.all(new >= cur):
+            raise AssertionError("value iteration lost monotonicity")
+        increment = float(np.max(new - cur))
+        cur = new
+        vals = kernel.embed(new)
+        if monitor is not None:
+            monitor(n, increment)
+        if increment < cfg.tol_iter:
+            return vals, n, increment, True
+    return vals, n, increment, False
+
+
+def _nonconvergence(what: str, cfg: SolverConfig, last: ValueField) -> NonConvergenceError:
+    return NonConvergenceError(
+        f"{what} did not reach tol_iter={cfg.tol_iter} in {last.iterations} "
+        f"sweeps (last increment {last.final_increment})",
+        field=last, increment=last.final_increment, iterations=last.iterations,
+    )
+
+
 def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
                     monitor: Callable | None = None) -> ValueField:
     """Iterate the game operator from w = 0 until the sup increment drops
@@ -711,40 +894,169 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
     Returns the converged field with .iterations and .final_increment set.
     Raises NonConvergenceError (carrying the last iterate) if max_iter sweeps
     do not reach tol_iter.  The iteration is monotone by construction and this
-    is checked on every sweep.
+    is checked on every sweep.  This is the reference path; `solve` reaches
+    the same fixed point in far fewer sweeps.
     """
-    cfg = resolve_config(cfg, domain.dim)
-    if cfg.eps > SUPERSOLUTION_EPS_MAX:
-        raise InvalidParameterError(
-            f"eps must be at most {SUPERSOLUTION_EPS_MAX} for a convergent iteration"
-        )
+    cfg = _iteration_config(cfg, domain.dim)
     field = empty_field(domain, cfg) if start is None else start
     kernel = _Kernel(domain, cfg, field)
-    vals = field.values.copy()
-    flat = vals.ravel()
-    interior = kernel.int_flat
-    cur = flat[interior].copy()
-    increment = math.inf
-    for n in range(1, cfg.max_iter + 1):
-        new = kernel.sweep(vals)
-        if not np.all(new >= cur):
-            raise AssertionError("value iteration lost monotonicity")
-        increment = float(np.max(new - cur))
-        cur = new
-        vals = np.zeros_like(vals)
-        vals.ravel()[interior] = new
-        if monitor is not None:
-            monitor(n, increment)
-        if increment < cfg.tol_iter:
-            return ValueField(domain, field.lo, field.h, vals,
-                              iterations=n, final_increment=increment)
+    vals, n, increment, done = _chain(kernel, field.values.copy(), cfg, 0,
+                                      monitor=monitor)
     last = ValueField(domain, field.lo, field.h, vals,
-                      iterations=cfg.max_iter, final_increment=increment)
-    raise NonConvergenceError(
-        f"value iteration did not reach tol_iter={cfg.tol_iter} "
-        f"in {cfg.max_iter} sweeps (last increment {increment})",
-        field=last, increment=increment, iterations=cfg.max_iter,
-    )
+                      iterations=n, final_increment=increment)
+    if not done:
+        raise _nonconvergence("value iteration", cfg, last)
+    return last
+
+
+# Policy evaluation stops once a matvec moves the values by less than
+# tol_iter times this, and the policy steps stop once an evaluation does:
+# at the default tol_iter that is eps^2 1e-12, a few hundred units in the
+# last place of the values, so the field lands on the fixed point to rounding.
+_EVAL_TOL = 1e-9
+
+
+def _evaluate(P: sparse.csr_matrix, u: np.ndarray, c: float, stop: float,
+              budget: int) -> tuple:
+    """Iterate u <- P u + c from u until the sup increment falls below stop.
+    Returns (u, matvecs, settled); settled is False when budget matvecs do
+    not get there."""
+    for n in range(1, budget + 1):
+        new = P @ u
+        new += c
+        increment = float(np.max(np.abs(new - u)))
+        u = new
+        if increment < stop:
+            return u, n, True
+    return u, budget, False
+
+
+def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
+             budget: int) -> tuple:
+    """Scale the interior values w (>= 0, with Tw = kernel.sweep of them)
+    into a subsolution lam w <= T(lam w), checked exactly.
+
+    With c = eps^2 K and r = max(w - T(w))+, lam = c / (r + slack + c): in
+    exact arithmetic T(lam w) = lam T(w) + (1 - lam) c >= lam w, with slack
+    to spare against the check's rounding.  Each check is one sweep, and
+    lam's gap to 1 doubles until the check holds (lam = 0 always passes).
+    When w <= T(w) already, lam = 1 and Tw is the check, with no sweep.
+    Returns (lam, lam w, T(lam w) or None if budget sweeps did not
+    certify, sweeps run).
+    """
+    if np.all(w <= Tw):
+        return 1.0, w, Tw, 0
+    c = kernel.cfg.eps**2 * kernel.cfg.K
+    r = float(np.max(w - Tw))
+    lam = min(c / (r + slack + c), 1.0 - 2.0**-53)
+    for tries in range(1, budget + 1):
+        start = lam * w
+        new = kernel.sweep(kernel.embed(start))
+        if np.all(new >= start):
+            return lam, start, new, tries
+        lam = max(1.0 - 2.0 * (1.0 - lam), 0.0)
+    return lam, w, None, max(budget, 0)
+
+
+def solve(domain, cfg: SolverConfig) -> ValueField:
+    """The DPP fixed point by policy iteration, then a certified monotone
+    polish; same stop rule, exit meaning and field format as value_iteration.
+
+    1. Policy steps.  A sweep of the current iterate w also returns each
+       interior node's pair: Paul's maximizing axis and Carol's minimizing
+       axis against it (at w = 0 every pair ties, so the first policy
+       needs no sweep).  With the pairs fixed the sweep is a nonnegative
+       substochastic linear map P; u <- P u + eps^2 K is iterated from w
+       until a matvec moves u by less than stop = tol_iter * _EVAL_TOL, and
+       u is swept for the next policy.  The steps end when an evaluation
+       moves w by less than stop (tied pairs can flip forever, so the pairs
+       are not compared).  An evaluation that does not settle in max_iter
+       matvecs is dropped, and the last swept w goes on to step 2.
+    2. Certificate.  The operator is positively homogeneous up to its
+       payoff, T(lam w) = lam T(w) + (1 - lam) eps^2 K, so a scaled w is a
+       subsolution, lam w <= T(lam w), for lam a little below 1 (_certify).
+       One sweep checks that exactly, and lam is lowered until it holds.
+    3. Polish.  Value iteration from lam w, whose first sweep is the
+       certificate's, with the monotone check on every sweep; the result
+       ends an exactly monotone chain from a certified subsolution.
+
+    max_iter caps all full sweeps (policy steps, certificate and polish);
+    .iterations counts them.  On the cap, NonConvergenceError carries the
+    last certified iterate.  The result and the error's field carry
+    .telemetry: phase times, counts, sizes and the DPP residual.
+    """
+    cfg = _iteration_config(cfg, domain.dim)
+    clock = time.perf_counter
+    phase = dict.fromkeys(("kernel_build", "policy_extraction", "assembly",
+                           "evaluation", "polish", "residual"), 0.0)
+    t = clock()
+    field = empty_field(domain, cfg)
+    kernel = _Kernel(domain, cfg, field)
+    phase["kernel_build"] = clock() - t
+    c = cfg.eps**2 * cfg.K
+    stop = cfg.tol_iter * _EVAL_TOL
+
+    # every band average of w = 0 is 0, so T(0) = eps^2 K exactly and every
+    # node picks the pair that the tie-break picks from all-zero rows: the
+    # first policy step needs no sweep.  T(0) ends a monotone chain from 0,
+    # the fallback certified iterate.
+    m = kernel.n_interior
+    w = np.zeros(m)
+    Tw = certified = np.full(m, c)
+    _, paul, carol = kernel.bellman.maxmin(
+        np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
+    paul, carol = np.repeat(paul, m), np.repeat(carol, m)
+    n = steps = matvecs = nnz_P = 0
+    while n < cfg.max_iter - 1:  # keep one sweep for the certificate
+        t = clock()
+        P = kernel.policy_matrix(paul, carol)
+        nnz_P = P.nnz
+        phase["assembly"] += clock() - t
+        t = clock()
+        u, used, settled = _evaluate(P, w, c, stop, cfg.max_iter)
+        matvecs += used
+        phase["evaluation"] += clock() - t
+        if not settled or np.max(np.abs(u - w)) < stop:
+            break
+        t = clock()
+        w = u
+        Tw, paul, carol = kernel.policy_sweep(kernel.embed(w))
+        n += 1
+        steps += 1
+        phase["policy_extraction"] += clock() - t
+
+    t = clock()
+    lam, start, first, tries = _certify(kernel, w, Tw, stop, cfg.max_iter - n)
+    n += tries
+    if first is None:
+        vals, increment, done = kernel.embed(certified), c, False
+    else:
+        vals, n, increment, done = _chain(kernel, kernel.embed(start), cfg, n, first)
+    phase["polish"] = clock() - t
+
+    t = clock()  # dpp_residual of the result, on this kernel
+    residual = float(np.max(np.abs(vals.ravel()[kernel.int_flat] - kernel.sweep(vals))))
+    phase["residual"] = clock() - t
+    result = ValueField(domain, field.lo, field.h, vals, iterations=n,
+                        final_increment=increment)
+    result.telemetry = {
+        "phase_s": phase,
+        "policy_steps": steps,
+        "matvecs": matvecs,
+        "certificate_sweeps": tries,
+        "polish_sweeps": n - steps - tries,
+        "sweeps": n,
+        "one_minus_lambda": 1.0 - lam,
+        "interior": kernel.n_interior,
+        "rim": int(kernel.rim.size),
+        "nnz_cover": kernel.bellman.cover.nnz,
+        "nnz_merged": kernel.merged.nnz,
+        "nnz_P": nnz_P,
+        "residual": residual,
+    }
+    if not done:
+        raise _nonconvergence("solve", cfg, result)
+    return result
 
 
 def _interior_sweep(field: ValueField, cfg: SolverConfig) -> tuple:

@@ -34,6 +34,17 @@ def test_cli_import_leaves_scipy_spatial_unloaded():
                    env={**os.environ, "PYTHONPATH": path})
 
 
+def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
+    # solve evaluates policies with plain CSR matvecs; the sparse solvers'
+    # import alone would add several MB and tens of ms to every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = ("import sys, curvegame.cli; assert 'scipy.sparse.linalg' not in "
+            "sys.modules, 'scipy.sparse.linalg loaded'")
+    subprocess.run([sys.executable, "-c", code], check=True,
+                   env={**os.environ, "PYTHONPATH": path})
+
+
 def test_float_list_parsing():
     assert cli._float_list("0.2,0.1") == [0.2, 0.1]
     assert cli._float_list(" 1 ") == [1.0]
@@ -128,6 +139,38 @@ def test_solver_settings_same_as_flag_and_config_key(tmp_path):
             assert not out.exists()
 
 
+def test_config_values_parse_like_their_flags(tmp_path):
+    # a config value goes through the same type as its flag: what the flag
+    # refuses, the config refuses too, before anything is written
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "out"
+    radial = {"eps": 0.5, "paul": "radial", "carol": "radial"}
+    field = tmp_path / "fld" / "field.json"
+    assert run("solve", "--eps", "0.5", "--out", str(field.parent)) == 0
+    cases = [
+        ("simulate", {**radial, "n": 4.7}, ["--n", "4.7"]),
+        ("simulate", {**radial, "seed": 1.5}, ["--seed", "1.5"]),
+        ("simulate", {**radial, "x0": ["a", 0]}, ["--x0=a,0"]),
+        ("levelset", {"field": str(field), "L": "abc"}, ["--L", "abc"]),
+        ("levelset", {"field": str(field), "t_list": ["a"]}, ["--t-list", "a"]),
+        ("converge", {"eps_list": [True]}, ["--eps-list", "True"]),
+        ("converge", {"eps_list": [0.5], "t_list": "x"}, ["--t-list", "x"]),
+    ]
+    for command, doc, flags in cases:
+        base = {k: v for k, v in doc.items() if k in ("eps", "paul", "carol", "field")}
+        cfg.write_text(json.dumps(doc))
+        assert run(command, "--config", str(cfg), "--out", str(out)) == 1, doc
+        cfg.write_text(json.dumps(base))
+        assert run(command, "--config", str(cfg), *flags, "--out", str(out)) == 1, flags
+        assert not out.exists()
+    # a whole number is still a whole number, and a list's items are parsed
+    cfg.write_text(json.dumps({**radial, "n": 4, "seed": "7", "x0": [0.1, 0]}))
+    assert run("simulate", "--config", str(cfg), "--out", str(out)) == 0
+    est = read_json(out / "estimate.json")
+    assert est["n"] == 4 and est["effective_config"]["seed"] == 7
+    assert est["effective_config"]["x0"] == [0.1, 0.0]
+
+
 def test_verify_and_converge_take_axis_count_from_config(tmp_path, monkeypatch):
     seen = []
     solve, study = solver.value_iteration, analysis.convergence_study
@@ -218,6 +261,43 @@ def test_solve_nonconvergence_writes_partial(tmp_path):
     assert manifest["iterations"] == 3
     field, _ = solver.load_field(out / "field.json")
     assert field.values.max() > 0.0
+
+
+def test_solve_manifest_carries_solver_telemetry(tmp_path):
+    out = tmp_path / "run"
+    assert run("solve", "--eps", "0.2", "--out", str(out)) == 0
+    manifest = read_json(out / "solve_manifest.json")
+    tel = manifest["solver"]
+    assert set(tel["phase_s"]) == {"kernel_build", "policy_extraction", "assembly",
+                                   "evaluation", "polish", "residual"}
+    assert all(v >= 0.0 for v in tel["phase_s"].values())
+    assert tel["sweeps"] == manifest["iterations"]
+    assert tel["sweeps"] == (tel["policy_steps"] + tel["certificate_sweeps"]
+                             + tel["polish_sweeps"])
+    assert 1 <= tel["policy_steps"] <= 10 and tel["matvecs"] > 0
+    assert 0.0 <= tel["one_minus_lambda"] < 1e-9
+    assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
+    assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0
+    assert manifest["residual"] <= 1e-12
+    # timings and counts stay out of the byte-stable field files
+    header = read_json(out / "field.json")
+    assert not {"solver", "phase_s", "policy_steps", "residual"} & set(header)
+    assert header["iterations"] == tel["sweeps"]
+
+
+def test_solve_bytes_do_not_depend_on_thread_settings(tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / threads
+        subprocess.run([sys.executable, "-m", "curvegame.cli", "solve", "--eps",
+                        "0.3", "--threads", threads, "--out", str(out)],
+                       check=True, env=env, capture_output=True)
+        outs.append(out)
+    for name in ("field.json", "field.values.csv"):
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):

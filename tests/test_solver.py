@@ -344,6 +344,107 @@ def test_ball3_solve_end_to_end():
 
 
 # ---------------------------------------------------------------------------
+# policy iteration (solve)
+
+BALL3 = solver.resolve_config(
+    solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
+
+
+def _kernel_at_fixed_point(domain, c):
+    f = solver.value_iteration(domain, c)
+    return solver._Kernel(domain, c, f), f
+
+
+@pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)),
+                                       (solver.unit_ball(3), BALL3)])
+def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
+    """The policy sweep returns the sweep's values bit for bit; the chosen
+    pair's selection row reproduces each value from the cover rows, and the
+    policy matrix reproduces the sweep as P u + eps^2 K."""
+    kernel, f = _kernel_at_fixed_point(domain, c)
+    values, paul, carol = kernel.policy_sweep(f.values)
+    assert values.tobytes() == kernel.sweep(f.values).tobytes()
+    bell = kernel.bellman
+    for pos, R in kernel._rows(f.values):
+        picked = bell.selection(paul[pos], carol[pos]) @ R
+        got = picked[np.arange(pos.size), np.arange(pos.size)]
+        assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
+    P = kernel.policy_matrix(paul, carol)
+    assert P.data.min() > 0.0 and P.sum(axis=1).max() <= 1.0 + 1e-12
+    u = f.values.ravel()[kernel.int_flat]
+    assert np.allclose(P @ u + c.eps**2 * c.K, values, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)), (DISK, cfg2(0.2)),
+                                       (solver.unit_ball(3), BALL3)])
+def test_solve_lands_on_the_fixed_point(domain, c):
+    """solve ends on the DPP fixed point, above value iteration's field by
+    at most value iteration's own stop deficit, in far fewer sweeps, and
+    reruns are byte-identical."""
+    f = solver.solve(domain, c)
+    assert solver.dpp_residual(f, c) <= 1e-12
+    assert f.telemetry["residual"] == solver.dpp_residual(f, c)
+    vi = solver.value_iteration(domain, c)
+    assert np.all(vi.values <= f.values + 1e-12)
+    assert np.max(f.values - vi.values) <= 10.0 * c.tol_iter
+    assert np.all(f.values[~f.interior_mask] == 0.0)
+    assert f.iterations == f.telemetry["sweeps"] < vi.iterations
+    assert f.final_increment < c.tol_iter
+    again = solver.solve(domain, c)
+    assert again.values.tobytes() == f.values.tobytes()
+    assert again.iterations == f.iterations
+
+
+def test_certificate_scales_a_field_above_the_fixed_point():
+    """A hand-made w above the fixed point is no subsolution; the
+    certificate scales it by lam < 1 into one, and the polish from there is
+    an exactly monotone chain to the fixed point."""
+    c = cfg2(0.3)
+    kernel, f = _kernel_at_fixed_point(DISK, c)
+    w = 1.05 * f.values.ravel()[kernel.int_flat] + 0.01
+    Tw = kernel.sweep(kernel.embed(w))
+    assert np.any(w > Tw)
+    lam, start, first, tries = solver._certify(kernel, w, Tw, 1e-13, 100)
+    assert 0.0 < lam < 1.0 and tries >= 1
+    assert np.array_equal(start, lam * w)
+    assert np.all(first >= start)
+    increments = []
+    vals, n, inc, done = solver._chain(kernel, kernel.embed(start), c, tries, first,
+                                       monitor=lambda n, d: increments.append(d))
+    assert done and all(d >= 0.0 for d in increments)
+    fixed = solver.solve(DISK, c).values
+    assert np.all(vals <= fixed + 1e-12)
+    assert np.max(fixed - vals) <= 10.0 * c.tol_iter
+
+
+def test_unsettled_evaluation_falls_back_to_the_polish():
+    """A policy evaluation gets max_iter matvecs.  At eps = 0.2 the first one
+    needs hundreds, so with max_iter = 60 it is dropped and the polish runs
+    from the certified w = 0: value iteration's field, bit for bit, with
+    T(0) = eps^2 K taken without a sweep (and no RuntimeWarning)."""
+    c = cfg2(0.2, max_iter=60)
+    f = solver.solve(DISK, c)
+    vi = solver.value_iteration(DISK, c)
+    assert f.values.tobytes() == vi.values.tobytes()
+    assert f.telemetry["policy_steps"] == 0
+    assert f.telemetry["matvecs"] == 60
+    assert f.iterations == vi.iterations - 1
+
+
+def test_solve_nonconvergence_carries_a_certified_iterate():
+    c = cfg2(0.3, max_iter=3)
+    with pytest.raises(NonConvergenceError) as err:
+        solver.solve(DISK, c)
+    assert err.value.iterations == 3
+    f = err.value.field
+    assert f.iterations == f.telemetry["sweeps"] == 3
+    assert f.values.max() > 0.0
+    # certified: a subsolution, so the next sweep cannot lower any node
+    rhs, cur = solver._interior_sweep(f, c)
+    assert np.all(rhs >= cur)
+
+
+# ---------------------------------------------------------------------------
 # supersolution comparison
 
 

@@ -15,11 +15,12 @@ linear policy with cheap sparse matvecs, sweep once for the next pair, and
 repeat (4 to 8 sweeps on the unit disk); it then scales the result by
 lam <= 1 into a subsolution that one sweep certifies exactly, and polishes
 it with the same monotone iteration.  One sweep kernel serves 2D and 3D: a
-sparse nonnegative map `cover` takes a node's samples to band sums (circle: axis
-steps and shortest arcs; sphere: one row per cap pair i <= j), and `maxmin`
-turns those into max over Paul's axes of min over Carol's axes.  For nodes
-whose samples all lie in the domain, `cover` is merged with the
-interpolation weights into one map of the gathered node values.
+nonnegative map `cover` takes a node's samples to band sums (circle: a sparse
+map to axis steps and shortest arcs; sphere: a dense array, one row per cap
+pair i <= j, applied as a BLAS product), and `maxmin` turns those into max
+over Paul's axes of min over Carol's axes.  For nodes whose samples all lie
+in the domain, `cover` is merged with the interpolation weights into one map
+of the gathered node values.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -27,15 +28,15 @@ law that bias falls like eps below 0.2, the rate of the game's own error, and
 the grid is exactly h = eps/2 from 0.2 up.  3D grids keep h = eps/2.
 
 Monotonicity of the iteration is preserved exactly in floating point: every
-update is composed of non-negatively weighted sums of field values (accumulated
-in a fixed order; on the circle each band is its shortest arc plus a run of
-whole axis-spacing steps, on the sphere each pair row carries the weights
-member_i member_j w_q / denom_ij, so no subtraction ever occurs), minima,
-maxima, multiplication by a positive constant, and addition of a constant.
-All of these are monotone under IEEE round-to-nearest, so w_{n+1} >= w_n
-holds bit-for-bit, not just approximately.  In `solve` the same holds for the
-polish chain from the certified start; the policy evaluations before it need
-no such property, because only the certificate vouches for what they give.
+update is composed of non-negatively weighted sums of field values (summed in
+an order that does not depend on the data, BLAS products too; on the circle a
+band is its shortest arc plus a run of whole axis-spacing steps, on the sphere
+a pair row carries the weights member_i member_j w_q / denom_ij: nothing is
+subtracted), minima, maxima, multiplication by a positive constant, and
+addition of a constant.  Each is monotone under IEEE round-to-nearest, so
+w_{n+1} >= w_n holds bit-for-bit.  In `solve` the same holds for the polish
+chain from the certified start; the policy evaluations before it need no
+such property, because only the certificate vouches for what they give.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
@@ -294,12 +295,10 @@ class ValueField:
         hi = self.lo + (np.asarray(self.shape) - 1) * self.h
         return self.lo.copy(), hi
 
-    def grid_axes(self) -> list:
-        return [self.lo[a] + self.h * np.arange(n) for a, n in enumerate(self.shape)]
-
     def node_points(self) -> np.ndarray:
         """All node coordinates, row-major, shape (prod(shape), dim)."""
-        mesh = np.meshgrid(*self.grid_axes(), indexing="ij")
+        axes = [self.lo[a] + self.h * np.arange(n) for a, n in enumerate(self.shape)]
+        mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
     def copy_with(self, values: np.ndarray) -> "ValueField":
@@ -449,15 +448,25 @@ class _Bellman:
     band averages, from samples of the field at x + eps v_q.
 
     A subclass sets `nodes`, the (Q, dim) unit directions v_q, and `cover`,
-    a sparse nonnegative map from the Q samples to the rows that its
-    `maxmin` combines.  `maxmin(R, policy=True)` also returns the chosen
-    axes, and `selection` takes cover's rows to the band average of a
-    chosen pair.
+    a nonnegative map from the Q samples to the rows that its `maxmin`
+    combines (sparse on the circle, a dense array on the sphere).
+    `maxmin(R, policy=True)` also returns the chosen axes, and `selection`
+    takes cover's rows to the band average of a chosen pair.
     """
 
     def reduce(self, V: np.ndarray) -> np.ndarray:
         """V: (Q, m) samples; returns (m,) max_i min_j of pair averages."""
         return self.maxmin(self.cover @ V)
+
+    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None):
+        """Row r: the band of the pair (paul[r], carol[r]) as a map of A's
+        columns (A has cover's rows), zero where the bool drop[r] holds."""
+        R = self.selection(paul, carol) @ A
+        if drop is None:
+            return R
+        R = R.tocoo()
+        keep = ~drop[R.row, R.col]
+        return sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=R.shape)
 
 
 class _CircleBellman(_Bellman):
@@ -585,15 +594,15 @@ class _SphereBellman(_Bellman):
     cap edge (linear ramp across one cell) so that averages vary smoothly as
     caps rotate; memberships stay in [0, 1].
 
-    `cover` has one row per cap pair (i, j), i <= j, in row-major order: the
-    band average sum_q member_i member_j w_q V_q / denom_ij, with
-    denom_ij = sum_q member_i member_j w_q, as one nonnegative weight per
-    sample (exact zeros dropped).  It is built one cap i at a time, so the
-    dense pairs x samples array never exists.  `maxmin` expands the pair rows
-    to the full M x M table through a fixed index (the band of (j, i) is the
-    band of (i, j)), takes the min over Carol's j, then the max over Paul's i.
-    Every weight is nonnegative and nothing is subtracted, so the map from
-    samples to result is monotone exactly in floating point.
+    `cover` is a dense (M(M+1)/2, Q) array, filled one cap i at a time, with
+    one row per cap pair (i, j), i <= j, in row-major order: the band average
+    sum_q member_i member_j w_q V_q / denom_ij, with denom_ij = sum_q
+    member_i member_j w_q.  A third or more of its weights are nonzero, so a
+    BLAS product beats a sparse one.  `maxmin` reads pair (j, i) from row (i, j)
+    and takes the min over Carol's j one Paul row i at a time (an (M, M, m)
+    gather would take MBs per block), then the max over Paul's i.  Every
+    weight is nonnegative and nothing is subtracted, so the map from samples
+    to result is monotone exactly in floating point.
     """
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
@@ -632,33 +641,22 @@ class _SphereBellman(_Bellman):
         upper = np.triu_indices(M)
         self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> row of cover
         self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
-        # a weight is nonzero exactly where both memberships are: their
-        # products with w_q stay far above the underflow threshold
-        support = self.member > 0.0
-        both = support.astype(float)
-        counts = (both @ both.T)[upper].astype(np.int64)
-        indptr = np.concatenate([[0], np.cumsum(counts)])
-        indptr = indptr.astype(np.int32 if indptr[-1] < 2**31 else np.int64)
-        indices = np.empty(indptr[-1], dtype=indptr.dtype)
-        data = np.empty(indptr[-1])
+        self.cover = np.empty((upper[0].size, wq.size))
         for i in range(M):
-            block = (self.member[i] * wq) * self.member[i:]  # pairs (i, j >= i)
+            block = self.cover[self.pair[i, i] : self.pair[i, M - 1] + 1]  # (i, j >= i)
+            np.multiply(self.member[i] * wq, self.member[i:], out=block)
             denom = block.sum(axis=1)
             if not np.all(denom > 1e-12):
                 raise InvalidParameterError("degenerate cap pair on the quadrature grid")
             block /= denom[:, None]
-            keep = support[i] & support[i:]
-            at = slice(indptr[self.pair[i, i]], indptr[self.pair[i, M - 1] + 1])
-            indices[at] = np.nonzero(keep)[1]
-            data[at] = block[keep]
-        self.cover = sparse.csr_matrix((data, indices, indptr),
-                                       shape=(upper[0].size, wq.size))
 
     def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
         of the cap-pair averages, and with policy also Paul's first
         maximizing axis and Carol's first minimizing axis against it."""
-        inner = R[self.pair].min(axis=1)
+        inner = np.empty((self.M, R.shape[1]))
+        for i in range(self.M):
+            np.min(R[self.pair[i]], axis=0, out=inner[i])
         if not policy:
             return inner.max(axis=0)
         paul = inner.argmax(axis=0)
@@ -671,6 +669,12 @@ class _SphereBellman(_Bellman):
         m = paul.size
         return sparse.csr_matrix((np.ones(m), (np.arange(m), self.pair[paul, carol])),
                                  shape=(m, self.cover.shape[0]))
+
+    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None) -> np.ndarray:
+        R = A[self.pair[paul, carol]]
+        if drop is not None:
+            R[drop] = 0.0
+        return R
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +702,9 @@ class _Kernel:
     which takes the gathered values straight to the rows of the reduce (step
     sums and shortest arcs on the circle, cap-pair averages on the sphere).
     The other ("rim") nodes form all Q samples with samp, zero those outside
-    the domain and apply cover.  Both maps have nonnegative weights, so the
-    sweep stays exactly monotone.
+    the domain and apply cover.  Both maps have nonnegative weights and are
+    applied with `@` (sparse on the circle, BLAS on the sphere) in an order
+    that does not depend on the data, so the sweep stays exactly monotone.
     """
 
     BLOCK = 256
@@ -730,7 +735,11 @@ class _Kernel:
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
                                       shape=(Q, offsets.size))
-        self.merged = (bell.cover @ self.samp).tocsr()
+        self.merged = bell.cover @ self.samp
+        # nonzero weights, for the solve manifest (merged is counted on a
+        # copy: comparing a sparse map sorts its indices in place)
+        self.nnz_cover = int((bell.cover != 0).sum())
+        self.nnz_merged = int((self.merged.copy() != 0).sum())
         # a node is deep when every x + eps v_q is inside the domain
         deep = np.empty(self.n_interior, dtype=bool)
         outside = []
@@ -741,7 +750,7 @@ class _Kernel:
             ).reshape(Q, p.shape[0])
             deep[s : s + B] = inside.all(axis=0)
             outside.append(~inside[:, ~deep[s : s + B]])
-        outside = np.concatenate(outside, axis=1) if outside else np.zeros((Q, 0), bool)
+        self.outside = np.concatenate(outside, axis=1) if outside else np.zeros((Q, 0), bool)
         self.offsets = offsets
         gather = lambda pos: self.int_flat[pos][None, :] + offsets[:, None]
         self.deep = np.flatnonzero(deep)
@@ -749,7 +758,7 @@ class _Kernel:
                             for s in range(0, self.deep.size, B)]
         self.rim = sel = np.flatnonzero(~deep)
         self.rim_blocks = [(sel[s : s + B], gather(sel[s : s + B]),
-                            np.ascontiguousarray(outside[:, s : s + B]))
+                            np.ascontiguousarray(self.outside[:, s : s + B]))
                            for s in range(0, sel.size, B)]
 
     def embed(self, u: np.ndarray) -> np.ndarray:
@@ -793,14 +802,9 @@ class _Kernel:
         the samples outside the domain dropped), gathered at the node's
         stencil offsets; exterior nodes, which hold 0, are dropped."""
         bell = self.bellman
-        sel = bell.selection(paul, carol)
-        deep = (sel[self.deep] @ self.merged).tocoo()
-        rim = (sel[self.rim] @ bell.cover).tocoo()
-        outside = [o for *_, o in self.rim_blocks]
-        outside = np.concatenate(outside, axis=1) if outside else np.zeros((0, 0), bool)
-        keep = ~outside[rim.col, rim.row]
-        rim = (sparse.csr_matrix((rim.data[keep], (rim.row[keep], rim.col[keep])),
-                                 shape=rim.shape) @ self.samp).tocoo()
+        deep = bell.pair_rows(self.merged, paul[self.deep], carol[self.deep])
+        rim = bell.pair_rows(bell.cover, paul[self.rim], carol[self.rim], self.outside.T)
+        deep, rim = sparse.coo_matrix(deep), sparse.coo_matrix(rim @ self.samp)
         rows = np.concatenate([self.deep[deep.row], self.rim[rim.row]])
         flat = self.int_flat[rows] + self.offsets[np.concatenate([deep.col, rim.col])]
         data = np.concatenate([deep.data, rim.data])
@@ -1049,8 +1053,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "one_minus_lambda": 1.0 - lam,
         "interior": kernel.n_interior,
         "rim": int(kernel.rim.size),
-        "nnz_cover": kernel.bellman.cover.nnz,
-        "nnz_merged": kernel.merged.nnz,
+        "nnz_cover": kernel.nnz_cover,
+        "nnz_merged": kernel.nnz_merged,
         "nnz_P": nnz_P,
         "residual": residual,
     }
@@ -1097,10 +1101,6 @@ def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
 
 def _fmt(x: float) -> str:
     return "%.17g" % x
-
-
-def _fmt_list(xs: Iterable[float]) -> str:
-    return "[" + ", ".join(_fmt(float(x)) for x in xs) + "]"
 
 
 def save_field(field: ValueField, path, cfg: SolverConfig | None = None,

@@ -286,18 +286,25 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
 
 
 def test_solve_bytes_do_not_depend_on_thread_settings(tmp_path):
+    """2D at eps = 0.3, and the 3D ball at eps = 0.4, 64 axes, order 16,
+    whose sweeps run BLAS products, at one and two BLAS threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    outs = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
-               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        out = tmp_path / threads
-        subprocess.run([sys.executable, "-m", "curvegame.cli", "solve", "--eps",
-                        "0.3", "--threads", threads, "--out", str(out)],
-                       check=True, env=env, capture_output=True)
-        outs.append(out)
-    for name in ("field.json", "field.values.csv"):
-        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+    ball3 = tmp_path / "ball3.json"
+    ball3.write_text(json.dumps({
+        "domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1},
+        "eps": 0.4, "axis_count": 64, "quad_order": 16}))
+    for label, args in (("disk", ["--eps", "0.3"]), ("ball3", ["--config", str(ball3)])):
+        outs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+                   "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            out = tmp_path / label / threads
+            subprocess.run([sys.executable, "-m", "curvegame.cli", "solve", *args,
+                            "--threads", threads, "--out", str(out)],
+                           check=True, env=env, capture_output=True)
+            outs.append(out)
+        for name in ("field.json", "field.values.csv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), label
 
 
 def test_solve_reruns_are_byte_identical(tmp_path):

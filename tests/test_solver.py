@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -373,6 +377,74 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     assert P.data.min() > 0.0 and P.sum(axis=1).max() <= 1.0 + 1e-12
     u = f.values.ravel()[kernel.int_flat]
     assert np.allclose(P @ u + c.eps**2 * c.K, values, rtol=1e-13, atol=0)
+
+
+def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
+    """The 3D kernel, whose pair map is a dense array applied by BLAS:
+    w <= w' node-wise (random gaps, 1-ulp bumps and ties) gives
+    sweep(w) <= sweep(w'); maxmin, one Paul row at a time, equals the
+    (M, M, m) gather form bit for bit, with and without policy; and every
+    pair row is a nonnegative average (weights summing to 1)."""
+    ball = solver.unit_ball(3)
+    kernel = solver._Kernel(ball, BALL3, solver.empty_field(ball, BALL3))
+    bell = kernel.bellman
+    assert isinstance(bell.cover, np.ndarray) and bell.cover.min() >= 0.0
+    assert np.max(np.abs(bell.cover.sum(axis=1) - 1.0)) <= 1e-14
+    rng = np.random.default_rng(8)
+    n = kernel.n_interior
+    for trial in range(4):
+        w = 0.3 * rng.random(n)
+        # per node: equal, one ulp up, or a random gap up
+        up = np.choose(rng.integers(0, 3, n),
+                       [w, np.nextafter(w, np.inf), w + 0.01 * rng.random(n)])
+        assert np.all(w <= up) and np.any(up == np.nextafter(w, np.inf))
+        low, high = kernel.sweep(kernel.embed(w)), kernel.sweep(kernel.embed(up))
+        assert np.all(low <= high), trial
+
+    def gather_form(R):
+        inner = R[bell.pair].min(axis=1)
+        paul = inner.argmax(axis=0)
+        cols = np.arange(R.shape[1])
+        carol = R[bell.pair[paul].T, cols].argmin(axis=0)
+        return inner.max(axis=0), inner[paul, cols], paul, carol
+
+    blocks = [R for _, R in kernel._rows(kernel.embed(0.3 * rng.random(n)))]
+    blocks += [np.zeros((bell.cover.shape[0], 3)),
+               bell.cover @ rng.random((bell.nodes.shape[0], 5))]
+    for R in blocks:
+        values, picked, paul, carol = gather_form(R)
+        assert bell.maxmin(R).tobytes() == values.tobytes()
+        got = bell.maxmin(R, policy=True)
+        assert got[0].tobytes() == picked.tobytes()
+        assert np.array_equal(got[1], paul) and np.array_equal(got[2], carol)
+
+
+_ROWS_DIGEST = """
+import hashlib, numpy as np
+from curvegame import solver
+ball = solver.unit_ball(3)
+c = solver.resolve_config(solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
+kernel = solver._Kernel(ball, c, solver.empty_field(ball, c))
+values = kernel.embed(np.random.default_rng(3).random(kernel.n_interior))
+digest = hashlib.sha256()
+for _, R in kernel._rows(values):
+    digest.update(R.tobytes())
+print(digest.hexdigest())
+"""
+
+
+def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
+    """Every block's pair rows, the BLAS products of the 3D sweep, carry the
+    same bytes at one and two BLAS threads.  This needs blocks of at most
+    256 nodes: OpenBLAS gave other bytes at two threads for 362."""
+    src = str(Path(solver.__file__).resolve().parents[1])
+    digests = set()
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
+               "OPENBLAS_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        digests.add(subprocess.run([sys.executable, "-c", _ROWS_DIGEST], check=True,
+                                   env=env, capture_output=True, text=True).stdout)
+    assert len(digests) == 1
 
 
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)), (DISK, cfg2(0.2)),

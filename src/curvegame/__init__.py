@@ -8,7 +8,8 @@ size vanishes, to the arrival-time profile of motion by mean curvature.
 Modules
 -------
 sphere    caps, bands, measures, averages, sampling on S^{N-1}
-solver    grid discretization and monotone value iteration for the DPP
+solver    grid discretization of the DPP; policy iteration and monotone value
+          iteration to its fixed point
 game      episode simulation, Monte Carlo value estimates, diagnostics
 analysis  analytic oracles, lemma verification, level sets, convergence study
 cli       batch command-line front end

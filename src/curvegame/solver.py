@@ -49,7 +49,6 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
-from scipy import sparse
 
 from . import sphere
 from .errors import (
@@ -443,33 +442,7 @@ def _runs(starts: list, counts: list) -> tuple:
     return owner, np.repeat(start, count) + np.arange(owner.size) - first
 
 
-class _Bellman:
-    """max over Paul's axes of the min over Carol's axes of the cap-pair
-    band averages, from samples of the field at x + eps v_q.
-
-    A subclass sets `nodes`, the (Q, dim) unit directions v_q, and `cover`,
-    a nonnegative map from the Q samples to the rows that its `maxmin`
-    combines (sparse on the circle, a dense array on the sphere).
-    `maxmin(R, policy=True)` also returns the chosen axes, and `selection`
-    takes cover's rows to the band average of a chosen pair.
-    """
-
-    def reduce(self, V: np.ndarray) -> np.ndarray:
-        """V: (Q, m) samples; returns (m,) max_i min_j of pair averages."""
-        return self.maxmin(self.cover @ V)
-
-    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None):
-        """Row r: the band of the pair (paul[r], carol[r]) as a map of A's
-        columns (A has cover's rows), zero where the bool drop[r] holds."""
-        R = self.selection(paul, carol) @ A
-        if drop is None:
-            return R
-        R = R.tocoo()
-        keep = ~drop[R.row, R.col]
-        return sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=R.shape)
-
-
-class _CircleBellman(_Bellman):
+class _CircleBellman:
     """max-min of cap-pair averages from samples on a shared circle grid.
 
     The circle is split into Q equal cells centered at angles 2*pi*q/Q.  An
@@ -495,6 +468,8 @@ class _CircleBellman(_Bellman):
     """
 
     def __init__(self, theta: float, M: int, Q: int):
+        from scipy import sparse
+
         self.theta = theta
         self.M = M
         self.Q = Q
@@ -565,10 +540,12 @@ class _CircleBellman(_Bellman):
         cols = np.arange(m)
         return low[paul, cols], paul, (paul + low_off[paul, cols]) % M
 
-    def selection(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
-        """(m, rows of cover): row r takes cover's rows to the band average
-        of the pair (paul[r], carol[r]), scale[k] times its step sums and
-        shortest arcs (the linear part of maxmin for that pair)."""
+    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None):
+        """The band average of each pair is scale[k] times its step sums and
+        shortest arcs (the linear part of maxmin for that pair): a sparse
+        selection of cover's rows, applied to A."""
+        from scipy import sparse
+
         M, kmax = self.M, self.kmax
         off = (carol - paul) % M
         # the band of a pair is that of (base, base + k), k <= M/2
@@ -582,11 +559,16 @@ class _CircleBellman(_Bellman):
         owner, cols = _runs([arc0 + base, base + k, arc0 + i2, i2 + M - k],
                             [ones, kmax - k, two * ones, two * (kmax - M + k)])
         data = np.asarray(self.scale)[k[owner]]
-        return sparse.csr_matrix((data, (owner, cols)),
-                                 shape=(paul.size, self.cover.shape[0]))
+        R = sparse.csr_matrix((data, (owner, cols)),
+                              shape=(paul.size, self.cover.shape[0])) @ A
+        if drop is None:
+            return R
+        R = R.tocoo()
+        keep = ~drop[R.row, R.col]
+        return sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=R.shape)
 
 
-class _SphereBellman(_Bellman):
+class _SphereBellman:
     """max-min of cap-pair averages on a shared product grid over S^2.
 
     Heights use Gauss-Legendre nodes, azimuths a uniform grid; the area element
@@ -664,13 +646,8 @@ class _SphereBellman(_Bellman):
         carol = R[self.pair[paul].T, cols].argmin(axis=0)
         return inner[paul, cols], paul, carol
 
-    def selection(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
-        """(m, pair rows): row r picks the pair row of (paul[r], carol[r])."""
-        m = paul.size
-        return sparse.csr_matrix((np.ones(m), (np.arange(m), self.pair[paul, carol])),
-                                 shape=(m, self.cover.shape[0]))
-
     def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None) -> np.ndarray:
+        """A pair's band average is one row of cover: A's row of that pair."""
         R = A[self.pair[paul, carol]]
         if drop is not None:
             R[drop] = 0.0
@@ -681,7 +658,19 @@ class _SphereBellman(_Bellman):
 # the operator
 
 
-def _make_bellman(dim: int, cfg: SolverConfig) -> _Bellman:
+def _make_bellman(dim: int, cfg: SolverConfig):
+    """The max-min of cap-pair band averages for the circle or the sphere.
+
+    Both have `nodes`, the (Q, dim) unit directions v_q at which the field
+    is sampled (at x + eps v_q), and `cover`, a nonnegative map from the Q
+    samples to the rows that `maxmin` combines (sparse on the circle, a
+    dense array on the sphere).  `maxmin(R, policy=False)` takes
+    R = cover @ samples, shape (rows, m), to the (m,) max over Paul's axes
+    of the min over Carol's axes; with policy it also returns the chosen
+    axes.  `pair_rows(A, paul, carol, drop=None)` gives row r as the band
+    average of the pair (paul[r], carol[r]), as a map of the columns of A
+    (A has cover's rows), zero where the bool drop[r] holds.
+    """
     theta = sphere.theta_eps(cfg.eps, dim)
     if dim == 2:
         return _CircleBellman(theta, cfg.axis_count, cfg.quad_order)
@@ -689,8 +678,10 @@ def _make_bellman(dim: int, cfg: SolverConfig) -> _Bellman:
 
 
 class _Kernel:
-    """One Bellman sweep over all interior grid nodes of a field, in 2D and
-    3D, in blocks of nodes that keep the reduce in cache.
+    """The game operator T: one Bellman sweep over all interior grid nodes
+    of a field, in 2D and 3D, in blocks of nodes that keep the max-min in
+    cache.  Every solve, residual and supersolution check applies T through
+    `sweep`, `policy_sweep` or `policy_matrix`; no other code applies it.
 
     The sample of direction q at a node is the multilinear interpolant at
     x + eps v_q: the same flat stencil offsets (the grid strides over the 2^N
@@ -699,7 +690,7 @@ class _Kernel:
     gathers, for each offset, the field value at that offset from each of
     its nodes: one gather for the whole block.  Nodes whose samples all lie
     in the domain ("deep" nodes) then need only the merged map cover @ samp,
-    which takes the gathered values straight to the rows of the reduce (step
+    which takes the gathered values straight to cover's rows (step
     sums and shortest arcs on the circle, cap-pair averages on the sphere).
     The other ("rim") nodes form all Q samples with samp, zero those outside
     the domain and apply cover.  Both maps have nonnegative weights and are
@@ -710,6 +701,8 @@ class _Kernel:
     BLOCK = 256
 
     def __init__(self, domain, cfg: SolverConfig, proto: ValueField):
+        from scipy import sparse
+
         self.cfg = cfg
         self.bellman = bell = _make_bellman(domain.dim, cfg)
         self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
@@ -794,13 +787,16 @@ class _Kernel:
             out[pos], paul[pos], carol[pos] = self.bellman.maxmin(R, policy=True)
         return out + self.cfg.eps**2 * self.cfg.K, paul, carol
 
-    def policy_matrix(self, paul: np.ndarray, carol: np.ndarray) -> sparse.csr_matrix:
+    def policy_matrix(self, paul: np.ndarray, carol: np.ndarray):
         """The linear part of the sweep with the pairs (paul, carol) fixed:
         a nonnegative, substochastic map of the interior values, shape
         (n_interior, n_interior).  A row is the pair's band weights composed
         with samp (deep nodes through merged; rim nodes through cover with
         the samples outside the domain dropped), gathered at the node's
-        stencil offsets; exterior nodes, which hold 0, are dropped."""
+        stencil offsets; exterior nodes, which hold 0, are dropped.  A CSR
+        matrix."""
+        from scipy import sparse
+
         bell = self.bellman
         deep = bell.pair_rows(self.merged, paul[self.deep], carol[self.deep])
         rim = bell.pair_rows(bell.cover, paul[self.rim], carol[self.rim], self.outside.T)
@@ -815,32 +811,6 @@ class _Kernel:
         keep = cols >= 0
         n = self.n_interior
         return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
-
-
-def _bellman_core(field: ValueField, pts: np.ndarray, cfg: SolverConfig) -> np.ndarray:
-    """RHS at arbitrary interior points via the public interpolant."""
-    bell = _make_bellman(field.domain.dim, cfg)
-    out = np.empty(pts.shape[0])
-    for r in range(pts.shape[0]):
-        samples = interpolate(field, pts[r] + cfg.eps * bell.nodes)
-        out[r] = bell.reduce(samples[:, None])[0]
-    return out + cfg.eps**2 * cfg.K
-
-
-def bellman_rhs(field: ValueField, x, cfg: SolverConfig) -> float:
-    """One application of the game operator at x.
-
-    max over Paul's axes of the min over Carol's axes of the average of the
-    field over the cap intersection at x, plus the running payoff eps^2 K.
-    Points outside the domain return 0 (the game has already ended there).
-    """
-    cfg = resolve_config(cfg, field.domain.dim)
-    x = np.asarray(x, dtype=float)
-    if x.shape != (field.domain.dim,):
-        raise InvalidParameterError("x must be a point of the field's dimension")
-    if not field.domain.contains(x):
-        return 0.0
-    return float(_bellman_core(field, x[None, :], cfg)[0])
 
 
 def _iteration_config(cfg: SolverConfig, dim: int) -> SolverConfig:
@@ -920,7 +890,7 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
 _EVAL_TOL = 1e-9
 
 
-def _evaluate(P: sparse.csr_matrix, u: np.ndarray, c: float, stop: float,
+def _evaluate(P, u: np.ndarray, c: float, stop: float,
               budget: int) -> tuple:
     """Iterate u <- P u + c from u until the sup increment falls below stop.
     Returns (u, matvecs, settled); settled is False when budget matvecs do
@@ -1071,19 +1041,21 @@ def _interior_sweep(field: ValueField, cfg: SolverConfig) -> tuple:
 
 
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
-    """sup over interior nodes of |field - bellman_rhs(field)|."""
+    """sup over interior nodes of |field - T(field)|, where T(field) is one
+    kernel sweep of the field: the game operator at every interior node."""
     rhs, cur = _interior_sweep(field, resolve_config(cfg, field.domain.dim))
     return float(np.max(np.abs(cur - rhs))) if cur.size else 0.0
 
 
 def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
                             slack: float = 1e-9) -> tuple:
-    """Whether field >= bellman_rhs(field) - slack at every interior node.
+    """Whether field >= T(field) - slack at every interior node, where
+    T(field) is one kernel sweep of the field, as in dpp_residual.
 
     Returns (ok, worst), where worst is the largest violation
-    max(rhs - field) over interior nodes (negative when the field is a strict
-    supersolution).  Nodes outside the domain must be >= 0; they are stored as
-    0 so this holds by construction, but it is checked anyway.
+    max(T(field) - field) over interior nodes (negative when the field is a
+    strict supersolution).  Nodes outside the domain must be >= 0; they are
+    stored as 0 so this holds by construction, but it is checked anyway.
     """
     cfg = resolve_config(cfg, field.domain.dim)
     if not np.all(field.values[~field.interior_mask] >= 0.0):

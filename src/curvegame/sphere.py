@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -192,11 +192,10 @@ class CapIntersection:
 
     # -- shared surface --------------------------------------------------
 
-    @property
+    @cached_property
     def measure(self) -> float:
-        if self.dim == 2:
-            return float(sum(e - s for s, e in self.arcs()))
-        return self._measure3()
+        # cached: sample() tests emptiness on every draw
+        return float(np.sum(self.quadrature(64)[1]))
 
     @property
     def is_empty(self) -> bool:
@@ -301,17 +300,6 @@ class CapIntersection:
         _, _, _, b3, rho, _ = self._frame3()
         c = (-tB - t * b3) / (np.sqrt(np.maximum(1.0 - t * t, 1e-300)) * rho)
         return np.arccos(np.clip(c, -1.0, 1.0))
-
-    def _measure3(self) -> float:
-        total = 0.0
-        xg, wg = _leggauss(64)
-        for s, e, kind in self._panels3():
-            if kind == _FULL:
-                total += TWO_PI * (e - s)
-            else:
-                t = 0.5 * (s + e) + 0.5 * (e - s) * xg
-                total += float(np.sum(0.5 * (e - s) * wg * 2.0 * self._arc_halfwidth3(t)))
-        return total
 
     def _quadrature3(self, order: int):
         pole, e1, e2, _, _, psi = self._frame3()

@@ -24,23 +24,15 @@ def read_json(path):
 # plumbing
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # only levelset and converge need the KD-tree; it loads on first use
+@pytest.mark.parametrize("module", ["scipy.spatial", "scipy.sparse"])
+def test_cli_import_leaves_scipy_unloaded(module):
+    # only levelset and converge need the KD-tree, and only solver kernels
+    # build sparse maps; each loads on first use, so simulate and every
+    # command's start-up skip them
     src = str(Path(cli.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, curvegame.cli; "
-            "assert 'scipy.spatial' not in sys.modules, 'scipy.spatial loaded'")
-    subprocess.run([sys.executable, "-c", code], check=True,
-                   env={**os.environ, "PYTHONPATH": path})
-
-
-def test_cli_import_leaves_scipy_sparse_linalg_unloaded():
-    # solve evaluates policies with plain CSR matvecs; the sparse solvers'
-    # import alone would add several MB and tens of ms to every command
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    code = ("import sys, curvegame.cli; assert 'scipy.sparse.linalg' not in "
-            "sys.modules, 'scipy.sparse.linalg loaded'")
+    code = (f"import sys, curvegame.cli; "
+            f"assert {module!r} not in sys.modules, '{module} loaded'")
     subprocess.run([sys.executable, "-c", code], check=True,
                    env={**os.environ, "PYTHONPATH": path})
 

@@ -183,15 +183,10 @@ def test_first_sweep_is_exact_payoff():
     assert seen[0] == c.eps * c.eps * c.K
 
 
-def test_bellman_rhs_outside_domain_is_zero():
-    c = cfg2(0.2)
-    f = solver.empty_field(DISK, c)
-    assert solver.bellman_rhs(f, np.array([1.5, 0.0]), c) == 0.0
-
-
-def test_bellman_rhs_matches_literal_operator():
-    """Cross-check the vectorized kernel against a direct evaluation of
-    max_i min_j of the band average of the interpolated field."""
+def test_sweep_matches_literal_operator():
+    """Cross-check the sweep kernel, at every interior node, deep and rim,
+    against a direct evaluation of max_i min_j of the band average of the
+    interpolated field (zero outside the domain)."""
     c = cfg2(0.3, axis_count=8)
     f = solver.field_from_function(
         DISK, c, lambda p: 0.5 * (1.0 - np.einsum("ij,ij->i", p, p))
@@ -215,9 +210,12 @@ def test_bellman_rhs_matches_literal_operator():
             best = max(best, worst)
         return best + c.eps * c.eps * c.K
 
-    for x in (np.zeros(2), np.array([0.3, -0.2]), np.array([0.55, 0.4])):
-        got = solver.bellman_rhs(f, x, c)
-        assert got == pytest.approx(literal(x), abs=5e-4)
+    kernel = solver._Kernel(DISK, c, f)
+    assert kernel.deep.size > 0 and kernel.rim.size > 0
+    got = kernel.sweep(f.values)
+    pts = f.node_points()[kernel.int_flat]
+    want = np.array([literal(x) for x in pts])
+    assert got == pytest.approx(want, abs=5e-4)
 
 
 @pytest.mark.parametrize("M, Q", [(8, 1024), (64, 1024), (9, 100)])
@@ -246,7 +244,7 @@ def test_circle_reduce_matches_cell_coverage(M, Q, eps):
                     cover += np.clip(hi - lo, 0.0, None)
             avg[i, j] = cover @ V / cover.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.reduce(V)
+    got = bell.maxmin(bell.cover @ V)
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
@@ -269,11 +267,13 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
 
 
 def test_constant_field_is_near_fixed_point_shift():
-    # band averages of a constant equal the constant, so one sweep adds
-    # exactly eps^2 K on top of it
+    # band averages of a constant equal the constant, so at every deep node
+    # one sweep adds exactly eps^2 K on top of it
     c = cfg2(0.25)
     f = solver.field_from_function(DISK, c, lambda p: np.full(len(p), 0.7))
-    rhs = solver.bellman_rhs(f, np.zeros(2), c)
+    kernel = solver._Kernel(DISK, c, f)
+    rhs = kernel.sweep(f.values)[kernel.deep]
+    assert rhs.size > 0
     assert rhs == pytest.approx(0.7 + c.eps**2 * c.K, abs=1e-12)
 
 
@@ -363,14 +363,14 @@ def _kernel_at_fixed_point(domain, c):
                                        (solver.unit_ball(3), BALL3)])
 def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     """The policy sweep returns the sweep's values bit for bit; the chosen
-    pair's selection row reproduces each value from the cover rows, and the
-    policy matrix reproduces the sweep as P u + eps^2 K."""
+    pair's row from pair_rows reproduces each value from the cover rows, and
+    the policy matrix reproduces the sweep as P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
     values, paul, carol = kernel.policy_sweep(f.values)
     assert values.tobytes() == kernel.sweep(f.values).tobytes()
     bell = kernel.bellman
     for pos, R in kernel._rows(f.values):
-        picked = bell.selection(paul[pos], carol[pos]) @ R
+        picked = bell.pair_rows(R, paul[pos], carol[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
     P = kernel.policy_matrix(paul, carol)

@@ -10,6 +10,8 @@ All episodes of a run are played in lockstep.  The positions of the episodes
 still in play form an (m, N) array; each round makes one call per player,
 one batch band draw (sphere.sample_bands) and one exit test, and episodes
 that have exited drop out.  play_episode is the same engine with one episode.
+Gradient strategies built from one field share its node gradient and, since
+both players see the same positions each round, one interpolation per round.
 
 A Strategy is a callable (X, k, eps) -> (axes, fallback): X holds the (m, N)
 positions in play at round k, axes the (m, N) unit cap axes, and fallback an
@@ -120,37 +122,52 @@ def radial_exit_strategy(z) -> Strategy:
     return strategy
 
 
-def gradient_cap_strategy(field, player: str) -> Strategy:
-    """Steer along the interpolated gradient of a value field.
+class _GradientAxes:
+    """Unit directions of the interpolated gradient of one field.
 
-    Paul (maximizer) picks the cap around +g/|g|, Carol around -g/|g|, with g
-    the multilinear interpolation of central-difference node gradients.  Where
-    |g| < 1e-10 the strategy falls back to the fixed axis e1 (flagged).
+    g is the multilinear interpolation of central-difference node gradients.
+    Calls return (g/|g|, fallback), with fallback where |g| < 1e-10 (those
+    rows hold g unscaled).  The result for the last positions is kept and
+    handed out again only for positions of the same dtype, shape and bytes, so
+    Paul's and Carol's strategies, which see the same X each round, share
+    one interpolation.  Callers must not modify the arrays returned.
     """
-    side = player.lower()
-    if side not in ("paul", "carol"):
-        raise InvalidParameterError("player must be 'paul' or 'carol'")
-    sign = 1.0 if side == "paul" else -1.0
-    # np.gradient: central differences inside, one-sided at the box edges;
-    # one flat table per component, entry r for node r of the flattened grid
-    tables = [g.ravel() for g in np.gradient(field.values, field.h)]
-    lo = np.asarray(field.lo, dtype=float)
-    h = field.h
-    dim = field.domain.dim
-    top = np.asarray(field.shape) - 2
-    stencil = solver.multilinear_stencil(field.shape)
 
-    def strategy(X, k: int, eps: float):
-        u = (X - lo) / h
-        cell = np.minimum(u.astype(np.intp), top)
+    def __init__(self, field):
+        # np.gradient: central differences inside, one-sided at the box
+        # edges; one flat table per component, entry r for node r of the
+        # flattened grid
+        self.tables = [g.ravel() for g in np.gradient(field.values, field.h)]
+        self.lo = np.asarray(field.lo, dtype=float)
+        self.h = field.h
+        self.top = np.asarray(field.shape) - 2
+        self.stencil = solver.multilinear_stencil(field.shape)
+        self.key = None
+        self.last = None
+
+    @classmethod
+    def of(cls, field) -> "_GradientAxes":
+        """The instance of field, built on first use and kept on the field;
+        it reads field.values then, once."""
+        shared = getattr(field, "_gradient_axes", None)
+        if shared is None:
+            shared = field._gradient_axes = cls(field)
+        return shared
+
+    def __call__(self, X) -> tuple:
+        key = (X.dtype, X.shape, X.tobytes())
+        if key == self.key:
+            return self.last
+        u = (X - self.lo) / self.h
+        cell = np.minimum(u.astype(np.intp), self.top)
         # no snap to nodes, unlike interpolate: it would move the axes, and
         # so the 3D traces, at points a rounding error off a grid line
-        node, w = stencil(cell, u - cell)
+        node, w = self.stencil(cell, u - cell)
         g = []
-        for table in tables:
+        for table in self.tables:
             terms = w * table.take(node)
             acc = terms[0]
-            for c in range(1, 2**dim):
+            for c in range(1, len(terms)):
                 acc = acc + terms[c]
             g.append(acc)
         norm = g[0] * g[0]
@@ -159,9 +176,31 @@ def gradient_cap_strategy(field, player: str) -> Strategy:
         norm = np.sqrt(norm)
         fallback = norm < 1e-10
         norm[fallback] = 1.0
-        axes = np.stack([sign * gc / norm for gc in g], axis=1)
-        axes[fallback] = np.eye(dim)[0]
-        return axes, fallback
+        self.key, self.last = key, (np.stack([gc / norm for gc in g], axis=1), fallback)
+        return self.last
+
+
+def gradient_cap_strategy(field, player: str) -> Strategy:
+    """Steer along the interpolated gradient of a value field.
+
+    Paul (maximizer) picks the cap around +g/|g|, Carol around -g/|g|, with g
+    the multilinear interpolation of central-difference node gradients.  Where
+    |g| < 1e-10 the strategy falls back to the fixed axis e1 (flagged).  All
+    strategies built from one field share one gradient and, for the same
+    positions, one interpolation; Carol's axes are then the exact negation of
+    Paul's.
+    """
+    side = player.lower()
+    if side not in ("paul", "carol"):
+        raise InvalidParameterError("player must be 'paul' or 'carol'")
+    shared = _GradientAxes.of(field)
+    e1 = np.eye(field.domain.dim)[0]
+
+    def strategy(X, k: int, eps: float):
+        unit, fallback = shared(X)
+        axes = unit.copy() if side == "paul" else -unit
+        axes[fallback] = e1
+        return axes, fallback.copy()
 
     return strategy
 

@@ -45,6 +45,7 @@ import json
 import math
 import time
 from dataclasses import asdict, dataclass, replace
+from functools import cached_property
 from pathlib import Path
 from typing import Callable
 
@@ -266,7 +267,8 @@ class ValueField:
     """Scalar field on a uniform grid over a box containing the domain.
 
     values[i, j(, k)] is the field at node lo + (i, j(, k)) * h.  Nodes outside
-    the open domain always hold 0 (extension by zero).
+    the open domain always hold 0 (extension by zero).  interior_mask, which
+    tests every node against the domain, is computed on first read.
     """
 
     def __init__(self, domain, lo, h: float, values: np.ndarray,
@@ -282,8 +284,10 @@ class ValueField:
         self.telemetry = None
         if self.values.ndim != domain.dim:
             raise InvalidParameterError("values rank must match domain dimension")
-        nodes = self.node_points()
-        self.interior_mask = domain.contains(nodes).reshape(self.values.shape)
+
+    @cached_property
+    def interior_mask(self) -> np.ndarray:
+        return self.domain.contains(self.node_points()).reshape(self.shape)
 
     @property
     def shape(self) -> tuple:
@@ -728,11 +732,18 @@ class _Kernel:
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
                                       shape=(Q, offsets.size))
-        self.merged = bell.cover @ self.samp
-        # nonzero weights, for the solve manifest (merged is counted on a
-        # copy: comparing a sparse map sorts its indices in place)
-        self.nnz_cover = int((bell.cover != 0).sum())
-        self.nnz_merged = int((self.merged.copy() != 0).sum())
+        # nonzero weights, for the solve manifest
+        if isinstance(bell.cover, np.ndarray):
+            # one GEMM; scipy would form (samp.T @ cover.T).T, copying cover
+            self.merged = bell.cover @ self.samp.toarray()
+            self.nnz_cover = int(np.count_nonzero(bell.cover))
+            self.nnz_merged = int(np.count_nonzero(self.merged))
+        else:
+            self.merged = bell.cover @ self.samp
+            # counted on a copy: comparing a sparse map sorts its indices
+            # in place
+            self.nnz_cover = int((bell.cover != 0).sum())
+            self.nnz_merged = int((self.merged.copy() != 0).sum())
         # a node is deep when every x + eps v_q is inside the domain
         deep = np.empty(self.n_interior, dtype=bool)
         outside = []
@@ -1104,9 +1115,18 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None,
     if extra:
         header.update(extra)
     path.write_text(dumps_compact(header) + "\n")
-    rows = field.values.reshape(-1, field.shape[-1])
-    lines = [",".join(_fmt(v) for v in row) for row in rows]
-    (path.parent / values_name).write_text("\n".join(lines) + "\n")
+    n = field.shape[-1]
+    with open(path.parent / values_name, "w") as fh:
+        for slab in field.values.reshape(field.shape[0], -1, n):
+            flat = slab.ravel()
+            # exact +0.0 (most exterior nodes) is "0" unformatted; -0.0 is
+            # formatted, as "-0"
+            toks = ["0"] * flat.size
+            keep = np.flatnonzero((flat != 0.0) | np.signbit(flat))
+            for i, v in zip(keep.tolist(), flat[keep].tolist()):
+                toks[i] = _fmt(v)
+            fh.write("".join(",".join(toks[s : s + n]) + "\n"
+                             for s in range(0, flat.size, n)))
 
 
 def load_field(path) -> tuple:
@@ -1117,8 +1137,13 @@ def load_field(path) -> tuple:
         raise InvalidParameterError("not a value field file")
     domain = domain_from_dict(header["domain"])
     shape = tuple(header["grid_shape"])
-    raw = (path.parent / header["values_file"]).read_text().strip()
-    vals = np.array(raw.replace("\n", ",").split(","), dtype=float)
+    try:
+        # one C-level parse, correctly rounded like float(); a missing or
+        # non-numeric token or a ragged row raises ValueError
+        vals = np.loadtxt(path.parent / header["values_file"], delimiter=",",
+                          comments=None)
+    except ValueError as exc:
+        raise InvalidParameterError(f"{header['values_file']}: {exc}") from None
     if vals.size != math.prod(shape):
         raise InvalidParameterError(
             f"{header['values_file']} holds {vals.size} values, "

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from curvegame import analysis, cli, solver
+from curvegame.errors import InvalidParameterError
 
 
 def run(*argv):
@@ -383,24 +384,97 @@ FROZEN_2D = {
 }
 
 
-def test_simulate_2d_bytes_frozen(tmp_path, monkeypatch):
-    # gradient strategies on the disk oracle sampled on the default eps=0.1
+# the same for 3D gradient strategies on the ball oracle (u = (1 - |x|^2)/4),
+# recorded with each player interpolating the gradient on its own; at the
+# centre the gradient vanishes, so round 0 falls back to e1 for both players
+FROZEN_3D = {
+    ("0,0,0", 5): (
+        '{"mode": "estimate", "mean": 0.2525, "stderr": 0.0026157418189029862, '
+        '"n": 20, "mean_rounds": 101, "fallback_rounds": 40, '
+        '"effective_config": {"eps": 0.10000000000000001, "n": 20, "seed": 5, '
+        '"x0": [0, 0, 0], "paul": "gradient", "carol": "gradient", "domain": '
+        '{"shape": "ball", "center": [0, 0, 0], "radius": 1}, "field": '
+        '"field.json"}}\n',
+        "717afba1661ebc2bbcb32e9d31a7ea17b546a23e3ab704582247493ee9252cea",
+    ),
+    ("0.4,-0.3,0.2", 6): (
+        '{"mode": "estimate", "mean": 0.18150000000000005, "stderr": '
+        '0.0021718897907485758, "n": 20, "mean_rounds": 72.599999999999994, '
+        '"fallback_rounds": 0, "effective_config": {"eps": 0.10000000000000001, '
+        '"n": 20, "seed": 6, "x0": [0.40000000000000002, -0.29999999999999999, '
+        '0.20000000000000001], "paul": "gradient", "carol": "gradient", '
+        '"domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1}, '
+        '"field": "field.json"}}\n',
+        "a209fc84ef2733e970fd088b350187ad4eaeacad08f4fd39e1b0a26aed4d8592",
+    ),
+    ("-0.5,0.1,0.6", 7): (
+        '{"mode": "estimate", "mean": 0.10037500000000002, "stderr": '
+        '0.0023457338095494037, "n": 20, "mean_rounds": 40.149999999999999, '
+        '"fallback_rounds": 0, "effective_config": {"eps": 0.10000000000000001, '
+        '"n": 20, "seed": 7, "x0": [-0.5, 0.10000000000000001, '
+        '0.59999999999999998], "paul": "gradient", "carol": "gradient", '
+        '"domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1}, '
+        '"field": "field.json"}}\n',
+        "cd66e02e2be6151c00e97935d1c98ed24e22b26db2b34e0521e156d984f64f54",
+    ),
+}
+
+
+def _check_frozen_simulate(tmp_path, monkeypatch, dim: int, n: int, frozen):
+    # gradient strategies on the ball oracle sampled on the default eps=0.1
     # grid; a relative field path keeps the artifact free of tmp_path
     monkeypatch.chdir(tmp_path)
-    cfg = solver.resolve_config(solver.SolverConfig(eps=0.1), 2)
-    oracle = analysis.BallOracle(R=1.0, L=1.0, N=2)
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.1), dim)
+    oracle = analysis.BallOracle(R=1.0, L=1.0, N=dim)
     solver.save_field(
-        solver.field_from_function(solver.unit_ball(2), cfg, oracle.values),
+        solver.field_from_function(solver.unit_ball(dim), cfg, oracle.values),
         "field.json", cfg=cfg,
     )
-    for (x0, seed), (estimate, trace_sha) in FROZEN_2D.items():
+    for (x0, seed), (estimate, trace_sha) in frozen.items():
         out = f"out{seed}"
-        assert run("simulate", "--field", "field.json", "--n", "40",
+        assert run("simulate", "--field", "field.json", "--n", str(n),
                    "--seed", str(seed), f"--x0={x0}", "--trace", "t.jsonl",
                    "--out", out) == 0
         assert (tmp_path / out / "estimate.json").read_text() == estimate
         trace = (tmp_path / out / "t.jsonl").read_bytes()
         assert hashlib.sha256(trace).hexdigest() == trace_sha
+
+
+def test_simulate_2d_bytes_frozen(tmp_path, monkeypatch):
+    _check_frozen_simulate(tmp_path, monkeypatch, 2, 40, FROZEN_2D)
+
+
+def test_simulate_3d_bytes_frozen(tmp_path, monkeypatch):
+    _check_frozen_simulate(tmp_path, monkeypatch, 3, 20, FROZEN_3D)
+
+
+def _missing_value(rows):
+    rows[1][0] = ""
+
+
+def _ragged_row(rows):
+    # the value count stays right: only the row lengths give it away
+    rows[1].insert(0, rows[0].pop())
+
+
+def _non_numeric(rows):
+    rows[2][3] = "0.5x"
+
+
+@pytest.mark.parametrize("corrupt", [_missing_value, _ragged_row, _non_numeric])
+def test_malformed_values_file_exits_one(tmp_path, corrupt):
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    path = tmp_path / "f.json"
+    solver.save_field(solver.empty_field(solver.unit_ball(2), cfg), path, cfg=cfg)
+    values = tmp_path / "f.values.csv"
+    rows = [line.split(",") for line in values.read_text().splitlines()]
+    corrupt(rows)
+    values.write_text("".join(",".join(row) + "\n" for row in rows))
+    with pytest.raises(InvalidParameterError):
+        solver.load_field(path)
+    assert run("simulate", "--field", str(path), "--n", "5",
+               "--out", str(tmp_path / "out")) == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_simulate_manifest_counts(tmp_path):

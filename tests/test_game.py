@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from curvegame import game, solver, sphere
+from curvegame import cli, game, solver, sphere
 from curvegame.errors import InvalidParameterError, RunawayEpisodeError
 
 DISK = solver.unit_ball(2)
@@ -93,6 +93,53 @@ def test_strategy_rows_are_independent():
             one_axes, one_fb = s(X[i:i + 1], 0, 0.1)
             assert np.array_equal(axes[i:i + 1], one_axes)
             assert fb[i] == one_fb[0]
+
+
+def test_simulate_takes_one_gradient_per_field(tmp_path, monkeypatch):
+    c = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    f = solver.field_from_function(
+        DISK, c, lambda p: 1.0 - np.einsum("ij,ij->i", p, p)
+    )
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    calls = []
+    real = np.gradient
+    monkeypatch.setattr(np, "gradient", lambda *a, **k: calls.append(1) or real(*a, **k))
+    assert cli.main(["simulate", "--field", str(tmp_path / "f.json"), "--n", "4",
+                     "--x0=0.2,0.1", "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+def test_shared_gradient_recomputes_for_other_positions():
+    """Paul's and Carol's strategies of one field share the interpolation of
+    a round, and give the axes that strategies of separate copies of the
+    field give; new positions, or the same array changed in place, get a
+    fresh result."""
+    c = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    f = solver.field_from_function(
+        DISK, c, lambda p: (1.0 - np.einsum("ij,ij->i", p, p)) * (1.2 + p[:, 0])
+    )
+    paul = game.gradient_cap_strategy(f, "paul")
+    carol = game.gradient_cap_strategy(f, "carol")
+
+    def alone(player, X):
+        # a fresh field object shares nothing with f
+        return game.gradient_cap_strategy(f.copy_with(f.values), player)(X, 0, 0.1)
+
+    def check(X):
+        got_p, got_c = paul(X, 0, 0.1), carol(X, 0, 0.1)
+        for got, player in ((got_p, "paul"), (got_c, "carol")):
+            want = alone(player, X)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
+    X = np.array([[0.5, 0.0], [0.0, 0.0], [-0.2, 0.7], [0.3, -0.3]])
+    for X_now in (X, X.copy(), X[::-1].copy(), X[:2].copy(), X):
+        check(X_now)
+    X[0] += 0.05  # in place: the same object, new contents
+    check(X)
+    flat = game.gradient_cap_strategy(solver.empty_field(DISK, c), "carol")
+    axes, fb = flat(X, 0, 0.1)
+    assert fb.all() and np.array_equal(axes, np.tile([1.0, 0.0], (len(X), 1)))
 
 
 def test_episode_steps_lie_in_theta_eps_band():

@@ -581,6 +581,36 @@ def test_save_load_round_trip(tmp_path):
     assert g.domain == f.domain
 
 
+def test_save_writes_plain_repr_and_loads_bits(tmp_path):
+    """Values that stress the zero shortcut and the parse: -0.0 (which must
+    print as "-0"), subnormals, huge values and interior exact zeros.  The
+    file is what a plain "%.17g" writer gives, and loads back bit for bit."""
+    c = cfg2(0.3)
+    f = solver.empty_field(DISK, c)
+    vals = np.random.default_rng(5).random(f.shape)
+    special = [-0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308,
+               -1.7976931348623157e308, 0.0, 0.0, 2.2250738585072014e-308]
+    vals.ravel()[3 : 3 + len(special)] = special
+    vals[f.interior_mask.nonzero()[0][0], :] = 0.0  # a row through the interior
+    f = f.copy_with(vals)
+    path = tmp_path / "f.json"
+    solver.save_field(f, path, cfg=c)
+    plain = "".join(",".join("%.17g" % v for v in row) + "\n" for row in vals)
+    assert (tmp_path / "f.values.csv").read_text() == plain
+    g, _ = solver.load_field(path)
+    assert g.values.tobytes() == vals.tobytes()
+
+
+def test_interior_mask_is_the_domain_test_at_the_nodes():
+    ellipse = solver.Ellipse((0.2, -0.1), (1.0, 0.5))
+    for domain, c in ((DISK, cfg2(0.3)), (ellipse, cfg2(0.2)),
+                      (solver.unit_ball(3), BALL3)):
+        f = solver.empty_field(domain, c)
+        want = domain.contains(f.node_points()).reshape(f.shape)
+        assert np.array_equal(f.interior_mask, want)
+        assert f.interior_mask is f.interior_mask
+
+
 def test_save_is_byte_stable(tmp_path):
     c = cfg2(0.3)
     f = solver.value_iteration(DISK, c)

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -157,13 +158,10 @@ def _write(path: Path, text: str) -> None:
 
 
 def _fmt(x) -> str:
+    """A CSV cell: floats as solver._fmt writes them (inf and nan too)."""
     if x is None:
         return ""
-    if isinstance(x, float):
-        if x != x or x in (float("inf"), float("-inf")):
-            return "inf" if x > 0 else str(x)
-        return format(x, ".17g")
-    return str(x)
+    return solver._fmt(x) if isinstance(x, float) else str(x)
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +528,10 @@ class _Parser(argparse.ArgumentParser):
         raise InvalidParameterError(message)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built on the first call (so importing the
+    module does not pay for it) and reused by every later main call."""
     top = _Parser(
         prog="curvegame",
         description="DPP solver, game simulator and verification front end",

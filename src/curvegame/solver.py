@@ -8,7 +8,9 @@ point x of the domain,
 where A, B are eps-game caps drawn from a fixed finite axis family, and u = 0
 outside the domain.  This module discretizes u on a uniform grid and evaluates
 the right-hand side T with a quadrature grid on the sphere that is shared by
-all cap pairs.  Two solvers find the fixed point of T.  `value_iteration`,
+all cap pairs.  T maps the values at the interior nodes to new ones; every
+exterior node reads one fixed slot that holds the 0, whatever a stored field
+holds there.  Two solvers find the fixed point of T.  `value_iteration`,
 the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
 runs Howard policy iteration: fix each node's pair of axes, evaluate that
 linear policy with cheap sparse matvecs, sweep once for the next pair, and
@@ -682,24 +684,28 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
 
 class _Kernel:
-    """The game operator T: one Bellman sweep over all interior grid nodes
-    of a field, in 2D and 3D, in blocks of nodes that keep the max-min in
-    cache.  Every solve, residual and supersolution check applies T through
-    `sweep`, `policy_sweep` or `policy_matrix`; no other code applies it.
+    """The game operator T, in 2D and 3D: one Bellman sweep from the interior
+    values u, shape (n_interior,), to T(u), in blocks of nodes that keep the
+    max-min in cache.  Every solve, residual and supersolution check applies
+    T through `sweep`, `policy_sweep` or `policy_matrix`; no other code
+    applies it.  The DPP's u = 0 outside the domain is one fixed slot,
+    position n_interior, that every exterior node reads; grid arrays appear
+    only where a ValueField is read or built (`embed`).
 
     The sample of direction q at a node is the multilinear interpolant at
     x + eps v_q: the same flat stencil offsets (the grid strides over the 2^N
     cell corners) and nonnegative corner weights at every node.  `samp` maps
-    the field values at the distinct offsets to the Q samples.  A block
-    gathers, for each offset, the field value at that offset from each of
-    its nodes: one gather for the whole block.  Nodes whose samples all lie
-    in the domain ("deep" nodes) then need only the merged map cover @ samp,
-    which takes the gathered values straight to cover's rows (step
-    sums and shortest arcs on the circle, cap-pair averages on the sphere).
-    The other ("rim") nodes form all Q samples with samp, zero those outside
-    the domain and apply cover.  Both maps have nonnegative weights and are
-    applied with `@` (sparse on the circle, BLAS on the sphere) in an order
-    that does not depend on the data, so the sweep stays exactly monotone.
+    the values at the distinct offsets to the Q samples.  A table built once,
+    offsets x nodes, gives the position in u (or the slot) of each offset's
+    node; a block gathers its columns from u with the slot appended.  Nodes
+    whose samples all lie in the domain ("deep" nodes, `deep_idx`) then need
+    only the merged map cover @ samp, which takes the gathered values
+    straight to cover's rows (step sums and shortest arcs on the circle,
+    cap-pair averages on the sphere).  The other ("rim" nodes, `rim_idx`)
+    form all Q samples with samp, zero those outside the domain and apply
+    cover.  Both maps have nonnegative weights and are applied with `@`
+    (sparse on the circle, BLAS on the sphere) in an order that does not
+    depend on the data, so the sweep stays exactly monotone.
     """
 
     BLOCK = 256
@@ -707,11 +713,11 @@ class _Kernel:
     def __init__(self, domain, cfg: SolverConfig, proto: ValueField):
         from scipy import sparse
 
-        self.cfg = cfg
+        self.payoff = cfg.eps**2 * cfg.K  # added at every node by each sweep
         self.bellman = bell = _make_bellman(domain.dim, cfg)
         self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
         self.shape = proto.shape
-        self.n_interior = self.int_flat.size
+        self.n_interior = n = self.int_flat.size
         pts = proto.node_points()[self.int_flat]
         dim = domain.dim
         Q = bell.nodes.shape[0]
@@ -745,9 +751,9 @@ class _Kernel:
             self.nnz_cover = int((bell.cover != 0).sum())
             self.nnz_merged = int((self.merged.copy() != 0).sum())
         # a node is deep when every x + eps v_q is inside the domain
-        deep = np.empty(self.n_interior, dtype=bool)
+        deep = np.empty(n, dtype=bool)
         outside = []
-        for s in range(0, self.n_interior, B):
+        for s in range(0, n, B):
             p = pts[s : s + B]
             inside = domain.contains(
                 (p[None, :, :] + step[:, None, :]).reshape(-1, dim)
@@ -755,15 +761,12 @@ class _Kernel:
             deep[s : s + B] = inside.all(axis=0)
             outside.append(~inside[:, ~deep[s : s + B]])
         self.outside = np.concatenate(outside, axis=1) if outside else np.zeros((Q, 0), bool)
-        self.offsets = offsets
-        gather = lambda pos: self.int_flat[pos][None, :] + offsets[:, None]
-        self.deep = np.flatnonzero(deep)
-        self.deep_blocks = [(self.deep[s : s + B], gather(self.deep[s : s + B]))
-                            for s in range(0, self.deep.size, B)]
-        self.rim = sel = np.flatnonzero(~deep)
-        self.rim_blocks = [(sel[s : s + B], gather(sel[s : s + B]),
-                            np.ascontiguousarray(self.outside[:, s : s + B]))
-                           for s in range(0, sel.size, B)]
+        # position in u of every grid node; exterior nodes read the slot n
+        slot = np.full(math.prod(self.shape), n)
+        slot[self.int_flat] = np.arange(n)
+        self.deep, self.rim = np.flatnonzero(deep), np.flatnonzero(~deep)
+        self.deep_idx, self.rim_idx = (slot[self.int_flat[v] + offsets[:, None]]
+                                       for v in (self.deep, self.rim))
 
     def embed(self, u: np.ndarray) -> np.ndarray:
         """Grid array holding u at the interior nodes and 0 elsewhere."""
@@ -771,41 +774,46 @@ class _Kernel:
         vals.ravel()[self.int_flat] = u
         return vals
 
-    def _rows(self, values: np.ndarray):
+    def _rows(self, u: np.ndarray):
         """(interior positions, cover rows of their samples), block by block."""
-        flat = values.ravel()
-        for pos, idx in self.deep_blocks:
-            yield pos, self.merged @ flat[idx]
-        for pos, idx, outside in self.rim_blocks:
-            V = self.samp @ flat[idx]
-            V[outside] = 0.0
-            yield pos, self.bellman.cover @ V
+        ext = np.append(u, 0.0)
+        B = self.BLOCK
+        for s in range(0, self.deep.size, B):
+            yield self.deep[s : s + B], self.merged @ ext[self.deep_idx[:, s : s + B]]
+        for s in range(0, self.rim.size, B):
+            V = self.samp @ ext[self.rim_idx[:, s : s + B]]
+            V[self.outside[:, s : s + B]] = 0.0
+            yield self.rim[s : s + B], self.bellman.cover @ V
 
-    def sweep(self, values: np.ndarray) -> np.ndarray:
-        """Interior Bellman right-hand sides, shape (n_interior,)."""
+    def sweep(self, u: np.ndarray) -> np.ndarray:
+        """T(u): the Bellman right-hand sides of the interior values u."""
         out = np.empty(self.n_interior)
-        for pos, R in self._rows(values):
+        for pos, R in self._rows(u):
             out[pos] = self.bellman.maxmin(R)
-        return out + self.cfg.eps**2 * self.cfg.K
+        return out + self.payoff
 
-    def policy_sweep(self, values: np.ndarray) -> tuple:
-        """sweep(values), bit for bit, with Paul's and Carol's chosen axes
-        at each interior node."""
+    def policy_sweep(self, u: np.ndarray) -> tuple:
+        """sweep(u), bit for bit, with Paul's and Carol's chosen axes at each
+        interior node."""
         out = np.empty(self.n_interior)
         paul = np.empty(self.n_interior, dtype=np.intp)
         carol = np.empty(self.n_interior, dtype=np.intp)
-        for pos, R in self._rows(values):
+        for pos, R in self._rows(u):
             out[pos], paul[pos], carol[pos] = self.bellman.maxmin(R, policy=True)
-        return out + self.cfg.eps**2 * self.cfg.K, paul, carol
+        return out + self.payoff, paul, carol
+
+    def defect(self, u: np.ndarray) -> np.ndarray:
+        """T(u) - u at each interior node: the signed DPP residual."""
+        return self.sweep(u) - u
 
     def policy_matrix(self, paul: np.ndarray, carol: np.ndarray):
         """The linear part of the sweep with the pairs (paul, carol) fixed:
         a nonnegative, substochastic map of the interior values, shape
         (n_interior, n_interior).  A row is the pair's band weights composed
         with samp (deep nodes through merged; rim nodes through cover with
-        the samples outside the domain dropped), gathered at the node's
-        stencil offsets; exterior nodes, which hold 0, are dropped.  A CSR
-        matrix."""
+        the samples outside the domain dropped), with its columns read from
+        deep_idx or rim_idx; the exterior slot, which holds 0, is dropped.
+        A CSR matrix."""
         from scipy import sparse
 
         bell = self.bellman
@@ -813,14 +821,11 @@ class _Kernel:
         rim = bell.pair_rows(bell.cover, paul[self.rim], carol[self.rim], self.outside.T)
         deep, rim = sparse.coo_matrix(deep), sparse.coo_matrix(rim @ self.samp)
         rows = np.concatenate([self.deep[deep.row], self.rim[rim.row]])
-        flat = self.int_flat[rows] + self.offsets[np.concatenate([deep.col, rim.col])]
+        cols = np.concatenate([self.deep_idx[deep.col, deep.row],
+                               self.rim_idx[rim.col, rim.row]])
         data = np.concatenate([deep.data, rim.data])
-        # position of each grid node among the interior nodes, -1 outside
-        where = np.full(math.prod(self.shape), -1)
-        where[self.int_flat] = np.arange(self.n_interior)
-        cols = where[flat]
-        keep = cols >= 0
         n = self.n_interior
+        keep = cols < n
         return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
 
 
@@ -833,34 +838,31 @@ def _iteration_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     return cfg
 
 
-def _chain(kernel: _Kernel, vals: np.ndarray, cfg: SolverConfig, n: int,
+def _chain(kernel: _Kernel, u: np.ndarray, cfg: SolverConfig, n: int,
            first: np.ndarray | None = None, monitor: Callable | None = None) -> tuple:
-    """Monotone value iteration from the grid array vals until the sup
+    """Monotone value iteration from the interior values u until the sup
     increment drops below tol_iter or the sweep count n reaches max_iter.
 
-    first, when given, is kernel.sweep(vals), already run and counted in n.
-    Every sweep is checked to be node-wise >= its input.  Returns (grid
-    array of the last iterate, sweep count, last increment, converged).
+    first, when given, is kernel.sweep(u), already run and counted in n.
+    Every sweep is checked to be node-wise >= its input.  Returns (interior
+    values of the last iterate, sweep count, last increment, converged).
     """
-    interior = kernel.int_flat
-    cur = vals.ravel()[interior]
     increment = math.inf
     while first is not None or n < cfg.max_iter:
         if first is None:
-            new = kernel.sweep(vals)
+            new = kernel.sweep(u)
             n += 1
         else:
             new, first = first, None
-        if not np.all(new >= cur):
+        if not np.all(new >= u):
             raise AssertionError("value iteration lost monotonicity")
-        increment = float(np.max(new - cur))
-        cur = new
-        vals = kernel.embed(new)
+        increment = float(np.max(new - u))
+        u = new
         if monitor is not None:
             monitor(n, increment)
         if increment < cfg.tol_iter:
-            return vals, n, increment, True
-    return vals, n, increment, False
+            return u, n, increment, True
+    return u, n, increment, False
 
 
 def _nonconvergence(what: str, cfg: SolverConfig, last: ValueField) -> NonConvergenceError:
@@ -885,9 +887,9 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
     cfg = _iteration_config(cfg, domain.dim)
     field = empty_field(domain, cfg) if start is None else start
     kernel = _Kernel(domain, cfg, field)
-    vals, n, increment, done = _chain(kernel, field.values.copy(), cfg, 0,
-                                      monitor=monitor)
-    last = ValueField(domain, field.lo, field.h, vals,
+    u, n, increment, done = _chain(kernel, field.values.ravel()[kernel.int_flat],
+                                   cfg, 0, monitor=monitor)
+    last = ValueField(domain, field.lo, field.h, kernel.embed(u),
                       iterations=n, final_increment=increment)
     if not done:
         raise _nonconvergence("value iteration", cfg, last)
@@ -931,12 +933,12 @@ def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
     """
     if np.all(w <= Tw):
         return 1.0, w, Tw, 0
-    c = kernel.cfg.eps**2 * kernel.cfg.K
+    c = kernel.payoff
     r = float(np.max(w - Tw))
     lam = min(c / (r + slack + c), 1.0 - 2.0**-53)
     for tries in range(1, budget + 1):
         start = lam * w
-        new = kernel.sweep(kernel.embed(start))
+        new = kernel.sweep(start)
         if np.all(new >= start):
             return lam, start, new, tries
         lam = max(1.0 - 2.0 * (1.0 - lam), 0.0)
@@ -978,7 +980,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     field = empty_field(domain, cfg)
     kernel = _Kernel(domain, cfg, field)
     phase["kernel_build"] = clock() - t
-    c = cfg.eps**2 * cfg.K
+    c = kernel.payoff
     stop = cfg.tol_iter * _EVAL_TOL
 
     # every band average of w = 0 is 0, so T(0) = eps^2 K exactly and every
@@ -1005,7 +1007,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
             break
         t = clock()
         w = u
-        Tw, paul, carol = kernel.policy_sweep(kernel.embed(w))
+        Tw, paul, carol = kernel.policy_sweep(w)
         n += 1
         steps += 1
         phase["policy_extraction"] += clock() - t
@@ -1014,15 +1016,15 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     lam, start, first, tries = _certify(kernel, w, Tw, stop, cfg.max_iter - n)
     n += tries
     if first is None:
-        vals, increment, done = kernel.embed(certified), c, False
+        u, increment, done = certified, c, False
     else:
-        vals, n, increment, done = _chain(kernel, kernel.embed(start), cfg, n, first)
+        u, n, increment, done = _chain(kernel, start, cfg, n, first)
     phase["polish"] = clock() - t
 
     t = clock()  # dpp_residual of the result, on this kernel
-    residual = float(np.max(np.abs(vals.ravel()[kernel.int_flat] - kernel.sweep(vals))))
+    residual = float(np.max(np.abs(kernel.defect(u))))
     phase["residual"] = clock() - t
-    result = ValueField(domain, field.lo, field.h, vals, iterations=n,
+    result = ValueField(domain, field.lo, field.h, kernel.embed(u), iterations=n,
                         final_increment=increment)
     result.telemetry = {
         "phase_s": phase,
@@ -1044,18 +1046,17 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     return result
 
 
-def _interior_sweep(field: ValueField, cfg: SolverConfig) -> tuple:
-    """(Bellman right-hand sides, field values) at the interior nodes, from
-    one sweep with the resolved config cfg."""
-    kernel = _Kernel(field.domain, cfg, field)
-    return kernel.sweep(field.values), field.values.ravel()[kernel.int_flat]
+def _defect(field: ValueField, cfg: SolverConfig) -> np.ndarray:
+    """T(u) - u at the interior nodes of the field, from one sweep; values
+    stored outside the domain are not read."""
+    kernel = _Kernel(field.domain, resolve_config(cfg, field.domain.dim), field)
+    return kernel.defect(field.values.ravel()[kernel.int_flat])
 
 
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
     """sup over interior nodes of |field - T(field)|, where T(field) is one
     kernel sweep of the field: the game operator at every interior node."""
-    rhs, cur = _interior_sweep(field, resolve_config(cfg, field.domain.dim))
-    return float(np.max(np.abs(cur - rhs))) if cur.size else 0.0
+    return float(np.max(np.abs(_defect(field, cfg)), initial=0.0))
 
 
 def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
@@ -1071,10 +1072,7 @@ def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
     cfg = resolve_config(cfg, field.domain.dim)
     if not np.all(field.values[~field.interior_mask] >= 0.0):
         return False, math.inf
-    rhs, cur = _interior_sweep(field, cfg)
-    if cur.size == 0:
-        return True, -math.inf
-    worst = float(np.max(rhs - cur))
+    worst = float(np.max(_defect(field, cfg), initial=-math.inf))
     return worst <= slack, worst
 
 
@@ -1086,8 +1084,7 @@ def _fmt(x: float) -> str:
     return "%.17g" % x
 
 
-def save_field(field: ValueField, path, cfg: SolverConfig | None = None,
-               extra: dict | None = None) -> None:
+def save_field(field: ValueField, path, cfg: SolverConfig | None = None) -> None:
     """Write a field as a JSON header plus a CSV of node values.
 
     path gets the header; the values go to path with a .values.csv suffix,
@@ -1112,8 +1109,6 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None,
         header["final_increment"] = field.final_increment
     if cfg is not None:
         header["config"] = asdict(cfg)
-    if extra:
-        header.update(extra)
     path.write_text(dumps_compact(header) + "\n")
     n = field.shape[-1]
     with open(path.parent / values_name, "w") as fh:
@@ -1160,7 +1155,9 @@ def load_field(path) -> tuple:
 
 
 def dumps_compact(obj) -> str:
-    """JSON with floats printed as %.17g so output is reproducible."""
+    """JSON with floats printed as %.17g so output is reproducible; the
+    non-finite ones as Python's json writes and reads them (Infinity,
+    -Infinity, NaN)."""
     if isinstance(obj, dict):
         parts = []
         for k, v in obj.items():
@@ -1176,5 +1173,6 @@ def dumps_compact(obj) -> str:
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
     if isinstance(obj, (float, np.floating)):
-        return _fmt(float(obj))
+        x = float(obj)
+        return _fmt(x) if math.isfinite(x) else json.dumps(x)
     return json.dumps(obj)

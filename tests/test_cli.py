@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -197,6 +198,28 @@ def test_malformed_command_line_exits_one(capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 0
+
+
+_PARSER_REUSE = """
+import sys
+from curvegame import cli
+assert cli._build_parser.cache_info().currsize == 0, "parser built at import"
+codes = [cli.main(["solve", "--bogus"]),
+         cli.main(["solve", "--eps", "0.5", "--out", sys.argv[1]])]
+print(codes, cli._build_parser.cache_info().misses)
+"""
+
+
+def test_parser_is_built_on_first_main_and_reused(tmp_path):
+    """In a fresh process: no parser at import; a usage error, then a valid
+    command on the same parser, exit 1 and 0."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    got = subprocess.run([sys.executable, "-c", _PARSER_REUSE, str(tmp_path / "o")],
+                         check=True, capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert got.stdout.split("\n")[-2] == "[1, 0] 1"
+    assert (tmp_path / "o" / "field.json").exists()
 
 
 def test_threads_below_one_exit_one(tmp_path):
@@ -586,6 +609,24 @@ def test_levelset_outputs(tmp_path):
     assert manifest["t_list"] == [0.1, 0.25, 9.0]
 
 
+def test_ellipse_solve_field_reads_back_in_levelset(tmp_path):
+    cfg = tmp_path / "ellipse.json"
+    cfg.write_text(json.dumps({"domain": {"shape": "ellipse", "center": [0, 0],
+                                          "semi_axes": [1, 0.5]}}))
+    fdir = tmp_path / "fld"
+    assert run("solve", "--config", str(cfg), "--eps", "0.3", "--out", str(fdir)) == 0
+    field, header = solver.load_field(fdir / "field.json")
+    assert header["domain"] == {"shape": "ellipse", "center": [0.0, 0.0],
+                                "semi_axes": [1.0, 0.5]}
+    out = tmp_path / "out"
+    assert run("levelset", "--field", str(fdir / "field.json"),
+               "--t-list", "0.1", "--out", str(out)) == 0
+    row = (out / "levelset.csv").read_text().splitlines()[1].split(",")
+    # no oracle for an ellipse, so no distance
+    count = np.count_nonzero((field.values > 0.1) & field.interior_mask)
+    assert row[2:] == [str(count), ""] and count > 0
+
+
 def test_levelset_requires_field(tmp_path):
     assert run("levelset", "--out", str(tmp_path / "o")) == 1
 
@@ -609,6 +650,18 @@ def test_converge_outputs(tmp_path):
     manifest = read_json(out / "converge_manifest.json")
     assert manifest["K"] == 0.5 and manifest["constant_C"] == 0.5
     assert len(manifest["rows"]) == 2
+
+
+def test_converge_manifest_with_an_infinite_distance_is_json(tmp_path):
+    """At eps = 0.2 the field's maximum is about 0.47, so its superlevel set
+    at t = 0.49 is empty while the oracle's is not: the distance is
+    infinite.  The manifest writes it as JSON reads it; the CSV cell is inf."""
+    out = tmp_path / "cv"
+    assert run("converge", "--eps-list", "0.2", "--t-list", "0.49",
+               "--out", str(out)) == 0
+    manifest = read_json(out / "converge_manifest.json")
+    assert manifest["rows"][0]["hausdorff"] == {"0.49": math.inf}
+    assert (out / "converge.csv").read_text().splitlines()[1].endswith(",inf")
 
 
 def test_unknown_strategy_name(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -80,6 +81,15 @@ def test_domain_validation():
 def test_domain_dict_round_trip():
     b = solver.Ball(center=(0.1, -0.2), radius=0.7)
     assert solver.domain_from_dict(b.as_dict()) == b
+
+
+def test_ellipse_dict_round_trip_and_support_radius():
+    e = solver.Ellipse(center=(0.2, -0.1), semi_axes=(1.0, 0.5))
+    assert e.as_dict() == {"shape": "ellipse", "center": [0.2, -0.1],
+                           "semi_axes": [1.0, 0.5]}
+    assert solver.domain_from_dict(e.as_dict()) == e
+    # |z - center| = 3 plus the largest semi-axis
+    assert e.support_radius(np.array([0.2, 2.9])) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +222,7 @@ def test_sweep_matches_literal_operator():
 
     kernel = solver._Kernel(DISK, c, f)
     assert kernel.deep.size > 0 and kernel.rim.size > 0
-    got = kernel.sweep(f.values)
+    got = kernel.sweep(f.values.ravel()[kernel.int_flat])
     pts = f.node_points()[kernel.int_flat]
     want = np.array([literal(x) for x in pts])
     assert got == pytest.approx(want, abs=5e-4)
@@ -266,13 +276,31 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
+def test_values_stored_outside_the_domain_are_not_read():
+    """T reads u = 0 at every exterior node, whatever a stored field holds
+    there: a positive value at the exterior node nearest the boundary, a
+    stencil corner of rim samples inside the domain, changes neither the
+    DPP residual nor the supersolution check."""
+    c = cfg2(0.3)
+    f = solver.solve(DISK, c)
+    r = np.linalg.norm(f.node_points(), axis=1)
+    exterior = np.flatnonzero(~f.interior_mask.ravel())
+    node = exterior[np.argmin(r[exterior])]
+    assert r[node] < 1.0 + f.h
+    vals = f.values.copy()
+    vals.ravel()[node] = 0.3
+    g = f.copy_with(vals)
+    assert solver.dpp_residual(g, c) == solver.dpp_residual(f, c)
+    assert solver.check_dpp_supersolution(g, c) == solver.check_dpp_supersolution(f, c)
+
+
 def test_constant_field_is_near_fixed_point_shift():
     # band averages of a constant equal the constant, so at every deep node
     # one sweep adds exactly eps^2 K on top of it
     c = cfg2(0.25)
     f = solver.field_from_function(DISK, c, lambda p: np.full(len(p), 0.7))
     kernel = solver._Kernel(DISK, c, f)
-    rhs = kernel.sweep(f.values)[kernel.deep]
+    rhs = kernel.sweep(f.values.ravel()[kernel.int_flat])[kernel.deep]
     assert rhs.size > 0
     assert rhs == pytest.approx(0.7 + c.eps**2 * c.K, abs=1e-12)
 
@@ -366,16 +394,16 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     pair's row from pair_rows reproduces each value from the cover rows, and
     the policy matrix reproduces the sweep as P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
-    values, paul, carol = kernel.policy_sweep(f.values)
-    assert values.tobytes() == kernel.sweep(f.values).tobytes()
+    u = f.values.ravel()[kernel.int_flat]
+    values, paul, carol = kernel.policy_sweep(u)
+    assert values.tobytes() == kernel.sweep(u).tobytes()
     bell = kernel.bellman
-    for pos, R in kernel._rows(f.values):
+    for pos, R in kernel._rows(u):
         picked = bell.pair_rows(R, paul[pos], carol[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
     P = kernel.policy_matrix(paul, carol)
     assert P.data.min() > 0.0 and P.sum(axis=1).max() <= 1.0 + 1e-12
-    u = f.values.ravel()[kernel.int_flat]
     assert np.allclose(P @ u + c.eps**2 * c.K, values, rtol=1e-13, atol=0)
 
 
@@ -398,7 +426,7 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         up = np.choose(rng.integers(0, 3, n),
                        [w, np.nextafter(w, np.inf), w + 0.01 * rng.random(n)])
         assert np.all(w <= up) and np.any(up == np.nextafter(w, np.inf))
-        low, high = kernel.sweep(kernel.embed(w)), kernel.sweep(kernel.embed(up))
+        low, high = kernel.sweep(w), kernel.sweep(up)
         assert np.all(low <= high), trial
 
     def gather_form(R):
@@ -408,7 +436,7 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         carol = R[bell.pair[paul].T, cols].argmin(axis=0)
         return inner.max(axis=0), inner[paul, cols], paul, carol
 
-    blocks = [R for _, R in kernel._rows(kernel.embed(0.3 * rng.random(n)))]
+    blocks = [R for _, R in kernel._rows(0.3 * rng.random(n))]
     blocks += [np.zeros((bell.cover.shape[0], 3)),
                bell.cover @ rng.random((bell.nodes.shape[0], 5))]
     for R in blocks:
@@ -425,9 +453,9 @@ from curvegame import solver
 ball = solver.unit_ball(3)
 c = solver.resolve_config(solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
 kernel = solver._Kernel(ball, c, solver.empty_field(ball, c))
-values = kernel.embed(np.random.default_rng(3).random(kernel.n_interior))
+u = np.random.default_rng(3).random(kernel.n_interior)
 digest = hashlib.sha256()
-for _, R in kernel._rows(values):
+for _, R in kernel._rows(u):
     digest.update(R.tobytes())
 print(digest.hexdigest())
 """
@@ -474,19 +502,55 @@ def test_certificate_scales_a_field_above_the_fixed_point():
     c = cfg2(0.3)
     kernel, f = _kernel_at_fixed_point(DISK, c)
     w = 1.05 * f.values.ravel()[kernel.int_flat] + 0.01
-    Tw = kernel.sweep(kernel.embed(w))
+    Tw = kernel.sweep(w)
     assert np.any(w > Tw)
     lam, start, first, tries = solver._certify(kernel, w, Tw, 1e-13, 100)
     assert 0.0 < lam < 1.0 and tries >= 1
     assert np.array_equal(start, lam * w)
     assert np.all(first >= start)
     increments = []
-    vals, n, inc, done = solver._chain(kernel, kernel.embed(start), c, tries, first,
-                                       monitor=lambda n, d: increments.append(d))
+    u, n, inc, done = solver._chain(kernel, start, c, tries, first,
+                                    monitor=lambda n, d: increments.append(d))
     assert done and all(d >= 0.0 for d in increments)
-    fixed = solver.solve(DISK, c).values
-    assert np.all(vals <= fixed + 1e-12)
-    assert np.max(fixed - vals) <= 10.0 * c.tol_iter
+    fixed = solver.solve(DISK, c).values.ravel()[kernel.int_flat]
+    assert np.all(u <= fixed + 1e-12)
+    assert np.max(fixed - u) <= 10.0 * c.tol_iter
+
+
+def test_certificate_doubles_its_gap_and_stops_at_its_budget():
+    """A negative slack makes the first lam too close to 1, so its check
+    fails; lam's gap to 1 then doubles and the second check passes.  With a
+    budget of one sweep the certificate gives up after that failed check
+    and returns w unscaled with no T; with none it runs no sweep."""
+    c = cfg2(0.3)
+    kernel, f = _kernel_at_fixed_point(DISK, c)
+    w = 1.05 * f.values.ravel()[kernel.int_flat] + 0.01
+    Tw = kernel.sweep(w)
+    r = float(np.max(w - Tw))
+    too_close = kernel.payoff / (r / 2 + kernel.payoff)
+    lam, start, first, tries = solver._certify(kernel, w, Tw, -r / 2, 100)
+    assert tries == 2
+    assert lam == pytest.approx(1.0 - 2.0 * (1.0 - too_close), abs=1e-15)
+    assert np.array_equal(start, lam * w) and np.all(first >= start)
+    lam, start, first, tries = solver._certify(kernel, w, Tw, -r / 2, 1)
+    assert first is None and tries == 1 and start is w
+    assert solver._certify(kernel, w, Tw, 1e-13, 0)[2:] == (None, 0)
+
+
+def test_solve_without_a_certificate_carries_t_of_zero(monkeypatch):
+    """When no lam certifies within the sweep budget, solve falls back to
+    the certified T(0), eps^2 K at every interior node, and raises with it."""
+    c = cfg2(0.3)
+    monkeypatch.setattr(solver, "_certify",
+                        lambda kernel, w, Tw, slack, budget: (0.5, w, None, budget))
+    with pytest.raises(NonConvergenceError) as err:
+        solver.solve(DISK, c)
+    f = err.value.field
+    payoff = c.eps**2 * c.K
+    assert np.all(f.values[f.interior_mask] == payoff)
+    assert np.all(f.values[~f.interior_mask] == 0.0)
+    assert err.value.increment == f.final_increment == payoff
+    assert err.value.iterations == f.telemetry["sweeps"] == c.max_iter
 
 
 def test_unsettled_evaluation_falls_back_to_the_polish():
@@ -512,8 +576,7 @@ def test_solve_nonconvergence_carries_a_certified_iterate():
     assert f.iterations == f.telemetry["sweeps"] == 3
     assert f.values.max() > 0.0
     # certified: a subsolution, so the next sweep cannot lower any node
-    rhs, cur = solver._interior_sweep(f, c)
-    assert np.all(rhs >= cur)
+    assert np.all(solver._defect(f, c) >= 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -579,6 +642,36 @@ def test_save_load_round_trip(tmp_path):
     assert g.h == f.h and np.array_equal(g.lo, f.lo)
     assert header["config"]["eps"] == c.eps
     assert g.domain == f.domain
+
+
+def test_ellipse_field_save_load_round_trip(tmp_path):
+    e = solver.Ellipse(center=(0.0, 0.0), semi_axes=(1.0, 0.5))
+    c = cfg2(0.3)
+    f = solver.solve(e, c)
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    g, header = solver.load_field(tmp_path / "f.json")
+    assert g.domain == e and header["domain"]["shape"] == "ellipse"
+    assert g.values.tobytes() == f.values.tobytes()
+    assert np.array_equal(g.interior_mask, f.interior_mask)
+
+
+def test_load_rejects_a_grid_shape_the_values_do_not_fill(tmp_path):
+    path = tmp_path / "f.json"
+    f = solver.empty_field(DISK, cfg2(0.3))
+    solver.save_field(f, path)
+    header = json.loads(path.read_text())
+    header["grid_shape"] = [f.shape[0] - 1, f.shape[1]]
+    path.write_text(json.dumps(header))
+    with pytest.raises(InvalidParameterError, match="grid_shape"):
+        solver.load_field(path)
+
+
+def test_compact_json_writes_non_finite_floats_as_json_reads_them():
+    doc = {"a": [math.inf, -math.inf, math.nan, 0.1], "b": np.float64(-0.0)}
+    text = solver.dumps_compact(doc)
+    assert text == '{"a": [Infinity, -Infinity, NaN, 0.10000000000000001], "b": -0}'
+    back = json.loads(text)
+    assert back["a"][:2] == [math.inf, -math.inf] and math.isnan(back["a"][2])
 
 
 def test_save_writes_plain_repr_and_loads_bits(tmp_path):

@@ -478,11 +478,10 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
 
 def cmd_converge(cfg: dict, out: Path) -> int:
     domain = _domain(cfg)
-    if not hasattr(domain, "radius"):
-        raise InvalidParameterError("converge needs a ball domain")
     eps_list = cfg.get("eps_list", [0.2, 0.1, 0.05])
     t_list = cfg.get("t_list", [0.25])
-    # each row sets its own eps; the study rejects an empty list
+    # each row sets its own eps; the study rejects an empty list and a
+    # domain that is not a ball
     template = _solver_config({**cfg, "eps": 0.0})
     L = cfg.get("L", 1.0)
     t0 = time.perf_counter()
@@ -589,7 +588,11 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.threads is not None and args.threads < 1:
             raise InvalidParameterError(f"--threads must be >= 1, got {args.threads}")
-        return args.func(_effective(args), Path(args.out))
+        out = Path(args.out)
+        # refused before the command runs, not after its work
+        if out.exists() and not out.is_dir():
+            raise InvalidParameterError(f"--out {out} exists and is not a directory")
+        return args.func(_effective(args), out)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGENCE

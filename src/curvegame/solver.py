@@ -12,17 +12,18 @@ all cap pairs.  T maps the values at the interior nodes to new ones; every
 exterior node reads one fixed slot that holds the 0, whatever a stored field
 holds there.  Two solvers find the fixed point of T.  `value_iteration`,
 the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
-runs Howard policy iteration: fix each node's pair of axes, evaluate that
-linear policy with cheap sparse matvecs, sweep once for the next pair, and
-repeat (4 to 8 sweeps on the unit disk); it then scales the result by
-lam <= 1 into a subsolution that one sweep certifies exactly, and polishes
-it with the same monotone iteration.  One sweep kernel serves 2D and 3D: a
-nonnegative map `cover` takes a node's samples to band sums (circle: a sparse
-map to axis steps and shortest arcs; sphere: a dense array, one row per cap
-pair i <= j, applied as a BLAS product), and `maxmin` turns those into max
-over Paul's axes of min over Carol's axes.  For nodes whose samples all lie
-in the domain, `cover` is merged with the interpolation weights into one map
-of the gathered node values.
+runs Howard policy iteration: fix each node's cap pair (one integer, its
+pair id), evaluate that linear policy with cheap sparse matvecs, sweep once
+for the next pairs, and repeat (4 to 8 sweeps on the unit disk); it then
+scales the result by lam <= 1 into a subsolution that one sweep certifies
+exactly, and polishes it with the same monotone iteration.  One sweep kernel
+serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
+sums (circle: a sparse map to axis steps and shortest arcs; sphere: a dense
+array, one row per cap pair i <= j, applied as a BLAS product), and `maxmin`
+turns those into max over Paul's axes of min over Carol's axes and, for the
+policy steps, into the id of the pair that attains it.  For nodes whose
+samples all lie in the domain, `cover` is merged with the interpolation
+weights into one map of the gathered node values.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -421,31 +422,16 @@ def _arc_cells(ua: float, ub: float, Q: int) -> list:
             + [(fb % Q, max(ub - fb + 0.5, 0.0))])
 
 
-def _take_min(best: np.ndarray, arg, new: np.ndarray, label) -> None:
-    """best = min(best, new) in place; where new is smaller, also arg = label
-    (arg may be None).  Ties keep the earlier entry.  The label update is
-    arithmetic, arg += smaller * (label - arg): masked copies branch on
-    every element and cost several times more."""
-    if arg is None:
-        np.minimum(best, new, out=best)
-        return
-    smaller = new < best
-    np.minimum(best, new, out=best)
-    step = np.subtract(label, arg, dtype=arg.dtype)
-    step *= smaller
-    arg += step
-
-
-def _runs(starts: list, counts: list) -> tuple:
-    """Integer runs, concatenated.  starts and counts are lists of int
-    arrays, all of one length m; entry j of the i-th pair of arrays is the
-    run starts[i][j], ..., starts[i][j] + counts[i][j] - 1.  Returns (the j
-    of each element, the element)."""
-    start = np.concatenate(starts)
-    count = np.concatenate(counts)
-    owner = np.repeat(np.tile(np.arange(starts[0].size), len(starts)), count)
-    first = np.repeat(np.cumsum(count) - count, count)
-    return owner, np.repeat(start, count) + np.arange(owner.size) - first
+def _choose(inner: np.ndarray, rows: np.ndarray, order: np.ndarray) -> tuple:
+    """The policy tail of both max-mins.  inner (M, m) holds each Paul axis's
+    min over Carol's; rows holds the pair values, one row per pair id; order
+    (M, M) lists Paul p's M candidate pair ids in tie order.  Returns (the
+    max over Paul of inner, the pair id of Paul's first maximizing axis
+    against his first minimizing candidate)."""
+    paul = inner.argmax(axis=0)
+    cols = np.arange(inner.shape[1])
+    ids = order[paul, rows[order[paul].T, cols].argmin(axis=0)]
+    return inner[paul, cols], ids
 
 
 class _CircleBellman:
@@ -499,74 +485,82 @@ class _CircleBellman:
         self.cover = sparse.csr_matrix((data, (rows, cols)), shape=(len(arcs), Q))
         # 1 / (band length in cells) per separation k: both arcs of the band
         length = lambda k: max(2.0 * W - k * Q / M, 0.0) if k <= kmax else 0.0
-        self.scale = [1.0 / (length(k) + length(M - k)) for k in range(M // 2 + 1)]
+        h = M // 2
+        self.scale = [1.0 / (length(k) + length(M - k)) for k in range(h + 1)]
+        # row k M + base of select is the band average of the pair (base,
+        # base + k), k <= M/2: scale[k] times A_kmax[base] plus the steps
+        # base + k, ..., base + kmax - 1, and for near-opposite pairs also
+        # A_{M-k}[base + k], the same way
+        arc0 = M + kmax - 1  # row of the shortest arc A_kmax[0]
+        k, base = np.divmod(np.arange((h + 1) * M), M)
+        i2 = (base + k) % M
+        two = k >= M - kmax
+        # runs of cover rows: start, start + 1, ..., start + count - 1
+        start = np.concatenate([arc0 + base, base + k, arc0 + i2, i2 + M - k])
+        count = np.concatenate([np.ones_like(k), kmax - k, two, two * (kmax - M + k)])
+        rows = np.repeat(np.tile(k * M + base, 4), count)
+        cols = (np.repeat(start - np.cumsum(count) + count, count)
+                + np.arange(rows.size))
+        data = np.asarray(self.scale)[rows // M]
+        self.select = sparse.csr_matrix((data, (rows, cols)),
+                                        shape=((h + 1) * M, len(arcs)))
+        # Paul p's candidates in tie order, as pair ids: Carol's p + k for
+        # k = M/2 down to 0, then p - k for k = min(p, M/2) down to 1 and
+        # for k = M/2 down to p + 1 (for even M, p - M/2 is p + M/2, which
+        # is already first)
+        order = []
+        for p in range(M):
+            behind = [*range(min(p, h), 0, -1), *range(h, p, -1)]
+            order.append([k * M + p for k in range(h, -1, -1)]
+                         + [k * M + (p - k) % M for k in behind if 2 * k != M])
+        self.order = np.array(order)
 
     def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (rows, m); returns (m,) max_i min_j of
-        the cap-pair averages.  With policy, returns (values, paul, carol):
-        the same values, Paul's first maximizing axis and Carol's minimizing
-        axis against it, read off as the running minima are taken (a tie
-        goes to the pair met first: larger separations, then low before
-        high)."""
-        M, kmax = self.M, self.kmax
+        the cap-pair averages.  With policy, returns (values, ids): the same
+        values and the pair id k M + base of Paul's first maximizing axis
+        against his first minimizing candidate in `order`, read from the
+        bands kept for that."""
+        M, kmax, h = self.M, self.kmax, self.M // 2
         m = R.shape[1]
         steps = R[: M + kmax - 1]
         arc = R[M + kmax - 1:].copy()  # A_kmax
         # row p of low: Paul's axis p against Carol's axes p + k; row p + k
         # of high: Paul's axis p + k (mod M) against Carol's axis p
         low = np.full((M, m), np.inf)
-        high = np.full((M + M // 2, m), np.inf)
-        band = np.empty((M, m))
-        # with policy, Carol's axis minus Paul's at each running min
-        low_off = np.zeros((M, m), dtype=np.int32) if policy else None
-        high_off = np.zeros((M + M // 2, m), dtype=np.int32) if policy else None
-        part = lambda a, s: None if a is None else a[s]
+        high = np.full((M + h, m), np.inf)
+        # band k, row base: the pair (base, base + k); with policy every band
+        # is kept for the tail, else one buffer serves them all
+        bands = np.empty((h + 1 if policy else 1, M, m))
         second = {}
         for k in range(kmax, -1, -1):
             if k < kmax:
                 arc += steps[k : k + M]  # A_k = G[. + k] + A_{k+1}
-            if M - k <= M // 2:
+            if M - k <= h:
                 second[M - k] = np.roll(arc, k - M, axis=0)  # A_k[. + M - k]
-            if k <= M // 2:
+            if k <= h:
+                band = bands[k if policy else 0]
                 if k in second:
                     np.add(arc, second[k], out=band)
                     band *= self.scale[k]
                 else:
                     np.multiply(arc, self.scale[k], out=band)
-                _take_min(low, low_off, band, k)
+                np.minimum(low, band, out=low)
                 if k:
-                    s = slice(k, k + M)
-                    _take_min(high[s], part(high_off, s), band, -k)
-        _take_min(low, low_off, high[:M], part(high_off, slice(M)))
-        _take_min(low[: M // 2], part(low_off, slice(M // 2)), high[M:],
-                  part(high_off, slice(M, None)))
+                    np.minimum(high[k : k + M], band, out=high[k : k + M])
+        np.minimum(low, high[:M], out=low)
+        np.minimum(low[:h], high[M:], out=low[:h])
         if not policy:
             return low.max(axis=0)
-        paul = low.argmax(axis=0)
-        cols = np.arange(m)
-        return low[paul, cols], paul, (paul + low_off[paul, cols]) % M
+        return _choose(low, bands.reshape(-1, m), self.order)
 
-    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None):
+    def pair_rows(self, A, ids: np.ndarray, drop=None):
         """The band average of each pair is scale[k] times its step sums and
-        shortest arcs (the linear part of maxmin for that pair): a sparse
-        selection of cover's rows, applied to A."""
+        shortest arcs (the linear part of maxmin for that pair): the rows
+        ids of select, applied to A."""
         from scipy import sparse
 
-        M, kmax = self.M, self.kmax
-        off = (carol - paul) % M
-        # the band of a pair is that of (base, base + k), k <= M/2
-        k = np.minimum(off, M - off)
-        base = np.where(off <= M // 2, paul, carol)
-        arc0 = M + kmax - 1  # row of the shortest arc A_kmax[0]
-        # A_k[base]: A_kmax[base] plus steps base + k, ..., base + kmax - 1
-        two = k >= M - kmax  # near-opposite pairs also meet in A_{M-k}[base + k]
-        i2 = (base + k) % M
-        ones = np.ones_like(k)
-        owner, cols = _runs([arc0 + base, base + k, arc0 + i2, i2 + M - k],
-                            [ones, kmax - k, two * ones, two * (kmax - M + k)])
-        data = np.asarray(self.scale)[k[owner]]
-        R = sparse.csr_matrix((data, (owner, cols)),
-                              shape=(paul.size, self.cover.shape[0])) @ A
+        R = self.select[ids] @ A
         if drop is None:
             return R
         R = R.tocoo()
@@ -640,21 +634,19 @@ class _SphereBellman:
 
     def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
-        of the cap-pair averages, and with policy also Paul's first
-        maximizing axis and Carol's first minimizing axis against it."""
+        of the cap-pair averages, and with policy (values, ids): the pair id
+        pair[i, j] of Paul's first maximizing axis i and Carol's first
+        minimizing axis j against it."""
         inner = np.empty((self.M, R.shape[1]))
         for i in range(self.M):
             np.min(R[self.pair[i]], axis=0, out=inner[i])
         if not policy:
             return inner.max(axis=0)
-        paul = inner.argmax(axis=0)
-        cols = np.arange(R.shape[1])
-        carol = R[self.pair[paul].T, cols].argmin(axis=0)
-        return inner[paul, cols], paul, carol
+        return _choose(inner, R, self.pair)
 
-    def pair_rows(self, A, paul: np.ndarray, carol: np.ndarray, drop=None) -> np.ndarray:
-        """A pair's band average is one row of cover: A's row of that pair."""
-        R = A[self.pair[paul, carol]]
+    def pair_rows(self, A, ids: np.ndarray, drop=None) -> np.ndarray:
+        """A pair's band average is one row of cover: A's row ids."""
+        R = A[ids]
         if drop is not None:
             R[drop] = 0.0
         return R
@@ -670,12 +662,15 @@ def _make_bellman(dim: int, cfg: SolverConfig):
     Both have `nodes`, the (Q, dim) unit directions v_q at which the field
     is sampled (at x + eps v_q), and `cover`, a nonnegative map from the Q
     samples to the rows that `maxmin` combines (sparse on the circle, a
-    dense array on the sphere).  `maxmin(R, policy=False)` takes
-    R = cover @ samples, shape (rows, m), to the (m,) max over Paul's axes
-    of the min over Carol's axes; with policy it also returns the chosen
-    axes.  `pair_rows(A, paul, carol, drop=None)` gives row r as the band
-    average of the pair (paul[r], carol[r]), as a map of the columns of A
-    (A has cover's rows), zero where the bool drop[r] holds.
+    dense array on the sphere).  A cap pair is named by one integer, its
+    pair id.  `maxmin(R, policy=False)` takes R = cover @ samples, shape
+    (rows, m), to the (m,) values max over Paul's axes of the min over
+    Carol's axes; with policy it returns (values, ids), the id of each
+    column's chosen pair: Paul's first maximizing axis against the first
+    minimum among his candidates, in a tie order fixed per Bellman.
+    `pair_rows(A, ids, drop=None)` gives row r as the band average of the
+    pair ids[r], as a map of the columns of A (A has cover's rows), zero
+    where the bool drop[r] holds.
     """
     theta = sphere.theta_eps(cfg.eps, dim)
     if dim == 2:
@@ -793,21 +788,20 @@ class _Kernel:
         return out + self.payoff
 
     def policy_sweep(self, u: np.ndarray) -> tuple:
-        """sweep(u), bit for bit, with Paul's and Carol's chosen axes at each
-        interior node."""
+        """sweep(u), bit for bit, and the pair id chosen at each interior
+        node."""
         out = np.empty(self.n_interior)
-        paul = np.empty(self.n_interior, dtype=np.intp)
-        carol = np.empty(self.n_interior, dtype=np.intp)
+        ids = np.empty(self.n_interior, dtype=np.intp)
         for pos, R in self._rows(u):
-            out[pos], paul[pos], carol[pos] = self.bellman.maxmin(R, policy=True)
-        return out + self.payoff, paul, carol
+            out[pos], ids[pos] = self.bellman.maxmin(R, policy=True)
+        return out + self.payoff, ids
 
     def defect(self, u: np.ndarray) -> np.ndarray:
         """T(u) - u at each interior node: the signed DPP residual."""
         return self.sweep(u) - u
 
-    def policy_matrix(self, paul: np.ndarray, carol: np.ndarray):
-        """The linear part of the sweep with the pairs (paul, carol) fixed:
+    def policy_matrix(self, ids: np.ndarray):
+        """The linear part of the sweep with each node's pair id fixed:
         a nonnegative, substochastic map of the interior values, shape
         (n_interior, n_interior).  A row is the pair's band weights composed
         with samp (deep nodes through merged; rim nodes through cover with
@@ -817,8 +811,8 @@ class _Kernel:
         from scipy import sparse
 
         bell = self.bellman
-        deep = bell.pair_rows(self.merged, paul[self.deep], carol[self.deep])
-        rim = bell.pair_rows(bell.cover, paul[self.rim], carol[self.rim], self.outside.T)
+        deep = bell.pair_rows(self.merged, ids[self.deep])
+        rim = bell.pair_rows(bell.cover, ids[self.rim], self.outside.T)
         deep, rim = sparse.coo_matrix(deep), sparse.coo_matrix(rim @ self.samp)
         rows = np.concatenate([self.deep[deep.row], self.rim[rim.row]])
         cols = np.concatenate([self.deep_idx[deep.col, deep.row],
@@ -950,7 +944,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     polish; same stop rule, exit meaning and field format as value_iteration.
 
     1. Policy steps.  A sweep of the current iterate w also returns each
-       interior node's pair: Paul's maximizing axis and Carol's minimizing
+       interior node's pair id: Paul's maximizing axis and Carol's minimizing
        axis against it (at w = 0 every pair ties, so the first policy
        needs no sweep).  With the pairs fixed the sweep is a nonnegative
        substochastic linear map P; u <- P u + eps^2 K is iterated from w
@@ -990,13 +984,13 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     m = kernel.n_interior
     w = np.zeros(m)
     Tw = certified = np.full(m, c)
-    _, paul, carol = kernel.bellman.maxmin(
+    _, ids = kernel.bellman.maxmin(
         np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
-    paul, carol = np.repeat(paul, m), np.repeat(carol, m)
+    ids = np.repeat(ids, m)
     n = steps = matvecs = nnz_P = 0
     while n < cfg.max_iter - 1:  # keep one sweep for the certificate
         t = clock()
-        P = kernel.policy_matrix(paul, carol)
+        P = kernel.policy_matrix(ids)
         nnz_P = P.nnz
         phase["assembly"] += clock() - t
         t = clock()
@@ -1007,7 +1001,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
             break
         t = clock()
         w = u
-        Tw, paul, carol = kernel.policy_sweep(w)
+        Tw, ids = kernel.policy_sweep(w)
         n += 1
         steps += 1
         phase["policy_extraction"] += clock() - t

@@ -251,6 +251,17 @@ def test_invalid_grid_exits_one_without_output(tmp_path):
     assert not out.exists()
 
 
+def test_out_naming_a_file_exits_one_before_the_work(tmp_path, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(solver, "solve", never)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    assert run("solve", "--eps", "0.3", "--out", str(afile)) == 1
+    assert afile.read_text() == "kept\n"
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -330,6 +341,15 @@ def test_solve_reruns_are_byte_identical(tmp_path):
     assert (a / "field.json").read_bytes() == (b / "field.json").read_bytes()
     assert (a / "field.values.csv").read_bytes() == \
            (b / "field.values.csv").read_bytes()
+
+
+def test_null_config_setting_writes_the_default_field(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"eps": 0.3, "K": None}))
+    assert run("solve", "--config", str(cfg), "--out", str(tmp_path / "a")) == 0
+    assert run("solve", "--eps", "0.3", "--out", str(tmp_path / "b")) == 0
+    for name in ("field.json", "field.values.csv"):
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
 def test_solve_config_file_and_flag_override(tmp_path):
@@ -559,6 +579,24 @@ def test_simulate_fixed_axis_needs_axis(tmp_path):
     assert code == 1
 
 
+def test_simulate_unknown_mode_exits_one(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"mode": "bogus"}))
+    assert run("simulate", "--config", str(cfg), "--eps", "0.5", "--n", "4",
+               "--paul", "radial", "--carol", "radial",
+               "--out", str(tmp_path / "o")) == 1
+
+
+def test_simulate_fixed_axis_and_diagnostic_strategy(tmp_path):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"axis": [1, 0]}))
+    assert run("simulate", "--config", str(cfg), "--eps", "0.5", "--n", "4",
+               "--paul", "fixed_axis", "--carol", "radial",
+               "--out", str(tmp_path / "est")) == 0
+    assert run("simulate", "--mode", "diagnostic", "--paul", "radial",
+               "--eps", "0.5", "--n", "4", "--out", str(tmp_path / "diag")) == 0
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -583,6 +621,15 @@ def test_verify_flags_wrong_payoff_constant(tmp_path):
     assert not by_name["payoff_constant"]["passed"]
     # doubling K roughly doubles the field, far outside oracle agreement
     assert not by_name["oracle_agreement"]["passed"]
+
+
+@pytest.mark.parametrize("name, code", [("one", 0), ("nope", 1)])
+def test_verify_lemma_function_from_config(tmp_path, name, code):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"lemma_function": name}))
+    out = tmp_path / "out"
+    assert run("verify", "--config", str(cfg), "--eps", "0.3", "--out", str(out)) == code
+    assert out.exists() == (code == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -662,6 +709,22 @@ def test_converge_manifest_with_an_infinite_distance_is_json(tmp_path):
     manifest = read_json(out / "converge_manifest.json")
     assert manifest["rows"][0]["hausdorff"] == {"0.49": math.inf}
     assert (out / "converge.csv").read_text().splitlines()[1].endswith(",inf")
+
+
+def test_converge_nonconvergence_exits_two(tmp_path):
+    assert run("converge", "--eps-list", "0.3", "--max-iter", "2",
+               "--out", str(tmp_path / "cv")) == 2
+
+
+def test_converge_on_an_ellipse_exits_one(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"domain": {"shape": "ellipse", "center": [0, 0],
+                                          "semi_axes": [1, 0.5]}}))
+    out = tmp_path / "cv"
+    assert run("converge", "--config", str(cfg), "--eps-list", "0.5",
+               "--out", str(out)) == 1
+    assert "needs a ball domain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_strategy_name(tmp_path):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -395,17 +396,64 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     the policy matrix reproduces the sweep as P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
     u = f.values.ravel()[kernel.int_flat]
-    values, paul, carol = kernel.policy_sweep(u)
+    values, ids = kernel.policy_sweep(u)
     assert values.tobytes() == kernel.sweep(u).tobytes()
     bell = kernel.bellman
     for pos, R in kernel._rows(u):
-        picked = bell.pair_rows(R, paul[pos], carol[pos])
+        picked = bell.pair_rows(R, ids[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
-    P = kernel.policy_matrix(paul, carol)
+    P = kernel.policy_matrix(ids)
     assert P.data.min() > 0.0 and P.sum(axis=1).max() <= 1.0 + 1e-12
     assert np.allclose(P @ u + c.eps**2 * c.K, values, rtol=1e-13, atol=0)
 
+
+# sha256 of (values, pair ids) from maxmin(R, policy=True), for R = cover @ V
+# with V random, 0/1-valued and all zero, and for R itself 0/1-valued (ties
+# everywhere), as recorded when a policy was still a (paul, carol) axis
+# pair, converted to ids by the rule pair_rows applied then
+_FROZEN_POLICY = [
+    (2, 64, 1024, 0.2,
+     ("53d0341848c13661bc8b1b8e83be576b1e8086445f07938481c05e1d3c608ce2",
+      "94b0440f0b57748af4f588856d01557ab6184771e6e97faeef9d3370c6c52236",
+      "03fabd48fa35963be18d84fe74ac6782430f6ea83077534fae082aa86a0294a6",
+      "766909bbc53e41b532a492bf46541d335657037106e67605bc399b4a6b6da9b5")),
+    (2, 8, 1024, 0.3,
+     ("d1ec346f68cf618032e28b5ecddbe256f6b10270dea67bdc9f400d7402d646fe",
+      "7daed768327bee157f7a1f91eca8d5e77d0502648521e9aecaf8e6a04fad99ff",
+      "792d40fab2e2ef1767a3c2e45c2cbfc5159744cc4df68baaa7340aa31c3c398c",
+      "a3a2f1750a8f546b7705683f9ae31ff25839987be6726398cfe58b5512c6fbbf")),
+    (2, 9, 100, 0.1,
+     ("3d2cd3aad65ae1cbb33db7609783b64368a9d4b4f932a68464bd08b61ecb1c5d",
+      "3d08ef3a0fc29bb1c6d80b48e0169a7253e83285acf13859aae07302759fdbca",
+      "c8d14fee1ef9c00d59f4ad18429c5f5fddc3c75290237ac1a6c6ea01c98dc19f",
+      "b28313af51020e956805d50f3e8202352ff5cb3f7ba1b45fe64033939a1f4fd7")),
+    (3, 64, 16, 0.4,
+     ("68959586db3aee25f2fb79c691ad0046a2e07ff95feb21e6304121cc7e959627",
+      "4bdda1af6b628fa912b5403d5bf1b82f30b950df2472765f03aed98ef81c868c",
+      "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
+      "80b9431951a65dc870e5bf94afc64d0a887a75b9a992948f740e6d54347b2b9c")),
+]
+
+
+@pytest.mark.parametrize("dim, M, Q, eps, digests", _FROZEN_POLICY)
+def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
+    """Values and pair ids of both max-mins, ties included, stay those
+    recorded: the circle at (M, Q, eps) and the sphere at the ball3-solve
+    config."""
+    c = solver.resolve_config(
+        solver.SolverConfig(eps=eps, axis_count=M, quad_order=Q), dim)
+    bell = solver._make_bellman(dim, c)
+    rng = np.random.default_rng(M + Q)
+    n, rows = bell.nodes.shape[0], bell.cover.shape[0]
+    blocks = (bell.cover @ rng.random((n, 200)),
+              bell.cover @ rng.integers(0, 2, (n, 200)).astype(float),
+              bell.cover @ np.zeros((n, 3)),
+              rng.integers(0, 2, (rows, 200)).astype(float))
+    for R, digest in zip(blocks, digests):
+        values, ids = bell.maxmin(R, policy=True)
+        got = hashlib.sha256(values.tobytes() + ids.astype(np.int64).tobytes())
+        assert got.hexdigest() == digest
 
 def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
     """The 3D kernel, whose pair map is a dense array applied by BLAS:
@@ -434,17 +482,17 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         paul = inner.argmax(axis=0)
         cols = np.arange(R.shape[1])
         carol = R[bell.pair[paul].T, cols].argmin(axis=0)
-        return inner.max(axis=0), inner[paul, cols], paul, carol
+        return inner.max(axis=0), inner[paul, cols], bell.pair[paul, carol]
 
     blocks = [R for _, R in kernel._rows(0.3 * rng.random(n))]
     blocks += [np.zeros((bell.cover.shape[0], 3)),
                bell.cover @ rng.random((bell.nodes.shape[0], 5))]
     for R in blocks:
-        values, picked, paul, carol = gather_form(R)
+        values, picked, ids = gather_form(R)
         assert bell.maxmin(R).tobytes() == values.tobytes()
         got = bell.maxmin(R, policy=True)
         assert got[0].tobytes() == picked.tobytes()
-        assert np.array_equal(got[1], paul) and np.array_equal(got[2], carol)
+        assert np.array_equal(got[1], ids)
 
 
 _ROWS_DIGEST = """

@@ -589,9 +589,10 @@ def main(argv=None) -> int:
         if args.threads is not None and args.threads < 1:
             raise InvalidParameterError(f"--threads must be >= 1, got {args.threads}")
         out = Path(args.out)
-        # refused before the command runs, not after its work
-        if out.exists() and not out.is_dir():
-            raise InvalidParameterError(f"--out {out} exists and is not a directory")
+        # refused before the work: out's nearest existing path must be a directory
+        there = next(p for p in (out, *out.parents) if p.exists())
+        if not there.is_dir():
+            raise InvalidParameterError(f"--out {out}: {there} exists and is not a directory")
         return args.func(_effective(args), out)
     except NonConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ exterior node reads one fixed slot that holds the 0, whatever a stored field
 holds there.  Two solvers find the fixed point of T.  `value_iteration`,
 the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
 runs Howard policy iteration: fix each node's cap pair (one integer, its
-pair id), evaluate that linear policy with cheap sparse matvecs, sweep once
-for the next pairs, and repeat (4 to 8 sweeps on the unit disk); it then
+pair id), solve for that linear policy's values by BiCGSTAB on sparse
+matvecs, sweep once for the next pairs, and repeat (5 to 7 sweeps); it then
 scales the result by lam <= 1 into a subsolution that one sweep certifies
 exactly, and polishes it with the same monotone iteration.  One sweep kernel
 serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
@@ -114,6 +114,11 @@ class Ball:
         inside = sphere.row_dot(d, d) < self.radius**2
         return bool(inside) if p.ndim == 1 else inside
 
+    def holds_balls(self, points: np.ndarray, d: float) -> np.ndarray:
+        """Whether each row's closed d-ball surely lies inside: |x - c|^2 < (r - d)^2."""
+        x = points - np.asarray(self.center)
+        return (sphere.row_dot(x, x) < (self.radius - d) ** 2) & (d < self.radius)
+
     def bounds(self):
         c = np.asarray(self.center)
         r = self.radius
@@ -155,6 +160,12 @@ class Ellipse:
         d = (p - np.asarray(self.center)) / np.asarray(self.semi_axes)
         inside = sphere.row_dot(d, d) < 1.0
         return bool(inside) if p.ndim == 1 else inside
+
+    def holds_balls(self, points: np.ndarray, d: float) -> np.ndarray:
+        """Whether each row's closed d-ball surely lies inside: |(x-c)/s|^2 < (1-d/min s)^2."""
+        x = (points - np.asarray(self.center)) / np.asarray(self.semi_axes)
+        s = min(self.semi_axes)
+        return (sphere.row_dot(x, x) < (1.0 - d / s) ** 2) & (d < s)
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -411,17 +422,6 @@ def interpolate(field: ValueField, p):
 # shared-grid averaging kernels
 
 
-def _arc_cells(ua: float, ub: float, Q: int) -> list:
-    """Cells under the arc [ua, ub], given in cell units (cell q spans
-    [q - 1/2, q + 1/2)): [(q mod Q, covered fraction of the cell), ...]."""
-    fa, fb = math.floor(ua + 0.5), math.floor(ub + 0.5)
-    if fa == fb:
-        return [(fa % Q, max(ub - ua, 0.0))]
-    return ([(fa % Q, max(fa + 0.5 - ua, 0.0))]
-            + [(c % Q, 1.0) for c in range(fa + 1, fb)]
-            + [(fb % Q, max(ub - fb + 0.5, 0.0))])
-
-
 def _choose(inner: np.ndarray, rows: np.ndarray, order: np.ndarray) -> tuple:
     """The policy tail of both max-mins.  inner (M, m) holds each Paul axis's
     min over Carol's; rows holds the pair values, one row per pair id; order
@@ -473,16 +473,21 @@ class _CircleBellman:
         # the shortest nonempty arc A_kmax; w > pi/2 puts kmax >= M/2
         kmax = max(k for k in range(M) if w - math.pi * k / M > 1e-14)
         self.kmax = kmax
-        start = lambda j: j * Q / M - W
-        arcs = [(start(j % M), start(j % M + 1)) for j in range(M + kmax - 1)]
-        arcs += [(start(i + kmax), i * Q / M + W) for i in range(M)]
-        rows, cols, data = [], [], []
-        for r, (a, b) in enumerate(arcs):
-            for q, cov in _arc_cells(a, b, Q):
-                rows.append(r)
-                cols.append(q)
-                data.append(cov)
-        self.cover = sparse.csr_matrix((data, (rows, cols)), shape=(len(arcs), Q))
+        # arcs [ua, ub] in cell units (cell q spans [q - 1/2, q + 1/2)), steps
+        # G[j % M] then A_kmax: each covers part of its first and last cells
+        # fa, fb (one cell, fa = fb, covers ub - ua) and all those between
+        j, i = np.arange(M + kmax - 1) % M, np.arange(M)
+        ua = np.concatenate([j * Q / M - W, (i + kmax) * Q / M - W])
+        ub = np.concatenate([(j + 1) * Q / M - W, i * Q / M + W])
+        fa, fb = np.floor(ua + 0.5), np.floor(ub + 0.5)
+        count = (fb - fa).astype(np.int64) + 1
+        rows = np.repeat(np.arange(ua.size), count)
+        first = np.cumsum(count) - count
+        data = np.ones(rows.size)
+        data[first + count - 1] = np.maximum(ub - fb + 0.5, 0.0)
+        data[first] = np.maximum(np.where(count == 1, ub - ua, fa + 0.5 - ua), 0.0)
+        cols = (fa.astype(np.int64)[rows] + np.arange(rows.size) - first[rows]) % Q
+        self.cover = sparse.csr_matrix((data, (rows, cols)), shape=(ua.size, Q))
         # 1 / (band length in cells) per separation k: both arcs of the band
         length = lambda k: max(2.0 * W - k * Q / M, 0.0) if k <= kmax else 0.0
         h = M // 2
@@ -503,17 +508,15 @@ class _CircleBellman:
                 + np.arange(rows.size))
         data = np.asarray(self.scale)[rows // M]
         self.select = sparse.csr_matrix((data, (rows, cols)),
-                                        shape=((h + 1) * M, len(arcs)))
+                                        shape=((h + 1) * M, ua.size))
         # Paul p's candidates in tie order, as pair ids: Carol's p + k for
-        # k = M/2 down to 0, then p - k for k = min(p, M/2) down to 1 and
-        # for k = M/2 down to p + 1 (for even M, p - M/2 is p + M/2, which
-        # is already first)
-        order = []
-        for p in range(M):
-            behind = [*range(min(p, h), 0, -1), *range(h, p, -1)]
-            order.append([k * M + p for k in range(h, -1, -1)]
-                         + [k * M + (p - k) % M for k in behind if 2 * k != M])
-        self.order = np.array(order)
+        # k = M/2 down to 0, then p - k for k = M/2, ..., 1 rotated to start
+        # at min(p, M/2) (for even M, p - M/2 is p + M/2, already first)
+        p, back = np.arange(M)[:, None], np.arange(h, 0, -1)
+        back = back[2 * back != M]
+        back = back[(np.arange(back.size) - (back <= p).sum(axis=1, keepdims=True)) % back.size]
+        self.order = np.concatenate([np.arange(h, -1, -1) * M + p, back * M + (p - back) % M],
+                                    axis=1)
 
     def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (rows, m); returns (m,) max_i min_j of
@@ -558,14 +561,12 @@ class _CircleBellman:
         """The band average of each pair is scale[k] times its step sums and
         shortest arcs (the linear part of maxmin for that pair): the rows
         ids of select, applied to A."""
-        from scipy import sparse
-
         R = self.select[ids] @ A
-        if drop is None:
-            return R
-        R = R.tocoo()
-        keep = ~drop[R.row, R.col]
-        return sparse.csr_matrix((R.data[keep], (R.row[keep], R.col[keep])), shape=R.shape)
+        if drop is not None:
+            R.data[drop[np.repeat(np.arange(R.shape[0]), np.diff(R.indptr)), R.indices]] = 0.0
+            R.eliminate_zeros()
+            R.sort_indices()
+        return R
 
 
 class _SphereBellman:
@@ -693,10 +694,11 @@ class _Kernel:
     the values at the distinct offsets to the Q samples.  A table built once,
     offsets x nodes, gives the position in u (or the slot) of each offset's
     node; a block gathers its columns from u with the slot appended.  Nodes
-    whose samples all lie in the domain ("deep" nodes, `deep_idx`) then need
-    only the merged map cover @ samp, which takes the gathered values
-    straight to cover's rows (step sums and shortest arcs on the circle,
-    cap-pair averages on the sphere).  The other ("rim" nodes, `rim_idx`)
+    whose samples all lie in the domain ("deep" nodes, `deep_idx`; sampled
+    only where `holds_balls` leaves it open) then need only the merged map
+    cover @ samp, which takes the gathered values straight to cover's rows
+    (step sums and shortest arcs on the circle, cap-pair averages on the
+    sphere).  The other ("rim" nodes, `rim_idx`)
     form all Q samples with samp, zero those outside the domain and apply
     cover.  Both maps have nonnegative weights and are applied with `@`
     (sparse on the circle, BLAS on the sphere) in an order that does not
@@ -733,29 +735,25 @@ class _Kernel:
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
                                       shape=(Q, offsets.size))
-        # nonzero weights, for the solve manifest
-        if isinstance(bell.cover, np.ndarray):
-            # one GEMM; scipy would form (samp.T @ cover.T).T, copying cover
-            self.merged = bell.cover @ self.samp.toarray()
-            self.nnz_cover = int(np.count_nonzero(bell.cover))
-            self.nnz_merged = int(np.count_nonzero(self.merged))
-        else:
-            self.merged = bell.cover @ self.samp
-            # counted on a copy: comparing a sparse map sorts its indices
-            # in place
-            self.nnz_cover = int((bell.cover != 0).sum())
-            self.nnz_merged = int((self.merged.copy() != 0).sum())
-        # a node is deep when every x + eps v_q is inside the domain
-        deep = np.empty(n, dtype=bool)
-        outside = []
-        for s in range(0, n, B):
-            p = pts[s : s + B]
-            inside = domain.contains(
-                (p[None, :, :] + step[:, None, :]).reshape(-1, dim)
-            ).reshape(Q, p.shape[0])
-            deep[s : s + B] = inside.all(axis=0)
-            outside.append(~inside[:, ~deep[s : s + B]])
-        self.outside = np.concatenate(outside, axis=1) if outside else np.zeros((Q, 0), bool)
+        # one GEMM on the sphere; scipy would form (samp.T @ cover.T).T,
+        # copying cover
+        dense = isinstance(bell.cover, np.ndarray)
+        self.merged = bell.cover @ (self.samp.toarray() if dense else self.samp)
+        # nonzero weights, for the solve manifest; a sparse map is counted on
+        # a copy, as counting sorts its indices in place
+        self.nnz_cover, self.nnz_merged = (
+            int(np.count_nonzero(a) if dense else a.copy().count_nonzero())
+            for a in (bell.cover, self.merged))
+        # deep: every x + eps v_q is inside; surely so if the eps-ball is
+        deep = domain.holds_balls(pts, cfg.eps * (1.0 + 1e-9))
+        near = np.flatnonzero(~deep)
+        inside = np.empty((Q, near.size), dtype=bool)
+        for s in range(0, near.size, B):
+            p = pts[near[s : s + B]]
+            inside[:, s : s + B] = domain.contains(
+                (p[None] + step[:, None]).reshape(-1, dim)).reshape(Q, -1)
+        deep[near] = inside.all(axis=0)
+        self.outside = ~inside[:, ~deep[near]]
         # position in u of every grid node; exterior nodes read the slot n
         slot = np.full(math.prod(self.shape), n)
         slot[self.int_flat] = np.arange(n)
@@ -890,18 +888,15 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
     return last
 
 
-# Policy evaluation stops once a matvec moves the values by less than
-# tol_iter times this, and the policy steps stop once an evaluation does:
+# Policy evaluation stops once its true sup residual falls below tol_iter
+# times this, and the policy steps stop once a sweep moves the values by less:
 # at the default tol_iter that is eps^2 1e-12, a few hundred units in the
 # last place of the values, so the field lands on the fixed point to rounding.
 _EVAL_TOL = 1e-9
 
 
-def _evaluate(P, u: np.ndarray, c: float, stop: float,
-              budget: int) -> tuple:
-    """Iterate u <- P u + c from u until the sup increment falls below stop.
-    Returns (u, matvecs, settled); settled is False when budget matvecs do
-    not get there."""
+def _jacobi(P, u: np.ndarray, c: float, stop: float, budget: int) -> tuple:
+    """u <- P u + c until the sup increment is below stop: (u, matvecs, settled)."""
     for n in range(1, budget + 1):
         new = P @ u
         new += c
@@ -910,6 +905,52 @@ def _evaluate(P, u: np.ndarray, c: float, stop: float,
         if increment < stop:
             return u, n, True
     return u, budget, False
+
+
+def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
+    """Solve (I - P) x = c 1 by BiCGSTAB (van der Vorst 1992) from x = w until
+    the true sup residual |c - (x - P x)|, what a _jacobi increment measures,
+    is below stop; the recurrence restarts from it while it is not.  Inner
+    products are numpy reductions, not BLAS dot, so x does not depend on
+    threads.  On a breakdown (rho, r.v, t.t or omega 0 or not finite) _jacobi
+    spends the rest of the budget.  Returns (x, matvecs, settled) as _jacobi."""
+    sup = lambda a: float(np.max(np.abs(a)))
+    bad = lambda z: not (z and math.isfinite(z))
+    x, used = w, 0
+    while used < budget:
+        r = c - (x - P @ x)
+        used += 1
+        if sup(r) < stop:
+            return x, used, True
+        rhat, p, v, rho, alpha, omega = r, 0.0, 0.0, 1.0, 1.0, 1.0
+        while used < budget and sup(r) >= stop:
+            rho, last = float((rhat * r).sum()), rho
+            if bad(rho):
+                break
+            p = r + (rho / last * alpha / omega) * (p - omega * v)
+            v = p - P @ p
+            used += 1
+            rv = float((rhat * v).sum())
+            alpha = rho / rv if rv else 0.0
+            if bad(alpha):
+                break
+            x = x + alpha * p
+            r = r - alpha * v
+            if used == budget or sup(r) < stop:
+                continue
+            t = r - P @ r
+            used += 1
+            tt = float((t * t).sum())
+            omega = float((t * r).sum()) / tt if tt else 0.0
+            if bad(omega):
+                break
+            x = x + omega * r
+            r = r - omega * t
+        else:
+            continue
+        x, more, settled = _jacobi(P, x, c, stop, budget - used)
+        return x, used + more, settled
+    return x, budget, False
 
 
 def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
@@ -947,12 +988,12 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
        interior node's pair id: Paul's maximizing axis and Carol's minimizing
        axis against it (at w = 0 every pair ties, so the first policy
        needs no sweep).  With the pairs fixed the sweep is a nonnegative
-       substochastic linear map P; u <- P u + eps^2 K is iterated from w
-       until a matvec moves u by less than stop = tol_iter * _EVAL_TOL, and
-       u is swept for the next policy.  The steps end when an evaluation
-       moves w by less than stop (tied pairs can flip forever, so the pairs
-       are not compared).  An evaluation that does not settle in max_iter
-       matvecs is dropped, and the last swept w goes on to step 2.
+       substochastic linear map P; _evaluate solves (I - P) u = eps^2 K from
+       w to a sup residual below stop = tol_iter * _EVAL_TOL, and u is swept
+       for the next policy.  The steps end when that sweep moves u by less
+       than stop (tied pairs can flip forever, so the pairs are not
+       compared).  An evaluation that does not settle in max_iter matvecs
+       is dropped, and the last swept w goes on to step 2.
     2. Certificate.  The operator is positively homogeneous up to its
        payoff, T(lam w) = lam T(w) + (1 - lam) eps^2 K, so a scaled w is a
        subsolution, lam w <= T(lam w), for lam a little below 1 (_certify).
@@ -987,7 +1028,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     _, ids = kernel.bellman.maxmin(
         np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
     ids = np.repeat(ids, m)
-    n = steps = matvecs = nnz_P = 0
+    n, steps, nnz_P, matvecs = 0, 0, 0, []  # matvecs: one count per evaluation
     while n < cfg.max_iter - 1:  # keep one sweep for the certificate
         t = clock()
         P = kernel.policy_matrix(ids)
@@ -995,9 +1036,9 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         phase["assembly"] += clock() - t
         t = clock()
         u, used, settled = _evaluate(P, w, c, stop, cfg.max_iter)
-        matvecs += used
+        matvecs.append(used)
         phase["evaluation"] += clock() - t
-        if not settled or np.max(np.abs(u - w)) < stop:
+        if not settled:
             break
         t = clock()
         w = u
@@ -1005,6 +1046,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         n += 1
         steps += 1
         phase["policy_extraction"] += clock() - t
+        if np.max(np.abs(Tw - w)) < stop:
+            break
 
     t = clock()
     lam, start, first, tries = _certify(kernel, w, Tw, stop, cfg.max_iter - n)
@@ -1023,7 +1066,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     result.telemetry = {
         "phase_s": phase,
         "policy_steps": steps,
-        "matvecs": matvecs,
+        "matvecs": sum(matvecs),
+        "evaluation_matvecs": matvecs,
         "certificate_sweeps": tries,
         "polish_sweeps": n - steps - tries,
         "sweeps": n,

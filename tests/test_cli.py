@@ -262,6 +262,22 @@ def test_out_naming_a_file_exits_one_before_the_work(tmp_path, monkeypatch):
     assert afile.read_text() == "kept\n"
 
 
+def test_out_below_a_file_exits_one_before_the_work(tmp_path, monkeypatch, capsys):
+    """The nearest existing path among --out and its parents must be a
+    directory; else the command never runs and nothing is created."""
+    def never(*args, **kwargs):
+        raise AssertionError("solve ran")
+
+    monkeypatch.setattr(solver, "solve", never)
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    for out in (afile / "sub", afile / "sub" / "deeper"):
+        assert run("solve", "--eps", "0.3", "--out", str(out)) == 1
+        assert "is not a directory" in capsys.readouterr().err
+    assert afile.read_text() == "kept\n"
+    assert sorted(tmp_path.iterdir()) == [afile]
+
+
 # ---------------------------------------------------------------------------
 # solve
 
@@ -302,25 +318,32 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     assert tel["sweeps"] == (tel["policy_steps"] + tel["certificate_sweeps"]
                              + tel["polish_sweeps"])
     assert 1 <= tel["policy_steps"] <= 10 and tel["matvecs"] > 0
+    # one count per policy evaluation
+    assert len(tel["evaluation_matvecs"]) == tel["policy_steps"]
+    assert min(tel["evaluation_matvecs"]) > 0
+    assert sum(tel["evaluation_matvecs"]) == tel["matvecs"]
     assert 0.0 <= tel["one_minus_lambda"] < 1e-9
     assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
     assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0
     assert manifest["residual"] <= 1e-12
     # timings and counts stay out of the byte-stable field files
     header = read_json(out / "field.json")
-    assert not {"solver", "phase_s", "policy_steps", "residual"} & set(header)
+    assert not {"solver", "phase_s", "policy_steps", "residual",
+                "evaluation_matvecs"} & set(header)
     assert header["iterations"] == tel["sweeps"]
 
 
 def test_solve_bytes_do_not_depend_on_thread_settings(tmp_path):
-    """2D at eps = 0.3, and the 3D ball at eps = 0.4, 64 axes, order 16,
+    """2D at eps = 0.3 and 0.1 (2 509 nodes, so BiCGSTAB's inner products
+    run over long vectors), and the 3D ball at eps = 0.4, 64 axes, order 16,
     whose sweeps run BLAS products, at one and two BLAS threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
     ball3 = tmp_path / "ball3.json"
     ball3.write_text(json.dumps({
         "domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1},
         "eps": 0.4, "axis_count": 64, "quad_order": 16}))
-    for label, args in (("disk", ["--eps", "0.3"]), ("ball3", ["--config", str(ball3)])):
+    for label, args in (("disk", ["--eps", "0.3"]), ("disk01", ["--eps", "0.1"]),
+                        ("ball3", ["--config", str(ball3)])):
         outs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,

@@ -183,7 +183,7 @@ def cmd_solve(cfg: dict, out: Path) -> int:
         print(f"solve: no convergence in {exc.iterations} sweeps "
               f"(last increment {exc.increment:.17g})", file=sys.stderr)
     wall = time.perf_counter() - t0
-    # the residual sweep ran inside solve, on the kernel it built
+    # solve read the residual off its last sweep, on the kernel it built
     telemetry = field.telemetry
     residual = telemetry["residual"]
     out.mkdir(parents=True, exist_ok=True)

@@ -14,9 +14,11 @@ holds there.  Two solvers find the fixed point of T.  `value_iteration`,
 the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
 runs Howard policy iteration: fix each node's cap pair (one integer, its
 pair id), solve for that linear policy's values by BiCGSTAB on sparse
-matvecs, sweep once for the next pairs, and repeat (5 to 7 sweeps); it then
-scales the result by lam <= 1 into a subsolution that one sweep certifies
-exactly, and polishes it with the same monotone iteration.  One sweep kernel
+matvecs, sweep those values scaled by a fixed lam a hair below 1 for the
+next pairs, and repeat (4 to 6 sweeps).  The scaled values are a
+subsolution, which the last sweep certifies exactly, and they are the
+result; only when that check fails does a further scaling and a polish by
+the same monotone iteration follow.  One sweep kernel
 serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
 sums (circle: a sparse map to axis steps and shortest arcs; sphere: a dense
 array, one row per cap pair i <= j, applied as a BLAS product), and `maxmin`
@@ -37,9 +39,9 @@ band is its shortest arc plus a run of whole axis-spacing steps, on the sphere
 a pair row carries the weights member_i member_j w_q / denom_ij: nothing is
 subtracted), minima, maxima, multiplication by a positive constant, and
 addition of a constant.  Each is monotone under IEEE round-to-nearest, so
-w_{n+1} >= w_n holds bit-for-bit.  In `solve` the same holds for the polish
-chain from the certified start; the policy evaluations before it need no
-such property, because only the certificate vouches for what they give.
+w_{n+1} >= w_n holds bit-for-bit.  In `solve` the same holds for a polish
+chain from a certified start; the policy evaluations need no such
+property, because only the certificate vouches for what they give.
 """
 
 from __future__ import annotations
@@ -831,15 +833,18 @@ def _iteration_config(cfg: SolverConfig, dim: int) -> SolverConfig:
 
 
 def _chain(kernel: _Kernel, u: np.ndarray, cfg: SolverConfig, n: int,
-           first: np.ndarray | None = None, monitor: Callable | None = None) -> tuple:
+           first: np.ndarray | None = None, monitor: Callable | None = None,
+           last_input: bool = False) -> tuple:
     """Monotone value iteration from the interior values u until the sup
     increment drops below tol_iter or the sweep count n reaches max_iter.
 
     first, when given, is kernel.sweep(u), already run and counted in n.
     Every sweep is checked to be node-wise >= its input.  Returns (interior
-    values of the last iterate, sweep count, last increment, converged).
+    values of the last iterate, sweep count, last increment, converged);
+    with last_input, the input of the last sweep in place of its output, so
+    that the last increment is that field's DPP residual.
     """
-    increment = math.inf
+    increment, prev = math.inf, u
     while first is not None or n < cfg.max_iter:
         if first is None:
             new = kernel.sweep(u)
@@ -849,12 +854,12 @@ def _chain(kernel: _Kernel, u: np.ndarray, cfg: SolverConfig, n: int,
         if not np.all(new >= u):
             raise AssertionError("value iteration lost monotonicity")
         increment = float(np.max(new - u))
-        u = new
+        prev, u = u, new
         if monitor is not None:
             monitor(n, increment)
         if increment < cfg.tol_iter:
-            return u, n, increment, True
-    return u, n, increment, False
+            break
+    return prev if last_input else u, n, increment, increment < cfg.tol_iter
 
 
 def _nonconvergence(what: str, cfg: SolverConfig, last: ValueField) -> NonConvergenceError:
@@ -958,13 +963,14 @@ def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
     """Scale the interior values w (>= 0, with Tw = kernel.sweep of them)
     into a subsolution lam w <= T(lam w), checked exactly.
 
-    With c = eps^2 K and r = max(w - T(w))+, lam = c / (r + slack + c): in
-    exact arithmetic T(lam w) = lam T(w) + (1 - lam) c >= lam w, with slack
-    to spare against the check's rounding.  Each check is one sweep, and
-    lam's gap to 1 doubles until the check holds (lam = 0 always passes).
-    When w <= T(w) already, lam = 1 and Tw is the check, with no sweep.
-    Returns (lam, lam w, T(lam w) or None if budget sweeps did not
-    certify, sweeps run).
+    When w <= T(w) already, lam = 1 and Tw is the check, with no sweep;
+    solve's policy steps end on such a w, swept as a scaled evaluation.
+    Otherwise, with c = eps^2 K and r = max(w - T(w))+, lam = c / (r +
+    slack + c): in exact arithmetic T(lam w) = lam T(w) + (1 - lam) c >=
+    lam w, with slack to spare against the check's rounding.  Each check is
+    one sweep, and lam's gap to 1 doubles until the check holds (lam = 0
+    always passes).  Returns (lam, lam w, T(lam w) or None if budget sweeps
+    did not certify, sweeps run).
     """
     if np.all(w <= Tw):
         return 1.0, w, Tw, 0
@@ -980,34 +986,68 @@ def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
     return lam, w, None, max(budget, 0)
 
 
+class _Logged:
+    """A kernel's sweeps, each logged as {phase, increment, s}: the phase
+    the caller last set, the sweep's sup |T(x) - x| and its seconds."""
+
+    def __init__(self, kernel: _Kernel):
+        self.kernel, self.payoff = kernel, kernel.payoff
+        self.phase, self.log = "policy", []
+
+    def _timed(self, sweep: Callable, x: np.ndarray):
+        t = time.perf_counter()
+        out = sweep(x)
+        Tx = out[0] if isinstance(out, tuple) else out
+        self.log.append({"phase": self.phase, "s": time.perf_counter() - t,
+                         "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
+        return out
+
+    def sweep(self, x: np.ndarray) -> np.ndarray:
+        return self._timed(self.kernel.sweep, x)
+
+    def policy_sweep(self, x: np.ndarray) -> tuple:
+        return self._timed(self.kernel.policy_sweep, x)
+
+
 def solve(domain, cfg: SolverConfig) -> ValueField:
-    """The DPP fixed point by policy iteration, then a certified monotone
-    polish; same stop rule, exit meaning and field format as value_iteration.
+    """The DPP fixed point by policy iteration, certified by its last sweep;
+    same stop rule, exit meaning and field format as value_iteration.
 
-    1. Policy steps.  A sweep of the current iterate w also returns each
-       interior node's pair id: Paul's maximizing axis and Carol's minimizing
-       axis against it (at w = 0 every pair ties, so the first policy
-       needs no sweep).  With the pairs fixed the sweep is a nonnegative
-       substochastic linear map P; _evaluate solves (I - P) u = eps^2 K from
-       w to a sup residual below stop = tol_iter * _EVAL_TOL, and u is swept
-       for the next policy.  The steps end when that sweep moves u by less
-       than stop (tied pairs can flip forever, so the pairs are not
-       compared).  An evaluation that does not settle in max_iter matvecs
-       is dropped, and the last swept w goes on to step 2.
-    2. Certificate.  The operator is positively homogeneous up to its
-       payoff, T(lam w) = lam T(w) + (1 - lam) eps^2 K, so a scaled w is a
-       subsolution, lam w <= T(lam w), for lam a little below 1 (_certify).
-       One sweep checks that exactly, and lam is lowered until it holds.
-    3. Polish.  Value iteration from lam w, whose first sweep is the
-       certificate's, with the monotone check on every sweep; the result
-       ends an exactly monotone chain from a certified subsolution.
+    1. Policy steps.  A sweep also returns each interior node's pair id:
+       Paul's maximizing axis and Carol's minimizing axis against it (at
+       w = 0 every pair ties, so the first policy needs no sweep).  With the
+       pairs fixed the sweep is a nonnegative substochastic linear map P;
+       _evaluate solves (I - P) u = c, c = eps^2 K, from the last u to a
+       sup residual below stop = tol_iter * _EVAL_TOL.  The step then sweeps
+       s = lam u for the next policy, with lam = c / (c + 2 stop) fixed.
+       The operator is positively homogeneous up to its payoff, T(lam u) =
+       lam T(u) + (1 - lam) c, so the steps end when |T(s) - s - (1 - lam)
+       c| < stop, which is |T(u) - u| < stop scaled by lam (tied pairs can
+       flip forever, so the pairs are not compared).  Then T(s) - s is
+       about stop at every node.  An evaluation that does not settle in
+       max_iter matvecs is dropped, and the last swept s goes on.
+    2. Certificate.  s is a subsolution, s <= T(s), and the last sweep
+       checks that exactly, so _certify returns s with no sweep of its own.
+       When the check fails, s is scaled further until one sweep certifies
+       it.
+    3. Polish.  Only when that took sweeps: value iteration from the
+       certified field, whose first sweep is the certificate's, with the
+       monotone check on every sweep.
 
+    The result is the input of the last sweep taken: a certified
+    subsolution whose sweep is its DPP residual and .final_increment, so no
+    sweep runs only to report them.  Without a certificate the result is
+    T(0), one sweep from 0, and one more sweep gives its residual.
     max_iter caps all full sweeps (policy steps, certificate and polish);
     .iterations counts them.  On the cap, NonConvergenceError carries the
     last certified iterate.  The result and the error's field carry
-    .telemetry: phase times, counts, sizes and the DPP residual.
+    .telemetry: phase times, counts, sizes, one record per sweep
+    (`sweep_log`) and the DPP residual.
     """
     cfg = _iteration_config(cfg, domain.dim)
+    # the process's first scipy import is no part of the kernel build
+    from scipy import sparse  # noqa: F401
+
     clock = time.perf_counter
     phase = dict.fromkeys(("kernel_build", "policy_extraction", "assembly",
                            "evaluation", "polish", "residual"), 0.0)
@@ -1015,53 +1055,61 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     field = empty_field(domain, cfg)
     kernel = _Kernel(domain, cfg, field)
     phase["kernel_build"] = clock() - t
+    logged = _Logged(kernel)
     c = kernel.payoff
     stop = cfg.tol_iter * _EVAL_TOL
+    lam = c / (c + 2.0 * stop)
 
-    # every band average of w = 0 is 0, so T(0) = eps^2 K exactly and every
+    # every band average of 0 is 0, so T(0) = eps^2 K exactly and every
     # node picks the pair that the tie-break picks from all-zero rows: the
     # first policy step needs no sweep.  T(0) ends a monotone chain from 0,
     # the fallback certified iterate.
     m = kernel.n_interior
-    w = np.zeros(m)
-    Tw = certified = np.full(m, c)
+    u = s = np.zeros(m)
+    Ts = certified = np.full(m, c)
     _, ids = kernel.bellman.maxmin(
         np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
     ids = np.repeat(ids, m)
     n, steps, nnz_P, matvecs = 0, 0, 0, []  # matvecs: one count per evaluation
-    while n < cfg.max_iter - 1:  # keep one sweep for the certificate
+    while n < cfg.max_iter - 1:  # keep one sweep for a certificate
         t = clock()
         P = kernel.policy_matrix(ids)
         nnz_P = P.nnz
         phase["assembly"] += clock() - t
         t = clock()
-        u, used, settled = _evaluate(P, w, c, stop, cfg.max_iter)
+        u, used, settled = _evaluate(P, u, c, stop, cfg.max_iter)
         matvecs.append(used)
         phase["evaluation"] += clock() - t
         if not settled:
             break
         t = clock()
-        w = u
-        Tw, ids = kernel.policy_sweep(w)
+        s = lam * u
+        Ts, ids = logged.policy_sweep(s)
         n += 1
         steps += 1
         phase["policy_extraction"] += clock() - t
-        if np.max(np.abs(Tw - w)) < stop:
+        if np.max(np.abs(Ts - s - (1.0 - lam) * c)) < stop:
             break
 
     t = clock()
-    lam, start, first, tries = _certify(kernel, w, Tw, stop, cfg.max_iter - n)
+    logged.phase = "certificate"
+    scale, start, first, tries = _certify(logged, s, Ts, stop, cfg.max_iter - n)
     n += tries
     if first is None:
-        u, increment, done = certified, c, False
+        v, increment, done = certified, c, False
     else:
-        u, n, increment, done = _chain(kernel, start, cfg, n, first)
+        logged.phase = "polish"
+        v, n, increment, done = _chain(logged, start, cfg, n, first, last_input=True)
     phase["polish"] = clock() - t
 
-    t = clock()  # dpp_residual of the result, on this kernel
-    residual = float(np.max(np.abs(kernel.defect(u))))
-    phase["residual"] = clock() - t
-    result = ValueField(domain, field.lo, field.h, kernel.embed(u), iterations=n,
+    residual = increment  # the sup of the last sweep from v, which is v's
+    if first is None:
+        t = clock()
+        logged.phase = "residual"
+        logged.sweep(v)
+        residual = logged.log[-1]["increment"]
+        phase["residual"] = clock() - t
+    result = ValueField(domain, field.lo, field.h, kernel.embed(v), iterations=n,
                         final_increment=increment)
     result.telemetry = {
         "phase_s": phase,
@@ -1071,7 +1119,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "certificate_sweeps": tries,
         "polish_sweeps": n - steps - tries,
         "sweeps": n,
-        "one_minus_lambda": 1.0 - lam,
+        "sweep_log": logged.log,
+        "one_minus_lambda": 1.0 - lam * scale,
         "interior": kernel.n_interior,
         "rim": int(kernel.rim.size),
         "nnz_cover": kernel.nnz_cover,

@@ -323,13 +323,18 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     assert min(tel["evaluation_matvecs"]) > 0
     assert sum(tel["evaluation_matvecs"]) == tel["matvecs"]
     assert 0.0 <= tel["one_minus_lambda"] < 1e-9
+    # one record per sweep run, the last one from the result
+    assert len(tel["sweep_log"]) == tel["sweeps"]
+    assert all(e["phase"] in {"policy", "certificate", "polish", "residual"}
+               and e["increment"] >= 0.0 and e["s"] > 0.0 for e in tel["sweep_log"])
+    assert tel["sweep_log"][-1]["increment"] == manifest["residual"]
     assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
     assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0
     assert manifest["residual"] <= 1e-12
     # timings and counts stay out of the byte-stable field files
     header = read_json(out / "field.json")
     assert not {"solver", "phase_s", "policy_steps", "residual",
-                "evaluation_matvecs"} & set(header)
+                "evaluation_matvecs", "sweep_log"} & set(header)
     assert header["iterations"] == tel["sweeps"]
 
 

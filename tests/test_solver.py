@@ -579,13 +579,15 @@ digest = hashlib.sha256()
 for _, R in kernel._rows(u):
     digest.update(R.tobytes())
 print(digest.hexdigest())
+print(hashlib.sha256(solver.solve(ball, c).values.tobytes()).hexdigest())
 """
 
 
 def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
-    """Every block's pair rows, the BLAS products of the 3D sweep, carry the
-    same bytes at one and two BLAS threads.  This needs blocks of at most
-    256 nodes: OpenBLAS gave other bytes at two threads for 362."""
+    """Every block's pair rows, the BLAS products of the 3D sweep, and the
+    3D solve's field carry the same bytes at one and two BLAS threads.  This
+    needs blocks of at most 256 nodes: OpenBLAS gave other bytes at two
+    threads for 362."""
     src = str(Path(solver.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):
@@ -617,6 +619,28 @@ def test_solve_lands_on_the_fixed_point(domain, c):
     again = solver.solve(domain, c)
     assert again.values.tobytes() == f.values.tobytes()
     assert again.iterations == f.iterations
+
+
+@pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)), (DISK, cfg2(0.2)),
+                                       (DISK, cfg2(0.1)), (solver.unit_ball(3), BALL3)])
+def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
+    """A converged solve runs its policy sweeps and no other: the last one
+    certifies its input, which is the result, and that sweep's sup
+    increment is the field's final increment and DPP residual."""
+    calls = []
+    for name in ("sweep", "policy_sweep"):
+        def counted(self, u, _run=getattr(solver._Kernel, name)):
+            calls.append(1)
+            return _run(self, u)
+        monkeypatch.setattr(solver._Kernel, name, counted)
+    f = solver.solve(domain, c)
+    tel = f.telemetry
+    assert len(calls) == tel["sweeps"] == tel["policy_steps"] == f.iterations
+    assert tel["certificate_sweeps"] == tel["polish_sweeps"] == 0
+    assert [e["phase"] for e in tel["sweep_log"]] == ["policy"] * tel["sweeps"]
+    assert np.all(solver._defect(f, c) >= 0.0)
+    assert tel["residual"] == f.final_increment == solver.dpp_residual(f, c)
+    assert tel["sweep_log"][-1]["increment"] == tel["residual"]
 
 
 def _first_policy_matrix(c):
@@ -724,20 +748,29 @@ def test_solve_without_a_certificate_carries_t_of_zero(monkeypatch):
     assert np.all(f.values[~f.interior_mask] == 0.0)
     assert err.value.increment == f.final_increment == payoff
     assert err.value.iterations == f.telemetry["sweeps"] == c.max_iter
+    # T(0)'s residual takes one more sweep, logged but not counted
+    assert f.telemetry["sweep_log"][-1]["phase"] == "residual"
+    assert f.telemetry["sweep_log"][-1]["increment"] == f.telemetry["residual"]
 
 
 def test_unsettled_evaluation_falls_back_to_the_polish():
     """A policy evaluation gets max_iter matvecs.  At eps = 0.2 the first one
-    needs hundreds, so with max_iter = 60 it is dropped and the polish runs
-    from the certified w = 0: value iteration's field, bit for bit, with
-    T(0) = eps^2 K taken without a sweep (and no RuntimeWarning)."""
+    needs 87, so with max_iter = 60 it is dropped and the polish runs from
+    the certified w = 0, with T(0) = eps^2 K taken without a sweep (and no
+    RuntimeWarning).  It returns the input of its last sweep: value
+    iteration's next-to-last iterate, bit for bit, whose increment to the
+    last is the final increment."""
     c = cfg2(0.2, max_iter=60)
     f = solver.solve(DISK, c)
     vi = solver.value_iteration(DISK, c)
-    assert f.values.tobytes() == vi.values.tobytes()
+    with pytest.raises(NonConvergenceError) as err:
+        solver.value_iteration(DISK, cfg2(0.2, max_iter=vi.iterations - 1))
+    assert f.values.tobytes() == err.value.field.values.tobytes()
+    assert f.final_increment == vi.final_increment == f.telemetry["residual"]
     assert f.telemetry["policy_steps"] == 0
     assert f.telemetry["matvecs"] == 60
     assert f.iterations == vi.iterations - 1
+    assert [e["phase"] for e in f.telemetry["sweep_log"]] == ["polish"] * f.iterations
 
 
 def test_solve_nonconvergence_carries_a_certified_iterate():

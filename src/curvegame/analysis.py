@@ -28,7 +28,6 @@ from .sphere import (
     delta_eps,
     equator_average,
     intersect_caps,
-    region_average,
     sphere_measure,
     theta_eps,
     theta_from_delta,
@@ -151,8 +150,8 @@ def verify_band_lemma(f, eps_list, family: str = "mirrored", N: int = 3,
         # admissible by construction; a failure here is a library bug
         assert a.measure >= half and b.measure >= half
         band = intersect_caps(a, b)
-        avg = region_average(band, f, order=order)
-        drift = region_average(band, lambda v: v[:, -1], order=order)
+        avg = band.average(f, order=order)
+        drift = band.average(lambda v: v[:, -1], order=order)
         rows.append({
             "eps": float(eps),
             "family": family,

@@ -379,8 +379,9 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         "worst_residual": worst,
     })
 
-    # solve + DPP comparison + oracle agreement
-    field = solver.value_iteration(domain, scfg)
+    # solve + DPP comparison + oracle agreement; the residual is recomputed
+    # from the field on a kernel of its own, not read off the solve
+    field = solver.solve(domain, scfg)
     residual = solver.dpp_residual(field, scfg)
     checks.append({
         "name": "dpp_residual",

@@ -15,10 +15,10 @@ the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
 runs Howard policy iteration: fix each node's cap pair (one integer, its
 pair id), solve for that linear policy's values by BiCGSTAB on sparse
 matvecs, sweep those values scaled by a fixed lam a hair below 1 for the
-next pairs, and repeat (4 to 6 sweeps).  The scaled values are a
-subsolution, which the last sweep certifies exactly, and they are the
-result; only when that check fails does a further scaling and a polish by
-the same monotone iteration follow.  One sweep kernel
+next pairs, and repeat (4 to 6 sweeps).  The last step's scaled values are
+a subsolution, which their sweep certifies exactly, and they are the result;
+when the steps stop short, the same monotone iteration polishes the last
+certified field.  One sweep kernel
 serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
 sums (circle: a sparse map to axis steps and shortest arcs; sphere: a dense
 array, one row per cap pair i <= j, applied as a BLAS product), and `maxmin`
@@ -41,7 +41,7 @@ subtracted), minima, maxima, multiplication by a positive constant, and
 addition of a constant.  Each is monotone under IEEE round-to-nearest, so
 w_{n+1} >= w_n holds bit-for-bit.  In `solve` the same holds for a polish
 chain from a certified start; the policy evaluations need no such
-property, because only the certificate vouches for what they give.
+property, because only the check of their sweep vouches for what they give.
 """
 
 from __future__ import annotations
@@ -900,6 +900,18 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
 _EVAL_TOL = 1e-9
 
 
+def _stop(domain, cfg: SolverConfig) -> float:
+    """The policy steps' stop: tol_iter * _EVAL_TOL, but no less than 8 units
+    in the last place of (K / C(N)) R^2 / (2 (N - 1)), R the domain's support
+    radius about its centre.  That is the arrival time at the centre of the
+    ball of radius R, which holds the domain, so it bounds the field; a
+    residual cannot settle much below the rounding of values that size."""
+    N = domain.dim
+    R = domain.support_radius(domain.center)
+    bound = cfg.K / sphere.constant_C(N) * R**2 / (2.0 * (N - 1))
+    return max(cfg.tol_iter * _EVAL_TOL, 8.0 * float(np.spacing(bound)))
+
+
 def _jacobi(P, u: np.ndarray, c: float, stop: float, budget: int) -> tuple:
     """u <- P u + c until the sup increment is below stop: (u, matvecs, settled)."""
     for n in range(1, budget + 1):
@@ -958,40 +970,12 @@ def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
     return x, budget, False
 
 
-def _certify(kernel: _Kernel, w: np.ndarray, Tw: np.ndarray, slack: float,
-             budget: int) -> tuple:
-    """Scale the interior values w (>= 0, with Tw = kernel.sweep of them)
-    into a subsolution lam w <= T(lam w), checked exactly.
-
-    When w <= T(w) already, lam = 1 and Tw is the check, with no sweep;
-    solve's policy steps end on such a w, swept as a scaled evaluation.
-    Otherwise, with c = eps^2 K and r = max(w - T(w))+, lam = c / (r +
-    slack + c): in exact arithmetic T(lam w) = lam T(w) + (1 - lam) c >=
-    lam w, with slack to spare against the check's rounding.  Each check is
-    one sweep, and lam's gap to 1 doubles until the check holds (lam = 0
-    always passes).  Returns (lam, lam w, T(lam w) or None if budget sweeps
-    did not certify, sweeps run).
-    """
-    if np.all(w <= Tw):
-        return 1.0, w, Tw, 0
-    c = kernel.payoff
-    r = float(np.max(w - Tw))
-    lam = min(c / (r + slack + c), 1.0 - 2.0**-53)
-    for tries in range(1, budget + 1):
-        start = lam * w
-        new = kernel.sweep(start)
-        if np.all(new >= start):
-            return lam, start, new, tries
-        lam = max(1.0 - 2.0 * (1.0 - lam), 0.0)
-    return lam, w, None, max(budget, 0)
-
-
 class _Logged:
     """A kernel's sweeps, each logged as {phase, increment, s}: the phase
     the caller last set, the sweep's sup |T(x) - x| and its seconds."""
 
     def __init__(self, kernel: _Kernel):
-        self.kernel, self.payoff = kernel, kernel.payoff
+        self.kernel = kernel
         self.phase, self.log = "policy", []
 
     def _timed(self, sweep: Callable, x: np.ndarray):
@@ -1014,35 +998,32 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     same stop rule, exit meaning and field format as value_iteration.
 
     1. Policy steps.  A sweep also returns each interior node's pair id:
-       Paul's maximizing axis and Carol's minimizing axis against it (at
-       w = 0 every pair ties, so the first policy needs no sweep).  With the
-       pairs fixed the sweep is a nonnegative substochastic linear map P;
+       Paul's maximizing axis and Carol's minimizing axis against it.  With
+       the pairs fixed the sweep is a nonnegative substochastic linear map P;
        _evaluate solves (I - P) u = c, c = eps^2 K, from the last u to a
-       sup residual below stop = tol_iter * _EVAL_TOL.  The step then sweeps
-       s = lam u for the next policy, with lam = c / (c + 2 stop) fixed.
-       The operator is positively homogeneous up to its payoff, T(lam u) =
-       lam T(u) + (1 - lam) c, so the steps end when |T(s) - s - (1 - lam)
-       c| < stop, which is |T(u) - u| < stop scaled by lam (tied pairs can
-       flip forever, so the pairs are not compared).  Then T(s) - s is
-       about stop at every node.  An evaluation that does not settle in
-       max_iter matvecs is dropped, and the last swept s goes on.
-    2. Certificate.  s is a subsolution, s <= T(s), and the last sweep
-       checks that exactly, so _certify returns s with no sweep of its own.
-       When the check fails, s is scaled further until one sweep certifies
-       it.
-    3. Polish.  Only when that took sweeps: value iteration from the
-       certified field, whose first sweep is the certificate's, with the
-       monotone check on every sweep.
+       sup residual below `_stop`.  The step then sweeps s = lam u for the
+       next policy, with lam = c / (c + 2 stop) fixed.  The operator is
+       positively homogeneous up to its payoff, T(lam u) = lam T(u) + (1 -
+       lam) c, so the steps end when |T(s) - s - (1 - lam) c| < stop, which
+       is |T(u) - u| < stop scaled by lam (tied pairs can flip forever, so
+       the pairs are not compared).  Then T(s) - s is about stop at every
+       node.  A sweep that checks s <= T(s) exactly makes (s, T(s)) the
+       certified pair; the values of earlier policies generally fail the
+       check.  The first pair is (0, T(0)): every band average of 0 is 0,
+       so T(0) = c, and every pair ties, so neither it nor the first policy
+       needs a sweep.  An evaluation that does not settle in max_iter
+       matvecs ends the steps.
+    2. Polish: value iteration from the certified pair, with the monotone
+       check on every sweep.  After a converged last step, T(s) - s is
+       below tol_iter and it runs no sweep.
 
     The result is the input of the last sweep taken: a certified
     subsolution whose sweep is its DPP residual and .final_increment, so no
-    sweep runs only to report them.  Without a certificate the result is
-    T(0), one sweep from 0, and one more sweep gives its residual.
-    max_iter caps all full sweeps (policy steps, certificate and polish);
-    .iterations counts them.  On the cap, NonConvergenceError carries the
-    last certified iterate.  The result and the error's field carry
-    .telemetry: phase times, counts, sizes, one record per sweep
-    (`sweep_log`) and the DPP residual.
+    sweep runs only to report them.  max_iter caps all full sweeps (policy
+    steps and polish); .iterations counts them.  On the cap,
+    NonConvergenceError carries the last certified iterate.  The result and
+    the error's field carry .telemetry: phase times, counts, sizes, one
+    record per sweep (`sweep_log`) and the DPP residual.
     """
     cfg = _iteration_config(cfg, domain.dim)
     # the process's first scipy import is no part of the kernel build
@@ -1050,28 +1031,24 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
 
     clock = time.perf_counter
     phase = dict.fromkeys(("kernel_build", "policy_extraction", "assembly",
-                           "evaluation", "polish", "residual"), 0.0)
+                           "evaluation", "polish"), 0.0)
     t = clock()
     field = empty_field(domain, cfg)
     kernel = _Kernel(domain, cfg, field)
     phase["kernel_build"] = clock() - t
     logged = _Logged(kernel)
     c = kernel.payoff
-    stop = cfg.tol_iter * _EVAL_TOL
+    stop = _stop(domain, cfg)
     lam = c / (c + 2.0 * stop)
 
-    # every band average of 0 is 0, so T(0) = eps^2 K exactly and every
-    # node picks the pair that the tie-break picks from all-zero rows: the
-    # first policy step needs no sweep.  T(0) ends a monotone chain from 0,
-    # the fallback certified iterate.
     m = kernel.n_interior
-    u = s = np.zeros(m)
-    Ts = certified = np.full(m, c)
+    u = v = np.zeros(m)
+    Tv = np.full(m, c)
     _, ids = kernel.bellman.maxmin(
         np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
     ids = np.repeat(ids, m)
-    n, steps, nnz_P, matvecs = 0, 0, 0, []  # matvecs: one count per evaluation
-    while n < cfg.max_iter - 1:  # keep one sweep for a certificate
+    n, nnz_P, matvecs = 0, 0, []  # matvecs: one count per evaluation
+    while n < cfg.max_iter:
         t = clock()
         P = kernel.policy_matrix(ids)
         nnz_P = P.nnz
@@ -1086,29 +1063,17 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         s = lam * u
         Ts, ids = logged.policy_sweep(s)
         n += 1
-        steps += 1
         phase["policy_extraction"] += clock() - t
+        if np.all(s <= Ts):
+            v, Tv = s, Ts
         if np.max(np.abs(Ts - s - (1.0 - lam) * c)) < stop:
             break
 
+    steps = n
     t = clock()
-    logged.phase = "certificate"
-    scale, start, first, tries = _certify(logged, s, Ts, stop, cfg.max_iter - n)
-    n += tries
-    if first is None:
-        v, increment, done = certified, c, False
-    else:
-        logged.phase = "polish"
-        v, n, increment, done = _chain(logged, start, cfg, n, first, last_input=True)
+    logged.phase = "polish"
+    v, n, increment, done = _chain(logged, v, cfg, n, Tv, last_input=True)
     phase["polish"] = clock() - t
-
-    residual = increment  # the sup of the last sweep from v, which is v's
-    if first is None:
-        t = clock()
-        logged.phase = "residual"
-        logged.sweep(v)
-        residual = logged.log[-1]["increment"]
-        phase["residual"] = clock() - t
     result = ValueField(domain, field.lo, field.h, kernel.embed(v), iterations=n,
                         final_increment=increment)
     result.telemetry = {
@@ -1116,17 +1081,17 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "policy_steps": steps,
         "matvecs": sum(matvecs),
         "evaluation_matvecs": matvecs,
-        "certificate_sweeps": tries,
-        "polish_sweeps": n - steps - tries,
+        "polish_sweeps": n - steps,
         "sweeps": n,
         "sweep_log": logged.log,
-        "one_minus_lambda": 1.0 - lam * scale,
+        "stop": stop,
         "interior": kernel.n_interior,
         "rim": int(kernel.rim.size),
         "nnz_cover": kernel.nnz_cover,
         "nnz_merged": kernel.nnz_merged,
         "nnz_P": nnz_P,
-        "residual": residual,
+        # the sup of the last sweep from v, which is v's
+        "residual": increment,
     }
     if not done:
         raise _nonconvergence("solve", cfg, result)

@@ -209,6 +209,12 @@ class CapIntersection:
         return bool(inside) if v.ndim == 1 else inside
 
     def average(self, f, order: int = 32) -> float:
+        """Average (1/sigma(region)) * integral of f over the region.
+
+        N=2 uses Gauss-Legendre per arc in angle; N=3 a product rule in
+        (azimuth, height) restricted to the region, with weights summing to
+        the region measure.  f takes an (m, N) array of unit vectors.
+        """
         nodes, weights = self.quadrature(order)
         total = float(np.sum(weights))
         if total <= 1e-14:
@@ -337,16 +343,6 @@ class CapIntersection:
 def intersect_caps(a: Cap, b: Cap) -> CapIntersection:
     """Intersection region of two caps; empty regions are representable."""
     return CapIntersection(a, b)
-
-
-def region_average(region: CapIntersection, f, order: int = 32) -> float:
-    """Average (1/sigma(region)) * integral of f over the region.
-
-    N=2 uses Gauss-Legendre per arc in angle; N=3 a product rule in
-    (azimuth, height) restricted to the region, with weights summing to the
-    region measure.  f takes an (m, N) array of unit vectors.
-    """
-    return region.average(f, order)
 
 
 def equator_average(axis, f, N: int, order: int = 64) -> float:

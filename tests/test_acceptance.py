@@ -94,8 +94,8 @@ def test_band_identity():
             band = sphere.intersect_caps(
                 sphere.Cap(axis, theta), sphere.Cap(-axis, theta)
             )
-            avg = sphere.region_average(
-                band, lambda v: np.einsum("ij,ij->i", x + eps * v, x + eps * v)
+            avg = band.average(
+                lambda v: np.einsum("ij,ij->i", x + eps * v, x + eps * v)
             )
             assert abs(avg - (float(x @ x) + eps * eps)) <= 1e-10
 

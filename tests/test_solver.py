@@ -212,8 +212,7 @@ def test_sweep_matches_literal_operator():
                 region = sphere.intersect_caps(
                     sphere.game_cap(a, c.eps), sphere.game_cap(b, c.eps)
                 )
-                avg = sphere.region_average(
-                    region,
+                avg = region.average(
                     lambda vs: solver.interpolate(f, x + c.eps * vs),
                     order=96,
                 )
@@ -636,7 +635,7 @@ def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
     f = solver.solve(domain, c)
     tel = f.telemetry
     assert len(calls) == tel["sweeps"] == tel["policy_steps"] == f.iterations
-    assert tel["certificate_sweeps"] == tel["polish_sweeps"] == 0
+    assert tel["polish_sweeps"] == 0
     assert [e["phase"] for e in tel["sweep_log"]] == ["policy"] * tel["sweeps"]
     assert np.all(solver._defect(f, c) >= 0.0)
     assert tel["residual"] == f.final_increment == solver.dpp_residual(f, c)
@@ -692,67 +691,6 @@ def test_evaluation_stops_at_its_budget():
         assert np.all(np.isfinite(x)) and x.shape == w.shape
 
 
-def test_certificate_scales_a_field_above_the_fixed_point():
-    """A hand-made w above the fixed point is no subsolution; the
-    certificate scales it by lam < 1 into one, and the polish from there is
-    an exactly monotone chain to the fixed point."""
-    c = cfg2(0.3)
-    kernel, f = _kernel_at_fixed_point(DISK, c)
-    w = 1.05 * f.values.ravel()[kernel.int_flat] + 0.01
-    Tw = kernel.sweep(w)
-    assert np.any(w > Tw)
-    lam, start, first, tries = solver._certify(kernel, w, Tw, 1e-13, 100)
-    assert 0.0 < lam < 1.0 and tries >= 1
-    assert np.array_equal(start, lam * w)
-    assert np.all(first >= start)
-    increments = []
-    u, n, inc, done = solver._chain(kernel, start, c, tries, first,
-                                    monitor=lambda n, d: increments.append(d))
-    assert done and all(d >= 0.0 for d in increments)
-    fixed = solver.solve(DISK, c).values.ravel()[kernel.int_flat]
-    assert np.all(u <= fixed + 1e-12)
-    assert np.max(fixed - u) <= 10.0 * c.tol_iter
-
-
-def test_certificate_doubles_its_gap_and_stops_at_its_budget():
-    """A negative slack makes the first lam too close to 1, so its check
-    fails; lam's gap to 1 then doubles and the second check passes.  With a
-    budget of one sweep the certificate gives up after that failed check
-    and returns w unscaled with no T; with none it runs no sweep."""
-    c = cfg2(0.3)
-    kernel, f = _kernel_at_fixed_point(DISK, c)
-    w = 1.05 * f.values.ravel()[kernel.int_flat] + 0.01
-    Tw = kernel.sweep(w)
-    r = float(np.max(w - Tw))
-    too_close = kernel.payoff / (r / 2 + kernel.payoff)
-    lam, start, first, tries = solver._certify(kernel, w, Tw, -r / 2, 100)
-    assert tries == 2
-    assert lam == pytest.approx(1.0 - 2.0 * (1.0 - too_close), abs=1e-15)
-    assert np.array_equal(start, lam * w) and np.all(first >= start)
-    lam, start, first, tries = solver._certify(kernel, w, Tw, -r / 2, 1)
-    assert first is None and tries == 1 and start is w
-    assert solver._certify(kernel, w, Tw, 1e-13, 0)[2:] == (None, 0)
-
-
-def test_solve_without_a_certificate_carries_t_of_zero(monkeypatch):
-    """When no lam certifies within the sweep budget, solve falls back to
-    the certified T(0), eps^2 K at every interior node, and raises with it."""
-    c = cfg2(0.3)
-    monkeypatch.setattr(solver, "_certify",
-                        lambda kernel, w, Tw, slack, budget: (0.5, w, None, budget))
-    with pytest.raises(NonConvergenceError) as err:
-        solver.solve(DISK, c)
-    f = err.value.field
-    payoff = c.eps**2 * c.K
-    assert np.all(f.values[f.interior_mask] == payoff)
-    assert np.all(f.values[~f.interior_mask] == 0.0)
-    assert err.value.increment == f.final_increment == payoff
-    assert err.value.iterations == f.telemetry["sweeps"] == c.max_iter
-    # T(0)'s residual takes one more sweep, logged but not counted
-    assert f.telemetry["sweep_log"][-1]["phase"] == "residual"
-    assert f.telemetry["sweep_log"][-1]["increment"] == f.telemetry["residual"]
-
-
 def test_unsettled_evaluation_falls_back_to_the_polish():
     """A policy evaluation gets max_iter matvecs.  At eps = 0.2 the first one
     needs 87, so with max_iter = 60 it is dropped and the polish runs from
@@ -783,6 +721,64 @@ def test_solve_nonconvergence_carries_a_certified_iterate():
     assert f.values.max() > 0.0
     # certified: a subsolution, so the next sweep cannot lower any node
     assert np.all(solver._defect(f, c) >= 0.0)
+
+
+def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkeypatch):
+    """The result comes from the last policy sweep that checks s <= T(s).
+    At eps = 0.3 the fourth and last sweep is the only one that does (the
+    earlier policies' values are no subsolutions).  Here it reports one node
+    below its input and the fifth evaluation does not settle, so the polish
+    runs from the certified pair (0, T(0)): its result is value iteration
+    from w = 0 after the four counted sweeps, bit for bit, and certified."""
+    c = cfg2(0.3)
+    calls = []
+    policy_sweep, evaluate = solver._Kernel.policy_sweep, solver._evaluate
+
+    def lowered(self, s):
+        Ts, ids = policy_sweep(self, s)
+        calls.append(1)
+        if len(calls) == 4:
+            Ts[0] = s[0] - 1e-3
+        return Ts, ids
+
+    def fifth_unsettled(P, w, cc, stop, budget):
+        x, used, settled = evaluate(P, w, cc, stop, budget)
+        return x, used, settled and len(calls) < 4
+
+    monkeypatch.setattr(solver._Kernel, "policy_sweep", lowered)
+    monkeypatch.setattr(solver, "_evaluate", fifth_unsettled)
+    f = solver.solve(DISK, c)
+    tel = f.telemetry
+    assert tel["policy_steps"] == 4 and tel["polish_sweeps"] >= 1
+    assert [e["phase"] for e in tel["sweep_log"]] == (
+        ["policy"] * 4 + ["polish"] * tel["polish_sweeps"])
+    kernel = solver._Kernel(DISK, c, f)
+    m = kernel.n_interior
+    u, n, increment, done = solver._chain(kernel, np.zeros(m), c, 4,
+                                          np.full(m, kernel.payoff), last_input=True)
+    assert done and n == f.iterations and increment == f.final_increment
+    assert u.tobytes() == f.values.ravel()[kernel.int_flat].tobytes()
+    assert np.all(solver._defect(f, c) >= 0.0)
+    assert tel["residual"] == f.final_increment == solver.dpp_residual(f, c)
+
+
+def test_solve_stop_is_floored_at_the_rounding_of_the_field():
+    """tol_iter * _EVAL_TOL can fall below the rounding of a residual of
+    values near 0.5, about 1e-16, where no evaluation settles and the polish
+    would do value iteration's work.  The stop is floored at 8 units in the
+    last place of the field's a-priori bound, R^2 / 2 on the unit disk, so
+    the policy steps converge as at the default tol_iter."""
+    for tol in (1e-8, 1e-12):
+        c = cfg2(0.2, tol_iter=tol)
+        f = solver.solve(DISK, c)
+        tel = f.telemetry
+        assert max(tel["evaluation_matvecs"]) < 1000
+        assert tel["polish_sweeps"] == 0 and tel["policy_steps"] <= 6
+        assert f.final_increment < c.tol_iter
+        assert np.all(solver._defect(f, c) >= 0.0)
+        assert tel["stop"] == 8.0 * np.spacing(0.5) > tol * solver._EVAL_TOL
+    c = cfg2(0.2)
+    assert solver.solve(DISK, c).telemetry["stop"] == c.tol_iter * solver._EVAL_TOL
 
 
 # ---------------------------------------------------------------------------

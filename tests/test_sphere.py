@@ -195,14 +195,14 @@ def test_empty_intersection():
 
 def test_region_average_constant_is_one():
     for r in (band([0.0, 1.0], 0.3), band([0.0, 0.0, 1.0], 0.2)):
-        assert sphere.region_average(r, lambda v: np.ones(len(v))) == pytest.approx(1.0)
+        assert r.average(lambda v: np.ones(len(v))) == pytest.approx(1.0)
 
 
 def test_region_average_odd_function_cancels():
     r = band([0.0, 1.0], 0.25)
-    assert sphere.region_average(r, lambda v: v[:, 1]) == pytest.approx(0.0, abs=1e-15)
+    assert r.average(lambda v: v[:, 1]) == pytest.approx(0.0, abs=1e-15)
     r3 = band([0.0, 0.0, 1.0], 0.25)
-    assert sphere.region_average(r3, lambda v: v[:, 2]) == pytest.approx(0.0, abs=1e-15)
+    assert r3.average(lambda v: v[:, 2]) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_band_second_moment_identity():
@@ -214,8 +214,8 @@ def test_band_second_moment_identity():
             eps = float(rng.uniform(0.01, 0.4))
             axis = rng.normal(size=N)
             r = band(axis, sphere.theta_eps(eps, N))
-            avg = sphere.region_average(
-                r, lambda v: np.einsum("ij,ij->i", x + eps * v, x + eps * v)
+            avg = r.average(
+                lambda v: np.einsum("ij,ij->i", x + eps * v, x + eps * v)
             )
             assert avg == pytest.approx(float(x @ x) + eps * eps, abs=1e-10)
 
@@ -244,7 +244,7 @@ def test_quadrature_weights_sum_to_measure():
 def test_average_on_empty_region_raises():
     r = band([0.0, 1.0], 0.0)
     with pytest.raises(DegenerateRegionError):
-        sphere.region_average(r, lambda v: np.ones(len(v)))
+        r.average(lambda v: np.ones(len(v)))
 
 
 # ---------------------------------------------------------------------------

@@ -163,20 +163,15 @@ class _GradientAxes:
         # no snap to nodes, unlike interpolate: it would move the axes, and
         # so the 3D traces, at points a rounding error off a grid line
         node, w = self.stencil(cell, u - cell)
-        g = []
-        for table in self.tables:
-            terms = w * table.take(node)
-            acc = terms[0]
-            for c in range(1, len(terms)):
-                acc = acc + terms[c]
-            g.append(acc)
-        norm = g[0] * g[0]
-        for gc in g[1:]:
-            norm = norm + gc * gc
-        norm = np.sqrt(norm)
+        # terms (corner, component, position): the corner sum runs corner by
+        # corner from -0.0, which is exactly left to right; with the corners
+        # last, one position would take numpy's pairwise order in 3D
+        terms = w[:, None] * np.stack([t.take(node) for t in self.tables], axis=1)
+        g = terms.sum(axis=0, initial=-0.0)
+        norm = np.sqrt((g * g).sum(axis=0))
         fallback = norm < 1e-10
         norm[fallback] = 1.0
-        self.key, self.last = key, (np.stack([gc / norm for gc in g], axis=1), fallback)
+        self.key, self.last = key, (np.ascontiguousarray((g / norm).T), fallback)
         return self.last
 
 

@@ -49,6 +49,7 @@ from __future__ import annotations
 import json
 import math
 import time
+import zlib
 from dataclasses import asdict, dataclass, replace
 from functools import cached_property
 from pathlib import Path
@@ -1137,11 +1138,16 @@ def _fmt(x: float) -> str:
 
 
 def save_field(field: ValueField, path, cfg: SolverConfig | None = None) -> None:
-    """Write a field as a JSON header plus a CSV of node values.
+    """Write a field as a JSON header plus a CSV of node values, and a binary
+    copy of the values for load_field.
 
     path gets the header; the values go to path with a .values.csv suffix,
     row-major, one grid row per line, floats formatted to round-trip exactly.
-    Output bytes depend only on the field and header content.
+    The header and the CSV are canonical: their bytes depend only on the
+    field and header content.  The copy, at the CSV path with a .bin suffix,
+    holds the CRC-32 of the CSV's bytes (4 bytes, little-endian), then the
+    row-major little-endian float64 values deflated by zlib at level 1; it is
+    a cache that load_field checks against the CSV, not an artifact.
     """
     path = Path(path)
     values_name = path.stem + ".values.csv"
@@ -1163,7 +1169,9 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None) -> None
         header["config"] = asdict(cfg)
     path.write_text(dumps_compact(header) + "\n")
     n = field.shape[-1]
-    with open(path.parent / values_name, "w") as fh:
+    values = path.parent / values_name
+    crc = 0
+    with open(values, "wb") as fh:
         for slab in field.values.reshape(field.shape[0], -1, n):
             flat = slab.ravel()
             # exact +0.0 (most exterior nodes) is "0" unformatted; -0.0 is
@@ -1172,31 +1180,64 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None) -> None
             keep = np.flatnonzero((flat != 0.0) | np.signbit(flat))
             for i, v in zip(keep.tolist(), flat[keep].tolist()):
                 toks[i] = _fmt(v)
-            fh.write("".join(",".join(toks[s : s + n]) + "\n"
-                             for s in range(0, flat.size, n)))
+            text = "".join(",".join(toks[s : s + n]) + "\n"
+                           for s in range(0, flat.size, n)).encode("ascii")
+            fh.write(text)
+            crc = zlib.crc32(text, crc)
+    packed = zlib.compress(field.values.astype("<f8", copy=False).tobytes(), 1)
+    values.with_suffix(".bin").write_bytes(crc.to_bytes(4, "little") + packed)
+
+
+def _load_copy(csv: bytes, copy: Path, shape: tuple) -> np.ndarray | None:
+    """The values of save_field's binary copy, or None unless the copy is
+    keyed to these CSV bytes and inflates to exactly the grid's values."""
+    try:
+        blob = copy.read_bytes()
+    except OSError:
+        return None
+    if blob[:4] != zlib.crc32(csv).to_bytes(4, "little"):
+        return None
+    size = 8 * math.prod(shape)
+    try:
+        # one output buffer of the expected size (a longer stream grows it);
+        # a negative size is a grid_shape that the CSV path rejects
+        raw = zlib.decompress(blob[4:], bufsize=max(size, 0))
+    except zlib.error:
+        return None
+    if len(raw) != size:
+        return None
+    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(shape)
 
 
 def load_field(path) -> tuple:
-    """Read a field written by save_field; returns (field, header)."""
+    """Read a field written by save_field; returns (field, header).
+
+    The CSV named by the header is canonical.  Its values come from the
+    binary copy beside it when the copy's CRC-32 matches the CSV's bytes and
+    it holds exactly grid_shape's values, and from parsing the CSV otherwise
+    (no copy, an edited CSV, a damaged copy), with the same result.
+    """
     path = Path(path)
     header = json.loads(path.read_text())
     if header.get("format") != "valuefield/1":
         raise InvalidParameterError("not a value field file")
     domain = domain_from_dict(header["domain"])
     shape = tuple(header["grid_shape"])
-    try:
-        # one C-level parse, correctly rounded like float(); a missing or
-        # non-numeric token or a ragged row raises ValueError
-        vals = np.loadtxt(path.parent / header["values_file"], delimiter=",",
-                          comments=None)
-    except ValueError as exc:
-        raise InvalidParameterError(f"{header['values_file']}: {exc}") from None
-    if vals.size != math.prod(shape):
-        raise InvalidParameterError(
-            f"{header['values_file']} holds {vals.size} values, "
-            f"grid_shape {list(shape)} needs {math.prod(shape)}"
-        )
-    vals = vals.reshape(shape)
+    values = path.parent / header["values_file"]
+    vals = _load_copy(values.read_bytes(), values.with_suffix(".bin"), shape)
+    if vals is None:
+        try:
+            # one C-level parse, correctly rounded like float(); a missing or
+            # non-numeric token or a ragged row raises ValueError
+            vals = np.loadtxt(values, delimiter=",", comments=None)
+        except ValueError as exc:
+            raise InvalidParameterError(f"{header['values_file']}: {exc}") from None
+        if vals.size != math.prod(shape):
+            raise InvalidParameterError(
+                f"{header['values_file']} holds {vals.size} values, "
+                f"grid_shape {list(shape)} needs {math.prod(shape)}"
+            )
+        vals = vals.reshape(shape)
     field = ValueField(
         domain, np.asarray(header["box_lo"], dtype=float), float(header["grid_h"]),
         vals,

@@ -518,6 +518,51 @@ def test_simulate_3d_bytes_frozen(tmp_path, monkeypatch):
     _check_frozen_simulate(tmp_path, monkeypatch, 3, 20, FROZEN_3D)
 
 
+def _save_oracle_field(dim: int) -> None:
+    """field.json in the working directory, as _check_frozen_simulate writes
+    it."""
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.1), dim)
+    oracle = analysis.BallOracle(R=1.0, L=1.0, N=dim)
+    solver.save_field(
+        solver.field_from_function(solver.unit_ball(dim), cfg, oracle.values),
+        "field.json", cfg=cfg,
+    )
+
+
+# sha256 of the canonical field files of the oracle fields above, recorded
+# before save_field wrote a binary copy beside them; the copy must not move
+# a byte of them
+FROZEN_FIELD_FILES = {
+    2: ("17414796e1dd29ddf9b5fa43a25c5db217e3969db174af18523e9486f1c567bf",
+        "4203da941613a636e650c80d331fa8105865d17ecf23a4bb377f79f0eae8a9fd"),
+    3: ("2db47065170db24c6670badaaa4b69cbbe5e8b98bccc43333aaf157226fa336c",
+        "d5a5a1699ace1e72b49be3cb9a72bdbf2a7548c076664aa6b3d257195e448357"),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_field_files_frozen(tmp_path, monkeypatch, dim):
+    monkeypatch.chdir(tmp_path)
+    _save_oracle_field(dim)
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("field.json", "field.values.csv"))
+    assert got == FROZEN_FIELD_FILES[dim]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_simulate_bytes_do_not_depend_on_the_binary_copy(tmp_path, monkeypatch,
+                                                         dim):
+    monkeypatch.chdir(tmp_path)
+    _save_oracle_field(dim)
+    argv = ["simulate", "--field", "field.json", "--n", "20", "--seed", "5",
+            "--x0=" + ",".join(["0.3"] * dim)]
+    assert run(*argv, "--out", "with") == 0
+    (tmp_path / "field.values.bin").unlink()
+    assert run(*argv, "--out", "without") == 0
+    assert (tmp_path / "with" / "estimate.json").read_bytes() == \
+           (tmp_path / "without" / "estimate.json").read_bytes()
+
+
 def _missing_value(rows):
     rows[1][0] = ""
 

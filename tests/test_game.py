@@ -142,6 +142,52 @@ def test_shared_gradient_recomputes_for_other_positions():
     assert fb.all() and np.array_equal(axes, np.tile([1.0, 0.0], (len(X), 1)))
 
 
+def _gradient_axes_by_loops(shared, X):
+    """The gradient axes summed term by term, corner after corner and then
+    component after component: the reference for _GradientAxes."""
+    u = (X - shared.lo) / shared.h
+    cell = np.minimum(u.astype(np.intp), shared.top)
+    node, w = shared.stencil(cell, u - cell)
+    g = []
+    for table in shared.tables:
+        terms = w * table.take(node)
+        acc = terms[0]
+        for c in range(1, len(terms)):
+            acc = acc + terms[c]
+        g.append(acc)
+    norm = g[0] * g[0]
+    for gc in g[1:]:
+        norm = norm + gc * gc
+    norm = np.sqrt(norm)
+    fallback = norm < 1e-10
+    norm[fallback] = 1.0
+    return np.stack([gc / norm for gc in g], axis=1), fallback
+
+
+@pytest.mark.parametrize("domain", [DISK, BALL])
+def test_gradient_axes_sum_in_loop_order(domain):
+    """The interpolated gradient has the bits of the term-by-term loops, for
+    any number of positions (one among them) and on a field of signed zeros,
+    whose corner sums are -0.0 only when summed from -0.0."""
+    r = rng(7)
+    c = solver.resolve_config(solver.SolverConfig(eps=0.3), domain.dim)
+    f = solver.field_from_function(
+        domain, c, lambda p: 1.0 - np.einsum("ij,ij->i", p, p)
+    )
+    # +0, +0, -0, -0 along the first axis: its central differences are -0.0
+    # at rows 1 and 2 mod 4, so cells from row 1 mod 4 sum -0.0 terms only
+    rows = np.arange(f.shape[0]).reshape((-1,) + (1,) * (domain.dim - 1))
+    zeros = np.broadcast_to(np.where(rows % 4 >= 2, -0.0, 0.0), f.shape)
+    for field in (f, f.copy_with(zeros)):
+        shared = game._GradientAxes(field)
+        for n in (1, 2, 3, 8, 40):
+            X = r.uniform(-0.6, 0.6, (n, domain.dim))
+            X[: n // 2] = shared.lo + shared.h * r.integers(8, 16, (n // 2, domain.dim))
+            got, want = shared(X), _gradient_axes_by_loops(shared, X)
+            assert got[0].tobytes() == want[0].tobytes()
+            assert np.array_equal(got[1], want[1])
+
+
 def test_episode_steps_lie_in_theta_eps_band():
     # every step is a direction in the band of two caps of threshold
     # theta_eps: Paul's fixed e1 and Carol's radial axis at that position

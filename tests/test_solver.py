@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -868,6 +869,19 @@ def test_load_rejects_a_grid_shape_the_values_do_not_fill(tmp_path):
         solver.load_field(path)
 
 
+def test_load_rejects_a_negative_grid_shape(tmp_path):
+    # with the binary copy in place: the copy is skipped, not an error of its
+    # own
+    path = tmp_path / "f.json"
+    f = solver.empty_field(DISK, cfg2(0.3))
+    solver.save_field(f, path)
+    header = json.loads(path.read_text())
+    header["grid_shape"] = [-f.shape[0], f.shape[1]]
+    path.write_text(json.dumps(header))
+    with pytest.raises(InvalidParameterError, match="grid_shape"):
+        solver.load_field(path)
+
+
 def test_compact_json_writes_non_finite_floats_as_json_reads_them():
     doc = {"a": [math.inf, -math.inf, math.nan, 0.1], "b": np.float64(-0.0)}
     text = solver.dumps_compact(doc)
@@ -894,6 +908,105 @@ def test_save_writes_plain_repr_and_loads_bits(tmp_path):
     assert (tmp_path / "f.values.csv").read_text() == plain
     g, _ = solver.load_field(path)
     assert g.values.tobytes() == vals.tobytes()
+
+
+def _special_field(domain, c, seed):
+    """An empty field filled with random values and the specials of
+    test_save_writes_plain_repr_and_loads_bits, -0.0 among them."""
+    f = solver.empty_field(domain, c)
+    vals = np.random.default_rng(seed).random(f.shape)
+    special = [-0.0, 5e-324, -5e-324, 1e-300, 1.7976931348623157e308, 0.0,
+               2.2250738585072014e-308, -0.0]
+    vals.ravel()[3 : 3 + len(special)] = special
+    vals.ravel()[-1] = -0.0
+    return f.copy_with(vals)
+
+
+@pytest.fixture
+def loadtxt_calls(monkeypatch):
+    """How many times load_field parsed a CSV."""
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt",
+                        lambda *a, **k: calls.append(1) or real(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_binary_copy_loads_the_csv_bits(tmp_path, loadtxt_calls, dim):
+    """The copy beside the CSV gives the bits the CSV parse gives, -0.0
+    included, without a parse; a second save writes the same copy."""
+    c = cfg2(0.3) if dim == 2 else BALL3
+    f = _special_field(solver.unit_ball(dim), c, dim)
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    solver.save_field(f, tmp_path / "g.json", cfg=c)
+    copy = tmp_path / "f.values.bin"
+    assert copy.read_bytes() == (tmp_path / "g.values.bin").read_bytes()
+    g, _ = solver.load_field(tmp_path / "f.json")
+    assert loadtxt_calls == []
+    copy.unlink()
+    h, _ = solver.load_field(tmp_path / "f.json")
+    assert loadtxt_calls == [1]
+    assert g.values.tobytes() == h.values.tobytes() == f.values.tobytes()
+    assert g.values.flags.writeable and g.values.dtype == np.float64
+
+
+def test_edited_csv_is_read_from_the_csv(tmp_path, loadtxt_calls):
+    """A CSV rewritten with other valid values no longer matches the copy's
+    key, so its own values load."""
+    c = cfg2(0.3)
+    f = _special_field(DISK, c, 1)
+    other = _special_field(DISK, c, 2)
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    solver.save_field(other, tmp_path / "o.json", cfg=c)
+    (tmp_path / "f.values.csv").write_bytes((tmp_path / "o.values.csv").read_bytes())
+    g, _ = solver.load_field(tmp_path / "f.json")
+    assert loadtxt_calls == [1]
+    assert g.values.tobytes() == other.values.tobytes()
+
+
+def _drop(blob):
+    return None
+
+
+def _truncate(blob):
+    return blob[:-20]
+
+
+def _cut_key(blob):
+    return blob[:3]
+
+
+def _garbage(blob):
+    # the right key over bytes that are no deflate stream
+    return blob[:4] + bytes(range(256)) * 8
+
+
+def _short_payload(blob):
+    # the right key over a stream one value short
+    raw = zlib.decompress(blob[4:])
+    return blob[:4] + zlib.compress(raw[:-8], 1)
+
+
+@pytest.mark.parametrize("damage", [_drop, _truncate, _cut_key, _garbage,
+                                    _short_payload])
+def test_damaged_or_missing_copy_falls_back_to_the_csv(tmp_path, loadtxt_calls,
+                                                       damage):
+    """No copy (as for a field written before copies existed), a truncated
+    one, one that does not inflate or that inflates to the wrong size: the
+    CSV is parsed and gives the saved values."""
+    c = cfg2(0.3)
+    f = _special_field(DISK, c, 3)
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    copy = tmp_path / "f.values.bin"
+    blob = damage(copy.read_bytes())
+    if blob is None:
+        copy.unlink()
+    else:
+        copy.write_bytes(blob)
+    g, _ = solver.load_field(tmp_path / "f.json")
+    assert loadtxt_calls == [1]
+    assert g.values.tobytes() == f.values.tobytes()
 
 
 def test_interior_mask_is_the_domain_test_at_the_nodes():

@@ -79,7 +79,7 @@ class McEstimate:
 
 def fixed_axis_strategy(axis) -> Strategy:
     """Always pick the cap around one fixed axis."""
-    axis = sphere.unit_vector(np.asarray(axis, dtype=float))
+    axis = sphere.unit_axes([axis])[0]
 
     def strategy(X, k: int, eps: float):
         return np.tile(axis, (len(X), 1)), np.zeros(len(X), dtype=bool)

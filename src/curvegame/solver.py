@@ -683,13 +683,14 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
 
 class _Kernel:
-    """The game operator T, in 2D and 3D: one Bellman sweep from the interior
+    """The game operator T of (domain, cfg), in 2D and 3D, on the grid
+    `grid` = empty_field(domain, cfg): one Bellman sweep from the interior
     values u, shape (n_interior,), to T(u), in blocks of nodes that keep the
     max-min in cache.  Every solve, residual and supersolution check applies
     T through `sweep`, `policy_sweep` or `policy_matrix`; no other code
-    applies it.  The DPP's u = 0 outside the domain is one fixed slot,
-    position n_interior, that every exterior node reads; grid arrays appear
-    only where a ValueField is read or built (`embed`).
+    applies it, and only `values` (which refuses a field on another grid)
+    and `field` read and write fields.  The DPP's u = 0 outside the domain
+    is one fixed slot, position n_interior, that every exterior node reads.
 
     The sample of direction q at a node is the multilinear interpolant at
     x + eps v_q: the same flat stencil offsets (the grid strides over the 2^N
@@ -701,37 +702,31 @@ class _Kernel:
     only where `holds_balls` leaves it open) then need only the merged map
     cover @ samp, which takes the gathered values straight to cover's rows
     (step sums and shortest arcs on the circle, cap-pair averages on the
-    sphere).  The other ("rim" nodes, `rim_idx`)
-    form all Q samples with samp, zero those outside the domain and apply
-    cover.  Both maps have nonnegative weights and are applied with `@`
-    (sparse on the circle, BLAS on the sphere) in an order that does not
-    depend on the data, so the sweep stays exactly monotone.
+    sphere).  The other ("rim" nodes, `rim_idx`) form all Q samples with
+    samp, zero those outside the domain and apply cover.  Both maps have
+    nonnegative weights and are applied with `@` (sparse on the circle,
+    BLAS on the sphere) in an order that does not depend on the data, so
+    the sweep stays exactly monotone.
     """
 
     BLOCK = 256
 
-    def __init__(self, domain, cfg: SolverConfig, proto: ValueField):
+    def __init__(self, domain, cfg: SolverConfig):
         from scipy import sparse
 
+        self.grid = grid = empty_field(domain, cfg)
         self.payoff = cfg.eps**2 * cfg.K  # added at every node by each sweep
         self.bellman = bell = _make_bellman(domain.dim, cfg)
-        self.int_flat = np.flatnonzero(proto.interior_mask.ravel())
-        self.shape = proto.shape
+        self.int_flat = np.flatnonzero(grid.interior_mask.ravel())
         self.n_interior = n = self.int_flat.size
-        pts = proto.node_points()[self.int_flat]
+        pts = grid.node_points()[self.int_flat]
         dim = domain.dim
         Q = bell.nodes.shape[0]
         B = self.BLOCK
-        # interior nodes sit at least pad cells from every box face, so the
-        # stencil of x + eps v is always inside the node array
-        pad = int(math.ceil(cfg.eps / proto.h)) + 1
-        gnode = np.rint((pts - proto.lo) / proto.h).astype(np.int64)
-        if np.any(gnode < pad) or np.any(gnode >= np.asarray(proto.shape) - pad):
-            raise InvalidParameterError("grid collar too small for eps step")
         step = cfg.eps * bell.nodes
-        fi = np.floor(step / proto.h).astype(np.int64)
+        fi = np.floor(step / grid.h).astype(np.int64)
         # flat offset and weight of each (direction, corner) stencil node
-        offs, w = multilinear_stencil(proto.shape)(fi, _snap(step / proto.h - fi))
+        offs, w = multilinear_stencil(grid.shape)(fi, _snap(step / grid.h - fi))
         w, offs = w.T.ravel(), offs.T.ravel()
         nz = w > 0.0
         offsets, col = np.unique(offs[nz], return_inverse=True)
@@ -758,17 +753,27 @@ class _Kernel:
         deep[near] = inside.all(axis=0)
         self.outside = ~inside[:, ~deep[near]]
         # position in u of every grid node; exterior nodes read the slot n
-        slot = np.full(math.prod(self.shape), n)
+        slot = np.full(math.prod(grid.shape), n)
         slot[self.int_flat] = np.arange(n)
         self.deep, self.rim = np.flatnonzero(deep), np.flatnonzero(~deep)
         self.deep_idx, self.rim_idx = (slot[self.int_flat[v] + offsets[:, None]]
                                        for v in (self.deep, self.rim))
 
-    def embed(self, u: np.ndarray) -> np.ndarray:
-        """Grid array holding u at the interior nodes and 0 elsewhere."""
-        vals = np.zeros(self.shape)
+    def values(self, field: ValueField) -> np.ndarray:
+        """The field's interior values; InvalidParameterError unless the
+        field has this grid's domain, lo, h and shape."""
+        g = self.grid
+        if (field.domain != g.domain or field.h != g.h or field.shape != g.shape
+                or not np.array_equal(field.lo, g.lo)):
+            raise InvalidParameterError("field is not on the grid of this domain and "
+                                        f"config (h={g.h}, shape {list(g.shape)})")
+        return field.values.ravel()[self.int_flat]
+
+    def field(self, u: np.ndarray, n: int, increment: float) -> ValueField:
+        """The field on this grid holding u inside and 0 outside."""
+        vals = np.zeros(self.grid.shape)
         vals.ravel()[self.int_flat] = u
-        return vals
+        return ValueField(self.grid.domain, self.grid.lo, self.grid.h, vals, n, increment)
 
     def _rows(self, u: np.ndarray):
         """(interior positions, cover rows of their samples), block by block."""
@@ -796,10 +801,6 @@ class _Kernel:
         for pos, R in self._rows(u):
             out[pos], ids[pos] = self.bellman.maxmin(R, policy=True)
         return out + self.payoff, ids
-
-    def defect(self, u: np.ndarray) -> np.ndarray:
-        """T(u) - u at each interior node: the signed DPP residual."""
-        return self.sweep(u) - u
 
     def policy_matrix(self, ids: np.ndarray):
         """The linear part of the sweep with each node's pair id fixed:
@@ -833,14 +834,15 @@ def _iteration_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     return cfg
 
 
-def _chain(kernel: _Kernel, u: np.ndarray, cfg: SolverConfig, n: int,
+def _chain(sweep: Callable, u: np.ndarray, cfg: SolverConfig, n: int,
            first: np.ndarray | None = None, monitor: Callable | None = None,
            last_input: bool = False) -> tuple:
-    """Monotone value iteration from the interior values u until the sup
-    increment drops below tol_iter or the sweep count n reaches max_iter.
+    """Monotone value iteration u <- sweep(u) from the interior values u
+    until the sup increment drops below tol_iter or the sweep count n
+    reaches max_iter; sweep is T, a kernel's sweep or a wrapper of it.
 
-    first, when given, is kernel.sweep(u), already run and counted in n.
-    Every sweep is checked to be node-wise >= its input.  Returns (interior
+    first, when given, is sweep(u), already run and counted in n.  Every
+    sweep is checked to be node-wise >= its input.  Returns (interior
     values of the last iterate, sweep count, last increment, converged);
     with last_input, the input of the last sweep in place of its output, so
     that the last increment is that field's DPP residual.
@@ -848,7 +850,7 @@ def _chain(kernel: _Kernel, u: np.ndarray, cfg: SolverConfig, n: int,
     increment, prev = math.inf, u
     while first is not None or n < cfg.max_iter:
         if first is None:
-            new = kernel.sweep(u)
+            new = sweep(u)
             n += 1
         else:
             new, first = first, None
@@ -873,22 +875,21 @@ def _nonconvergence(what: str, cfg: SolverConfig, last: ValueField) -> NonConver
 
 def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
                     monitor: Callable | None = None) -> ValueField:
-    """Iterate the game operator from w = 0 until the sup increment drops
-    below tol_iter.
+    """Iterate the game operator of (domain, cfg) from w = 0, or from the
+    field start, until the sup increment drops below tol_iter.
 
     Returns the converged field with .iterations and .final_increment set.
     Raises NonConvergenceError (carrying the last iterate) if max_iter sweeps
-    do not reach tol_iter.  The iteration is monotone by construction and this
-    is checked on every sweep.  This is the reference path; `solve` reaches
+    do not reach tol_iter, and InvalidParameterError if start is not on
+    cfg's grid.  The iteration is monotone by construction and this is
+    checked on every sweep.  This is the reference path; `solve` reaches
     the same fixed point in far fewer sweeps.
     """
     cfg = _iteration_config(cfg, domain.dim)
-    field = empty_field(domain, cfg) if start is None else start
-    kernel = _Kernel(domain, cfg, field)
-    u, n, increment, done = _chain(kernel, field.values.ravel()[kernel.int_flat],
-                                   cfg, 0, monitor=monitor)
-    last = ValueField(domain, field.lo, field.h, kernel.embed(u),
-                      iterations=n, final_increment=increment)
+    kernel = _Kernel(domain, cfg)
+    u = np.zeros(kernel.n_interior) if start is None else kernel.values(start)
+    u, n, increment, done = _chain(kernel.sweep, u, cfg, 0, monitor=monitor)
+    last = kernel.field(u, n, increment)
     if not done:
         raise _nonconvergence("value iteration", cfg, last)
     return last
@@ -971,32 +972,10 @@ def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
     return x, budget, False
 
 
-class _Logged:
-    """A kernel's sweeps, each logged as {phase, increment, s}: the phase
-    the caller last set, the sweep's sup |T(x) - x| and its seconds."""
-
-    def __init__(self, kernel: _Kernel):
-        self.kernel = kernel
-        self.phase, self.log = "policy", []
-
-    def _timed(self, sweep: Callable, x: np.ndarray):
-        t = time.perf_counter()
-        out = sweep(x)
-        Tx = out[0] if isinstance(out, tuple) else out
-        self.log.append({"phase": self.phase, "s": time.perf_counter() - t,
-                         "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
-        return out
-
-    def sweep(self, x: np.ndarray) -> np.ndarray:
-        return self._timed(self.kernel.sweep, x)
-
-    def policy_sweep(self, x: np.ndarray) -> tuple:
-        return self._timed(self.kernel.policy_sweep, x)
-
-
 def solve(domain, cfg: SolverConfig) -> ValueField:
-    """The DPP fixed point by policy iteration, certified by its last sweep;
-    same stop rule, exit meaning and field format as value_iteration.
+    """The DPP fixed point of the operator of (domain, cfg) by policy
+    iteration, certified by its last sweep; same stop rule, exit meaning and
+    field format (cfg's grid) as value_iteration.
 
     1. Policy steps.  A sweep also returns each interior node's pair id:
        Paul's maximizing axis and Carol's minimizing axis against it.  With
@@ -1034,10 +1013,19 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     phase = dict.fromkeys(("kernel_build", "policy_extraction", "assembly",
                            "evaluation", "polish"), 0.0)
     t = clock()
-    field = empty_field(domain, cfg)
-    kernel = _Kernel(domain, cfg, field)
+    kernel = _Kernel(domain, cfg)
     phase["kernel_build"] = clock() - t
-    logged = _Logged(kernel)
+    log = []
+
+    def logged(x: np.ndarray, policy: bool = False):
+        # a sweep or policy sweep, logged with its seconds and sup |T(x) - x|
+        t = clock()
+        out = kernel.policy_sweep(x) if policy else kernel.sweep(x)
+        Tx = out[0] if policy else out
+        log.append({"phase": "policy" if policy else "polish", "s": clock() - t,
+                    "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
+        return out
+
     c = kernel.payoff
     stop = _stop(domain, cfg)
     lam = c / (c + 2.0 * stop)
@@ -1062,7 +1050,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
             break
         t = clock()
         s = lam * u
-        Ts, ids = logged.policy_sweep(s)
+        Ts, ids = logged(s, policy=True)
         n += 1
         phase["policy_extraction"] += clock() - t
         if np.all(s <= Ts):
@@ -1072,11 +1060,9 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
 
     steps = n
     t = clock()
-    logged.phase = "polish"
     v, n, increment, done = _chain(logged, v, cfg, n, Tv, last_input=True)
     phase["polish"] = clock() - t
-    result = ValueField(domain, field.lo, field.h, kernel.embed(v), iterations=n,
-                        final_increment=increment)
+    result = kernel.field(v, n, increment)
     result.telemetry = {
         "phase_s": phase,
         "policy_steps": steps,
@@ -1084,7 +1070,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "evaluation_matvecs": matvecs,
         "polish_sweeps": n - steps,
         "sweeps": n,
-        "sweep_log": logged.log,
+        "sweep_log": log,
         "stop": stop,
         "interior": kernel.n_interior,
         "rim": int(kernel.rim.size),
@@ -1100,32 +1086,35 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
 
 
 def _defect(field: ValueField, cfg: SolverConfig) -> np.ndarray:
-    """T(u) - u at the interior nodes of the field, from one sweep; values
-    stored outside the domain are not read."""
-    kernel = _Kernel(field.domain, resolve_config(cfg, field.domain.dim), field)
-    return kernel.defect(field.values.ravel()[kernel.int_flat])
+    """T(u) - u at the field's interior nodes, T of (field.domain, cfg);
+    values stored outside the domain are not read."""
+    kernel = _Kernel(field.domain, resolve_config(cfg, field.domain.dim))
+    u = kernel.values(field)
+    return kernel.sweep(u) - u
 
 
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
     """sup over interior nodes of |field - T(field)|, where T(field) is one
-    kernel sweep of the field: the game operator at every interior node."""
+    sweep of the operator of (field.domain, cfg).  Raises
+    InvalidParameterError for a field on another grid than cfg's."""
     return float(np.max(np.abs(_defect(field, cfg)), initial=0.0))
 
 
 def check_dpp_supersolution(field: ValueField, cfg: SolverConfig,
                             slack: float = 1e-9) -> tuple:
     """Whether field >= T(field) - slack at every interior node, where
-    T(field) is one kernel sweep of the field, as in dpp_residual.
+    T(field) is one sweep, as in dpp_residual (a field on another grid is
+    refused the same way).
 
     Returns (ok, worst), where worst is the largest violation
     max(T(field) - field) over interior nodes (negative when the field is a
     strict supersolution).  Nodes outside the domain must be >= 0; they are
     stored as 0 so this holds by construction, but it is checked anyway.
     """
-    cfg = resolve_config(cfg, field.domain.dim)
+    defect = _defect(field, cfg)
     if not np.all(field.values[~field.interior_mask] >= 0.0):
         return False, math.inf
-    worst = float(np.max(_defect(field, cfg), initial=-math.inf))
+    worst = float(np.max(defect, initial=-math.inf))
     return worst <= slack, worst
 
 
@@ -1212,9 +1201,10 @@ def _load_copy(csv: bytes, copy: Path, shape: tuple) -> np.ndarray | None:
 def load_field(path) -> tuple:
     """Read a field written by save_field; returns (field, header).
 
-    The CSV named by the header is canonical.  Its values come from the
-    binary copy beside it when the copy's CRC-32 matches the CSV's bytes and
-    it holds exactly grid_shape's values, and from parsing the CSV otherwise
+    The CSV named by the header is canonical; its name must be a plain file
+    name, read from the header's folder.  Its values come from the binary
+    copy beside it when the copy's CRC-32 matches the CSV's bytes and it
+    holds exactly grid_shape's values, and from parsing the CSV otherwise
     (no copy, an edited CSV, a damaged copy), with the same result.
     """
     path = Path(path)
@@ -1223,7 +1213,10 @@ def load_field(path) -> tuple:
         raise InvalidParameterError("not a value field file")
     domain = domain_from_dict(header["domain"])
     shape = tuple(header["grid_shape"])
-    values = path.parent / header["values_file"]
+    name = header["values_file"]
+    if Path(name).name != name:
+        raise InvalidParameterError(f"values_file {name!r} is not a plain file name")
+    values = path.parent / name
     vals = _load_copy(values.read_bytes(), values.with_suffix(".bin"), shape)
     if vals is None:
         try:
@@ -1231,10 +1224,10 @@ def load_field(path) -> tuple:
             # non-numeric token or a ragged row raises ValueError
             vals = np.loadtxt(values, delimiter=",", comments=None)
         except ValueError as exc:
-            raise InvalidParameterError(f"{header['values_file']}: {exc}") from None
+            raise InvalidParameterError(f"{name}: {exc}") from None
         if vals.size != math.prod(shape):
             raise InvalidParameterError(
-                f"{header['values_file']} holds {vals.size} values, "
+                f"{name} holds {vals.size} values, "
                 f"grid_shape {list(shape)} needs {math.prod(shape)}"
             )
         vals = vals.reshape(shape)

@@ -107,12 +107,6 @@ def constant_C(N: int) -> float:
     return 0.5 * equator_average(axis, lambda v: v[:, 0] ** 2, N)
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalized copy of v (unit_axes on one row); rejects vectors too short
-    to carry a direction."""
-    return unit_axes([v])[0]
-
-
 @dataclass(frozen=True)
 class Cap:
     """The set {v in S^{N-1} : <v, axis> >= -theta}, theta in [0, 1].
@@ -163,10 +157,6 @@ def _leggauss(order: int):
     x.setflags(write=False)
     w.setflags(write=False)
     return x, w
-
-
-# Panel kinds for the N=3 height decomposition.
-_FULL, _PARTIAL = 0, 1
 
 
 @dataclass(frozen=True)
@@ -262,7 +252,10 @@ class CapIntersection:
 
     # -- N = 3: height panels ----------------------------------------------
 
+    @cached_property
     def _frame3(self):
+        """(pole, e1, e2, b3, rho, psi): cap_a's axis and a basis of its
+        equator, and cap_b's axis as height b3, radius rho and azimuth psi."""
         pole = self.cap_a.axis
         b3 = float(np.dot(pole, self.cap_b.axis))
         rho = math.sqrt(max(0.0, 1.0 - b3 * b3))
@@ -276,53 +269,43 @@ class CapIntersection:
             )
         return pole, e1, e2, b3, rho, psi
 
-    def _panels3(self):
-        """Height intervals [(lo, hi, kind), ...] over which cap_b is a full
-        circle or an analytic azimuth arc; empty intervals are dropped."""
-        tA, tB = self.cap_a.theta, self.cap_b.theta
-        _, _, _, b3, rho, _ = self._frame3()
-        lo = -tA
-        if 1.0 - abs(b3) < _ALIGNED_TOL:
-            if b3 > 0.0:
-                return [(-min(tA, tB), 1.0, _FULL)]
-            return [(lo, tB, _FULL)] if tB - lo > 1e-14 else []
-        disc = rho * math.sqrt(max(0.0, 1.0 - tB * tB))
-        roots = (-tB * b3 - disc, -tB * b3 + disc)
-        cuts = sorted({lo, 1.0} | {r for r in roots if lo < r < 1.0})
-        panels = []
-        for s, e in zip(cuts[:-1], cuts[1:]):
-            if e - s <= 1e-14:
-                continue
-            tm = 0.5 * (s + e)
-            c = (-tB - tm * b3) / (math.sqrt(1.0 - tm * tm) * rho)
-            if c >= 1.0:
-                continue  # cap_b misses this height range entirely
-            panels.append((s, e, _FULL if c <= -1.0 else _PARTIAL))
-        return panels
-
-    def _arc_halfwidth3(self, t: np.ndarray) -> np.ndarray:
-        """Azimuth half width of cap_b's slice at heights t (partial panels)."""
-        tB = self.cap_b.theta
-        _, _, _, b3, rho, _ = self._frame3()
-        c = (-tB - t * b3) / (np.sqrt(np.maximum(1.0 - t * t, 1e-300)) * rho)
-        return np.arccos(np.clip(c, -1.0, 1.0))
-
     def _quadrature3(self, order: int):
-        pole, e1, e2, _, _, psi = self._frame3()
+        """Product rule over the height panels between the cuts, on each of
+        which cap_b is a full circle or an analytic azimuth arc; empty
+        panels are dropped."""
+        tA, tB = self.cap_a.theta, self.cap_b.theta
+        pole, e1, e2, b3, rho, psi = self._frame3
+        aligned = 1.0 - abs(b3) < _ALIGNED_TOL
+        if aligned:
+            cuts = [-min(tA, tB), 1.0] if b3 > 0.0 else [-tA, tB]
+        else:
+            disc = rho * math.sqrt(max(0.0, 1.0 - tB * tB))
+            roots = (-tB * b3 - disc, -tB * b3 + disc)
+            cuts = sorted({-tA, 1.0} | {r for r in roots if -tA < r < 1.0})
         xg, wg = _leggauss(order)
         nphi_full = 2 * order
         phi_full = TWO_PI * np.arange(nphi_full) / nphi_full
         ts, phis, ws = [], [], []
-        for s, e, kind in self._panels3():
+        for s, e in zip(cuts[:-1], cuts[1:]):
+            if e - s <= 1e-14:
+                continue
+            c = -1.0
+            if not aligned:
+                tm = 0.5 * (s + e)
+                c = (-tB - tm * b3) / (math.sqrt(1.0 - tm * tm) * rho)
+                if c >= 1.0:
+                    continue  # cap_b misses this height range entirely
             t = 0.5 * (s + e) + 0.5 * (e - s) * xg
             wt = 0.5 * (e - s) * wg
-            if kind == _FULL:
+            if c <= -1.0:
                 ts.append(np.repeat(t, nphi_full))
                 phis.append(np.tile(phi_full, order))
                 ws.append(np.repeat(wt * (TWO_PI / nphi_full), nphi_full))
             else:
-                half = self._arc_halfwidth3(t)
-                # Per height, Gauss-Legendre across the azimuth arc.
+                # azimuth half width of cap_b's slice at each height, then
+                # Gauss-Legendre across the arc
+                ca = (-tB - t * b3) / (np.sqrt(np.maximum(1.0 - t * t, 1e-300)) * rho)
+                half = np.arccos(np.clip(ca, -1.0, 1.0))
                 phis.append((psi + half[:, None] * xg[None, :]).ravel())
                 ts.append(np.repeat(t, order))
                 ws.append(((wt * half)[:, None] * wg[None, :]).ravel())
@@ -353,7 +336,7 @@ def equator_average(axis, f, N: int, order: int = 64) -> float:
     (spectrally accurate on the periodic circle).
     """
     _check_dim(N)
-    axis = unit_vector(axis)
+    axis = unit_axes([axis])[0]
     if N == 2:
         p = np.array([-axis[1], axis[0]])
         pts = np.stack([p, -p])

@@ -592,6 +592,28 @@ def test_malformed_values_file_exits_one(tmp_path, corrupt):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["../x.values.csv", "absolute", "."])
+def test_values_file_outside_the_header_folder_exits_one(tmp_path, name):
+    """values_file must be a plain file name: a header naming a file in the
+    parent folder, an absolute path or "." is refused, though the file
+    named is a readable field's CSV."""
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    field = solver.empty_field(solver.unit_ball(2), cfg)
+    solver.save_field(field, tmp_path / "x.json", cfg=cfg)
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / "f.json"
+    solver.save_field(field, path, cfg=cfg)
+    header = read_json(path)
+    header["values_file"] = (str(tmp_path / "x.values.csv")
+                             if name == "absolute" else name)
+    path.write_text(json.dumps(header))
+    with pytest.raises(InvalidParameterError, match="plain file name"):
+        solver.load_field(path)
+    assert run("simulate", "--field", str(path), "--n", "5",
+               "--out", str(tmp_path / "out")) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_manifest_counts(tmp_path):
     out = tmp_path / "out"
     assert run("simulate", "--eps", "0.2", "--n", "30", "--seed", "3",

@@ -221,7 +221,7 @@ def test_sweep_matches_literal_operator():
             best = max(best, worst)
         return best + c.eps * c.eps * c.K
 
-    kernel = solver._Kernel(DISK, c, f)
+    kernel = solver._Kernel(DISK, c)
     assert kernel.deep.size > 0 and kernel.rim.size > 0
     got = kernel.sweep(f.values.ravel()[kernel.int_flat])
     pts = f.node_points()[kernel.int_flat]
@@ -329,7 +329,7 @@ def test_kernel_samples_only_near_the_boundary(domain, c):
     without sampling it; deep, rim and outside equal those of testing every
     node's Q samples against the domain."""
     f = solver.empty_field(domain, c)
-    kernel = solver._Kernel(domain, c, f)
+    kernel = solver._Kernel(domain, c)
     pts = f.node_points()[kernel.int_flat]
     step = c.eps * kernel.bellman.nodes
     deep, outside = [], []
@@ -368,12 +368,70 @@ def test_values_stored_outside_the_domain_are_not_read():
     assert solver.check_dpp_supersolution(g, c) == solver.check_dpp_supersolution(f, c)
 
 
+def _off_grid_fields():
+    """eps = 0.2 disk fields off cfg2(0.2)'s grid (h = 0.1): solved with
+    grid_h = 0.05, labelled with another domain (the disk of radius 0.9,
+    whose grid is smaller), and with lo shifted by h/2."""
+    f = solver.solve(DISK, cfg2(0.2))
+    return {
+        "grid_h": solver.solve(DISK, cfg2(0.2, grid_h=0.05)),
+        "domain": solver.ValueField(solver.Ball((0.0, 0.0), 0.9), f.lo, f.h, f.values),
+        "lo": solver.ValueField(DISK, f.lo + 0.5 * f.h, f.h, f.values),
+    }
+
+
+@pytest.mark.parametrize("case", ["grid_h", "domain", "lo"])
+def test_a_field_off_the_config_grid_is_refused(case):
+    """T is a function of (domain, cfg): the checks and a warm start refuse a
+    field on any other grid rather than apply the operator of its own."""
+    f = _off_grid_fields()[case]
+    c = solver.SolverConfig(eps=0.2)
+    with pytest.raises(InvalidParameterError):
+        solver.dpp_residual(f, c)
+    with pytest.raises(InvalidParameterError):
+        solver.check_dpp_supersolution(f, c)
+    with pytest.raises(InvalidParameterError):
+        solver.value_iteration(DISK, c, start=f)
+
+
+def test_a_field_on_another_domain_with_the_same_grid_is_no_start():
+    """A warm start must carry the domain: the ellipse with semi-axes (1, 1)
+    has the disk's grid node for node, but it is another domain."""
+    c = cfg2(0.3)
+    f = solver.value_iteration(DISK, c)
+    e = solver.ValueField(solver.Ellipse((0.0, 0.0), (1.0, 1.0)), f.lo, f.h, f.values)
+    assert solver.empty_field(e.domain, c).values.shape == f.shape
+    assert np.array_equal(solver.empty_field(e.domain, c).lo, f.lo)
+    with pytest.raises(InvalidParameterError):
+        solver.value_iteration(DISK, c, start=e)
+
+
+@pytest.mark.parametrize("copy", [True, False])
+def test_a_saved_field_is_checked_on_the_same_operator(tmp_path, copy):
+    """A field read back by load_field, with the config from its header,
+    passes the grid check after the %.17g round trip of lo, h and the
+    domain, from the binary copy or from the CSV: its residual and
+    supersolution check equal the solved field's bit for bit."""
+    c = cfg2(0.2)
+    f = solver.solve(DISK, c)
+    solver.save_field(f, tmp_path / "f.json", cfg=c)
+    if not copy:
+        (tmp_path / "f.values.bin").unlink()
+    g, header = solver.load_field(tmp_path / "f.json")
+    cg = solver.SolverConfig(**header["config"])
+    assert solver.dpp_residual(g, cg) == solver.dpp_residual(f, c)
+    assert solver.check_dpp_supersolution(g, cg) == solver.check_dpp_supersolution(f, c)
+    one = solver.SolverConfig(**{**header["config"], "max_iter": 1})
+    assert solver.value_iteration(g.domain, one, start=g).values.tobytes() == \
+        solver.value_iteration(DISK, one, start=f).values.tobytes()
+
+
 def test_constant_field_is_near_fixed_point_shift():
     # band averages of a constant equal the constant, so at every deep node
     # one sweep adds exactly eps^2 K on top of it
     c = cfg2(0.25)
     f = solver.field_from_function(DISK, c, lambda p: np.full(len(p), 0.7))
-    kernel = solver._Kernel(DISK, c, f)
+    kernel = solver._Kernel(DISK, c)
     rhs = kernel.sweep(f.values.ravel()[kernel.int_flat])[kernel.deep]
     assert rhs.size > 0
     assert rhs == pytest.approx(0.7 + c.eps**2 * c.K, abs=1e-12)
@@ -458,7 +516,7 @@ BALL3 = solver.resolve_config(
 
 def _kernel_at_fixed_point(domain, c):
     f = solver.value_iteration(domain, c)
-    return solver._Kernel(domain, c, f), f
+    return solver._Kernel(domain, c), f
 
 
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)),
@@ -535,7 +593,7 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
     (M, M, m) gather form bit for bit, with and without policy; and every
     pair row is a nonnegative average (weights summing to 1)."""
     ball = solver.unit_ball(3)
-    kernel = solver._Kernel(ball, BALL3, solver.empty_field(ball, BALL3))
+    kernel = solver._Kernel(ball, BALL3)
     bell = kernel.bellman
     assert isinstance(bell.cover, np.ndarray) and bell.cover.min() >= 0.0
     assert np.max(np.abs(bell.cover.sum(axis=1) - 1.0)) <= 1e-14
@@ -573,7 +631,7 @@ import hashlib, numpy as np
 from curvegame import solver
 ball = solver.unit_ball(3)
 c = solver.resolve_config(solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
-kernel = solver._Kernel(ball, c, solver.empty_field(ball, c))
+kernel = solver._Kernel(ball, c)
 u = np.random.default_rng(3).random(kernel.n_interior)
 digest = hashlib.sha256()
 for _, R in kernel._rows(u):
@@ -646,7 +704,7 @@ def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
 def _first_policy_matrix(c):
     """The kernel at eps and the policy matrix of solve's first step: the
     pairs that the tie-break picks from all-zero rows."""
-    kernel = solver._Kernel(DISK, c, solver.empty_field(DISK, c))
+    kernel = solver._Kernel(DISK, c)
     _, ids = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
     return kernel, kernel.policy_matrix(np.repeat(ids, kernel.n_interior))
 
@@ -753,9 +811,9 @@ def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkey
     assert tel["policy_steps"] == 4 and tel["polish_sweeps"] >= 1
     assert [e["phase"] for e in tel["sweep_log"]] == (
         ["policy"] * 4 + ["polish"] * tel["polish_sweeps"])
-    kernel = solver._Kernel(DISK, c, f)
+    kernel = solver._Kernel(DISK, c)
     m = kernel.n_interior
-    u, n, increment, done = solver._chain(kernel, np.zeros(m), c, 4,
+    u, n, increment, done = solver._chain(kernel.sweep, np.zeros(m), c, 4,
                                           np.full(m, kernel.payoff), last_input=True)
     assert done and n == f.iterations and increment == f.final_increment
     assert u.tobytes() == f.values.ravel()[kernel.int_flat].tobytes()

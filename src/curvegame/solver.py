@@ -12,10 +12,11 @@ all cap pairs.  T maps the values at the interior nodes to new ones; every
 exterior node reads one fixed slot that holds the 0, whatever a stored field
 holds there.  Two solvers find the fixed point of T.  `value_iteration`,
 the reference, sweeps w <- T(w) from w = 0, about eps^-2 sweeps.  `solve`
-runs Howard policy iteration: fix each node's cap pair (one integer, its
+runs Howard policy iteration: take the first pairs from one sweep of the
+enclosing ball's arrival time, fix each node's cap pair (one integer, its
 pair id), solve for that linear policy's values by BiCGSTAB on sparse
 matvecs, sweep those values scaled by a fixed lam a hair below 1 for the
-next pairs, and repeat (4 to 6 sweeps).  The last step's scaled values are
+next pairs, and repeat (3 to 7 sweeps).  The last step's scaled values are
 a subsolution, which their sweep certifies exactly, and they are the result;
 when the steps stop short, the same monotone iteration polishes the last
 certified field.  One sweep kernel
@@ -902,15 +903,23 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
 _EVAL_TOL = 1e-9
 
 
+def _ball_time(domain, cfg: SolverConfig, x: np.ndarray) -> np.ndarray:
+    """(K / C(N)) (R^2 - |x - c|^2) / (2 (N - 1)) at the rows of x: the
+    arrival time of the ball about the domain's centre c whose radius R is
+    the domain's support radius about c.  That ball holds the domain, so
+    this bounds the field, and its optimal cap pairs are radial."""
+    N = domain.dim
+    d = x - np.asarray(domain.center)
+    R = domain.support_radius(domain.center)
+    return cfg.K / sphere.constant_C(N) * (R**2 - sphere.row_dot(d, d)) / (2.0 * (N - 1))
+
+
 def _stop(domain, cfg: SolverConfig) -> float:
     """The policy steps' stop: tol_iter * _EVAL_TOL, but no less than 8 units
-    in the last place of (K / C(N)) R^2 / (2 (N - 1)), R the domain's support
-    radius about its centre.  That is the arrival time at the centre of the
-    ball of radius R, which holds the domain, so it bounds the field; a
-    residual cannot settle much below the rounding of values that size."""
-    N = domain.dim
-    R = domain.support_radius(domain.center)
-    bound = cfg.K / sphere.constant_C(N) * R**2 / (2.0 * (N - 1))
+    in the last place of the ball's arrival time at its centre, which bounds
+    the field (`_ball_time`); a residual cannot settle much below the
+    rounding of values that size."""
+    bound = _ball_time(domain, cfg, np.asarray(domain.center))
     return max(cfg.tol_iter * _EVAL_TOL, 8.0 * float(np.spacing(bound)))
 
 
@@ -977,6 +986,11 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     iteration, certified by its last sweep; same stop rule, exit meaning and
     field format (cfg's grid) as value_iteration.
 
+    0. Seed: one policy sweep of b, the ball's arrival time of
+       `_ball_time`, gives the first policy; only its pair ids are used.
+       b's optimal pairs are radial, so this policy is near-optimal where
+       the domain is near that ball, and policy iteration converges fast
+       from a near-optimal policy (Puterman and Brumelle 1979).
     1. Policy steps.  A sweep also returns each interior node's pair id:
        Paul's maximizing axis and Carol's minimizing axis against it.  With
        the pairs fixed the sweep is a nonnegative substochastic linear map P;
@@ -990,17 +1004,16 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
        node.  A sweep that checks s <= T(s) exactly makes (s, T(s)) the
        certified pair; the values of earlier policies generally fail the
        check.  The first pair is (0, T(0)): every band average of 0 is 0,
-       so T(0) = c, and every pair ties, so neither it nor the first policy
-       needs a sweep.  An evaluation that does not settle in max_iter
-       matvecs ends the steps.
+       so T(0) = c needs no sweep.  An evaluation that does not settle in
+       max_iter matvecs ends the steps.
     2. Polish: value iteration from the certified pair, with the monotone
        check on every sweep.  After a converged last step, T(s) - s is
        below tol_iter and it runs no sweep.
 
     The result is the input of the last sweep taken: a certified
     subsolution whose sweep is its DPP residual and .final_increment, so no
-    sweep runs only to report them.  max_iter caps all full sweeps (policy
-    steps and polish); .iterations counts them.  On the cap,
+    sweep runs only to report them.  max_iter caps all full sweeps (seed,
+    policy steps and polish); .iterations counts them.  On the cap,
     NonConvergenceError carries the last certified iterate.  The result and
     the error's field carry .telemetry: phase times, counts, sizes, one
     record per sweep (`sweep_log`) and the DPP residual.
@@ -1017,12 +1030,14 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     phase["kernel_build"] = clock() - t
     log = []
 
-    def logged(x: np.ndarray, policy: bool = False):
-        # a sweep or policy sweep, logged with its seconds and sup |T(x) - x|
+    def logged(x: np.ndarray, step: str = "polish"):
+        # a sweep ("polish") or a policy sweep ("seed", "policy"), logged
+        # with its seconds and sup |T(x) - x|
         t = clock()
-        out = kernel.policy_sweep(x) if policy else kernel.sweep(x)
-        Tx = out[0] if policy else out
-        log.append({"phase": "policy" if policy else "polish", "s": clock() - t,
+        polish = step == "polish"
+        out = kernel.sweep(x) if polish else kernel.policy_sweep(x)
+        Tx = out if polish else out[0]
+        log.append({"phase": step, "s": clock() - t,
                     "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
         return out
 
@@ -1033,10 +1048,11 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     m = kernel.n_interior
     u = v = np.zeros(m)
     Tv = np.full(m, c)
-    _, ids = kernel.bellman.maxmin(
-        np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
-    ids = np.repeat(ids, m)
-    n, nnz_P, matvecs = 0, 0, []  # matvecs: one count per evaluation
+    t = clock()
+    _, ids = logged(_ball_time(domain, cfg, kernel.grid.node_points()[kernel.int_flat]),
+                    "seed")
+    phase["policy_extraction"] += clock() - t
+    n, nnz_P, matvecs = 1, 0, []  # matvecs: one count per evaluation
     while n < cfg.max_iter:
         t = clock()
         P = kernel.policy_matrix(ids)
@@ -1050,7 +1066,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
             break
         t = clock()
         s = lam * u
-        Ts, ids = logged(s, policy=True)
+        Ts, ids = logged(s, "policy")
         n += 1
         phase["policy_extraction"] += clock() - t
         if np.all(s <= Ts):
@@ -1058,7 +1074,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         if np.max(np.abs(Ts - s - (1.0 - lam) * c)) < stop:
             break
 
-    steps = n
+    steps = n - 1
     t = clock()
     v, n, increment, done = _chain(logged, v, cfg, n, Tv, last_input=True)
     phase["polish"] = clock() - t
@@ -1068,7 +1084,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "policy_steps": steps,
         "matvecs": sum(matvecs),
         "evaluation_matvecs": matvecs,
-        "polish_sweeps": n - steps,
+        "polish_sweeps": n - 1 - steps,
         "sweeps": n,
         "sweep_log": log,
         "stop": stop,

@@ -315,7 +315,8 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
                                    "evaluation", "polish"}
     assert all(v >= 0.0 for v in tel["phase_s"].values())
     assert tel["sweeps"] == manifest["iterations"]
-    assert tel["sweeps"] == tel["policy_steps"] + tel["polish_sweeps"]
+    # the seed sweep, one policy sweep per evaluation, the polish
+    assert tel["sweeps"] == 1 + tel["policy_steps"] + tel["polish_sweeps"]
     assert 1 <= tel["policy_steps"] <= 10 and tel["matvecs"] > 0
     # one count per policy evaluation
     assert len(tel["evaluation_matvecs"]) == tel["policy_steps"]
@@ -324,8 +325,10 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     assert tel["stop"] == manifest["config"]["tol_iter"] * 1e-9
     # one record per sweep run, the last one from the result
     assert len(tel["sweep_log"]) == tel["sweeps"]
-    assert all(e["phase"] in {"policy", "polish"}
+    assert all(e["phase"] in {"seed", "policy", "polish"}
                and e["increment"] >= 0.0 and e["s"] > 0.0 for e in tel["sweep_log"])
+    assert [e["phase"] for e in tel["sweep_log"]].count("seed") == 1
+    assert tel["sweep_log"][0]["phase"] == "seed"
     assert tel["sweep_log"][-1]["increment"] == manifest["residual"]
     assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
     assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0

@@ -657,11 +657,14 @@ def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
 
 
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)), (DISK, cfg2(0.2)),
-                                       (DISK, cfg2(0.1)), (solver.unit_ball(3), BALL3)])
+                                       (DISK, cfg2(0.1)), (solver.unit_ball(3), BALL3),
+                                       (solver.Ellipse((0.0, 0.0), (1.0, 0.5)), cfg2(0.2)),
+                                       _NEAR_BOUNDARY_CASES[6]])
 def test_solve_lands_on_the_fixed_point(domain, c):
     """solve ends on the DPP fixed point, above value iteration's field by
     at most value iteration's own stop deficit, in far fewer sweeps, and
-    reruns are byte-identical.  A sweep contracts by about 1 - O(eps^2), so
+    reruns are byte-identical; also on ellipses, where the seed's ball
+    about the centre is not the domain (the 3D one is off the origin).  A sweep contracts by about 1 - O(eps^2), so
     that deficit, tol_iter over one minus the rate, grows like eps^-2; at
     eps = 0.1 it is 13.6 tol_iter."""
     f = solver.solve(domain, c)
@@ -682,9 +685,9 @@ def test_solve_lands_on_the_fixed_point(domain, c):
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)), (DISK, cfg2(0.2)),
                                        (DISK, cfg2(0.1)), (solver.unit_ball(3), BALL3)])
 def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
-    """A converged solve runs its policy sweeps and no other: the last one
-    certifies its input, which is the result, and that sweep's sup
-    increment is the field's final increment and DPP residual."""
+    """A converged solve runs its seed sweep and its policy sweeps and no
+    other: the last one certifies its input, which is the result, and that
+    sweep's sup increment is the field's final increment and DPP residual."""
     calls = []
     for name in ("sweep", "policy_sweep"):
         def counted(self, u, _run=getattr(solver._Kernel, name)):
@@ -693,24 +696,40 @@ def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
         monkeypatch.setattr(solver._Kernel, name, counted)
     f = solver.solve(domain, c)
     tel = f.telemetry
-    assert len(calls) == tel["sweeps"] == tel["policy_steps"] == f.iterations
+    assert len(calls) == tel["sweeps"] == 1 + tel["policy_steps"] == f.iterations
     assert tel["polish_sweeps"] == 0
-    assert [e["phase"] for e in tel["sweep_log"]] == ["policy"] * tel["sweeps"]
+    assert [e["phase"] for e in tel["sweep_log"]] == ["seed"] + ["policy"] * tel["policy_steps"]
     assert np.all(solver._defect(f, c) >= 0.0)
     assert tel["residual"] == f.final_increment == solver.dpp_residual(f, c)
     assert tel["sweep_log"][-1]["increment"] == tel["residual"]
 
 
+@pytest.mark.parametrize("domain, c, sweeps", [(DISK, cfg2(0.3), 3), (DISK, cfg2(0.2), 3),
+                                               (DISK, cfg2(0.1), 3),
+                                               (solver.unit_ball(3), BALL3, 4)])
+def test_solve_sweep_counts_are_pinned(domain, c, sweeps):
+    """solve's first policy comes from the sweep of the enclosing ball's
+    arrival time, whose optimal pairs are radial; from there two policy
+    steps settle the disk and three the 3D ball.  A start from the pairs
+    that the tie-break picks from all-zero rows takes 4, 5, 5 and 5 sweeps
+    on these configs, so losing the seed fails this test."""
+    f = solver.solve(domain, c)
+    assert f.iterations == f.telemetry["sweeps"] == sweeps
+    assert f.telemetry["sweep_log"][0]["phase"] == "seed"
+
+
 def _first_policy_matrix(c):
-    """The kernel at eps and the policy matrix of solve's first step: the
-    pairs that the tie-break picks from all-zero rows."""
+    """The kernel at eps and the policy matrix of the pairs that the
+    tie-break picks from all-zero rows: one arbitrary cap pair at every
+    node, a harder evaluation than that of solve's first policy, which
+    comes from its seed sweep."""
     kernel = solver._Kernel(DISK, c)
     _, ids = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
     return kernel, kernel.policy_matrix(np.repeat(ids, kernel.n_interior))
 
 
 def test_evaluation_lands_where_jacobi_does():
-    """BiCGSTAB on the first policy at eps = 0.2 settles with its true sup
+    """BiCGSTAB on the tie-break policy at eps = 0.2 settles with its true sup
     residual below stop, within 1e-12 of a long Jacobi run, in fewer
     matvecs than Jacobi needs for the same stop."""
     c = cfg2(0.2)
@@ -751,23 +770,26 @@ def test_evaluation_stops_at_its_budget():
 
 
 def test_unsettled_evaluation_falls_back_to_the_polish():
-    """A policy evaluation gets max_iter matvecs.  At eps = 0.2 the first one
-    needs 87, so with max_iter = 60 it is dropped and the polish runs from
-    the certified w = 0, with T(0) = eps^2 K taken without a sweep (and no
-    RuntimeWarning).  It returns the input of its last sweep: value
-    iteration's next-to-last iterate, bit for bit, whose increment to the
-    last is the final increment."""
-    c = cfg2(0.2, max_iter=60)
+    """A policy evaluation gets max_iter matvecs.  At eps = 0.2 and
+    tol_iter = 0.004 the first one, after the seed sweep, needs 38, and
+    value iteration converges in 30 sweeps; so with max_iter = 34 it is
+    dropped and the polish runs from the certified w = 0, with T(0) =
+    eps^2 K taken without a sweep (and no RuntimeWarning).  It returns the
+    input of its last sweep: value iteration's next-to-last iterate, bit for
+    bit, whose increment to the last is the final increment; the seed sweep
+    takes the place of value iteration's first in the count."""
+    c = cfg2(0.2, tol_iter=0.004, max_iter=34)
     f = solver.solve(DISK, c)
     vi = solver.value_iteration(DISK, c)
     with pytest.raises(NonConvergenceError) as err:
-        solver.value_iteration(DISK, cfg2(0.2, max_iter=vi.iterations - 1))
+        solver.value_iteration(DISK, cfg2(0.2, tol_iter=0.004, max_iter=vi.iterations - 1))
     assert f.values.tobytes() == err.value.field.values.tobytes()
     assert f.final_increment == vi.final_increment == f.telemetry["residual"]
     assert f.telemetry["policy_steps"] == 0
-    assert f.telemetry["matvecs"] == 60
-    assert f.iterations == vi.iterations - 1
-    assert [e["phase"] for e in f.telemetry["sweep_log"]] == ["polish"] * f.iterations
+    assert f.telemetry["matvecs"] == 34
+    assert f.iterations == vi.iterations
+    assert [e["phase"] for e in f.telemetry["sweep_log"]] == (
+        ["seed"] + ["polish"] * (f.iterations - 1))
 
 
 def test_solve_nonconvergence_carries_a_certified_iterate():
@@ -784,11 +806,13 @@ def test_solve_nonconvergence_carries_a_certified_iterate():
 
 def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkeypatch):
     """The result comes from the last policy sweep that checks s <= T(s).
-    At eps = 0.3 the fourth and last sweep is the only one that does (the
-    earlier policies' values are no subsolutions).  Here it reports one node
-    below its input and the fifth evaluation does not settle, so the polish
-    runs from the certified pair (0, T(0)): its result is value iteration
-    from w = 0 after the four counted sweeps, bit for bit, and certified."""
+    At eps = 0.3 the second and last policy sweep, the third sweep after the
+    seed's, is the only one that does (the first policy's values are no
+    subsolution; the seed sweep's input is not checked).  Here it reports
+    one node below its input and the third evaluation does not settle, so
+    the polish runs from the certified pair (0, T(0)): its result is value
+    iteration from w = 0 after the three counted sweeps, bit for bit, and
+    certified."""
     c = cfg2(0.3)
     calls = []
     policy_sweep, evaluate = solver._Kernel.policy_sweep, solver._evaluate
@@ -796,24 +820,24 @@ def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkey
     def lowered(self, s):
         Ts, ids = policy_sweep(self, s)
         calls.append(1)
-        if len(calls) == 4:
+        if len(calls) == 3:
             Ts[0] = s[0] - 1e-3
         return Ts, ids
 
-    def fifth_unsettled(P, w, cc, stop, budget):
+    def third_unsettled(P, w, cc, stop, budget):
         x, used, settled = evaluate(P, w, cc, stop, budget)
-        return x, used, settled and len(calls) < 4
+        return x, used, settled and len(calls) < 3
 
     monkeypatch.setattr(solver._Kernel, "policy_sweep", lowered)
-    monkeypatch.setattr(solver, "_evaluate", fifth_unsettled)
+    monkeypatch.setattr(solver, "_evaluate", third_unsettled)
     f = solver.solve(DISK, c)
     tel = f.telemetry
-    assert tel["policy_steps"] == 4 and tel["polish_sweeps"] >= 1
+    assert tel["policy_steps"] == 2 and tel["polish_sweeps"] >= 1
     assert [e["phase"] for e in tel["sweep_log"]] == (
-        ["policy"] * 4 + ["polish"] * tel["polish_sweeps"])
+        ["seed"] + ["policy"] * 2 + ["polish"] * tel["polish_sweeps"])
     kernel = solver._Kernel(DISK, c)
     m = kernel.n_interior
-    u, n, increment, done = solver._chain(kernel.sweep, np.zeros(m), c, 4,
+    u, n, increment, done = solver._chain(kernel.sweep, np.zeros(m), c, 3,
                                           np.full(m, kernel.payoff), last_input=True)
     assert done and n == f.iterations and increment == f.final_increment
     assert u.tobytes() == f.values.ravel()[kernel.int_flat].tobytes()

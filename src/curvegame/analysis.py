@@ -83,20 +83,6 @@ class BallOracle:
         return math.sqrt(max(0.0, self.R**2 - 2.0 * (self.N - 1) * t / self.L))
 
 
-def supersolution_bound(x, R: float, L: float, N: int) -> float:
-    """Quadratic upper barrier L(R^2 - |x|^2)/(2(N-1)); needs L > 1.
-
-    With L > 1 and the domain strictly inside B_R the barrier is a strict
-    supersolution of the dynamic programming step, which is what makes it a
-    uniform upper bound for the monotone iterates.
-    """
-    if not L > 1.0:
-        raise InvalidParameterError(
-            "supersolution bound requires L > 1; the barrier is not strict otherwise"
-        )
-    return BallOracle(R=R, L=L, N=N).value(x)
-
-
 # ---------------------------------------------------------------------------
 # band-average lemma
 

@@ -226,8 +226,7 @@ class _Streams:
 
 
 def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
-          payoff_k: float | None, seed: int | None, indices,
-          max_rounds: int) -> list:
+          payoff_k: float | None, seed: int | None, indices) -> list:
     """Play one episode per generator in lockstep; Episodes in rngs' order."""
     x0 = np.asarray(x0, dtype=float)
     if not domain.contains(x0):
@@ -265,9 +264,9 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
             active, x = active[inside], x[inside]
             if not active.size:
                 break
-        if k >= max_rounds:
+        if k >= ROUND_CAP:
             raise RunawayEpisodeError(
-                f"episode exceeded {max_rounds} rounds without exiting"
+                f"episode exceeded {ROUND_CAP} rounds without exiting"
             )
     rows = np.concatenate([r for r, _ in log])
     order = np.argsort(rows, kind="stable")
@@ -282,17 +281,16 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
 
 def play_episode(x0, sp: Strategy, sc: Strategy, eps: float, domain, rng,
                  *, payoff_k: float | None = None, seed: int | None = None,
-                 index: int | None = None,
-                 max_rounds: int = ROUND_CAP) -> Episode:
+                 index: int | None = None) -> Episode:
     """Play one game from x0 until the position exits the domain.
 
     Every step has length exactly eps (|v| = 1 by construction).  Payoff is
     eps^2 * K * tau with K defaulting to constant_C(N).  Raises
-    RunawayEpisodeError if max_rounds is reached, which signals a
+    RunawayEpisodeError if ROUND_CAP is reached, which signals a
     mis-specified strategy rather than a long game.
     """
     return _play(x0, sp, sc, eps, domain, [rng], payoff_k=payoff_k,
-                 seed=seed, indices=[index], max_rounds=max_rounds)[0]
+                 seed=seed, indices=[index])[0]
 
 
 def _episode_rng(seed: int, index: int):
@@ -302,30 +300,25 @@ def _episode_rng(seed: int, index: int):
 
 
 def run_episodes(x0, sp: Strategy, sc: Strategy, n: int, eps: float, domain,
-                 seed: int, *, threads: int = 1,
-                 payoff_k: float | None = None) -> list:
+                 seed: int, *, payoff_k: float | None = None) -> list:
     """n independent episodes on counter-derived streams; order-stable output.
 
     Episode i always uses the stream split (seed, i), so its result does not
-    depend on n.  The episodes run in lockstep in the calling thread; threads
-    is accepted for compatibility and changes nothing.
+    depend on n.  The episodes run in lockstep in the calling thread.
     """
     if n < 1:
         raise InvalidParameterError("need at least one episode")
     return _play(x0, sp, sc, eps, domain,
                  [_episode_rng(seed, i) for i in range(n)],
-                 payoff_k=payoff_k, seed=seed, indices=range(n),
-                 max_rounds=ROUND_CAP)
+                 payoff_k=payoff_k, seed=seed, indices=range(n))
 
 
 def estimate_value(x0, sp: Strategy, sc: Strategy, n: int, eps: float,
-                   domain, seed: int, *, threads: int = 1,
-                   payoff_k: float | None = None) -> McEstimate:
+                   domain, seed: int, *, payoff_k: float | None = None) -> McEstimate:
     """Monte Carlo estimate of the expected payoff from x0."""
     if n < 2:
         raise InvalidParameterError("n must be at least 2 for a stderr")
-    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed,
-                            threads=threads, payoff_k=payoff_k)
+    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed, payoff_k=payoff_k)
     payoffs = np.array([e.payoff for e in episodes])
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n))
@@ -334,8 +327,7 @@ def estimate_value(x0, sp: Strategy, sc: Strategy, n: int, eps: float,
 
 def martingale_diagnostic(x0, z, sc: Strategy | None = None,
                           sp: Strategy | None = None, n: int = 1000,
-                          eps: float = 0.1, domain=None, seed: int = 0,
-                          *, threads: int = 1) -> dict:
+                          eps: float = 0.1, domain=None, seed: int = 0) -> dict:
     """Check the submartingale structure of |x_k - z|^2 - eps^2 k empirically.
 
     Carol defaults to radial_exit_strategy(z) and Paul to its mirror (the
@@ -348,12 +340,14 @@ def martingale_diagnostic(x0, z, sc: Strategy | None = None,
     """
     if domain is None:
         raise InvalidParameterError("domain is required")
+    if n < 2:
+        raise InvalidParameterError("n must be at least 2 for a stderr")
     z = np.asarray(z, dtype=float)
     if sc is None:
         sc = radial_exit_strategy(z)
     if sp is None:
         sp = mirrored_strategy(sc)
-    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed, threads=threads)
+    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed)
 
     increments = []
     for e in episodes:

@@ -923,25 +923,14 @@ def _stop(domain, cfg: SolverConfig) -> float:
     return max(cfg.tol_iter * _EVAL_TOL, 8.0 * float(np.spacing(bound)))
 
 
-def _jacobi(P, u: np.ndarray, c: float, stop: float, budget: int) -> tuple:
-    """u <- P u + c until the sup increment is below stop: (u, matvecs, settled)."""
-    for n in range(1, budget + 1):
-        new = P @ u
-        new += c
-        increment = float(np.max(np.abs(new - u)))
-        u = new
-        if increment < stop:
-            return u, n, True
-    return u, budget, False
-
-
 def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
     """Solve (I - P) x = c 1 by BiCGSTAB (van der Vorst 1992) from x = w until
-    the true sup residual |c - (x - P x)|, what a _jacobi increment measures,
-    is below stop; the recurrence restarts from it while it is not.  Inner
-    products are numpy reductions, not BLAS dot, so x does not depend on
-    threads.  On a breakdown (rho, r.v, t.t or omega 0 or not finite) _jacobi
-    spends the rest of the budget.  Returns (x, matvecs, settled) as _jacobi."""
+    the true sup residual |c - (x - P x)| is below stop; the recurrence
+    restarts from it while it is not.  Inner products are numpy reductions,
+    not BLAS dot, so x does not depend on threads.  Returns (x, matvecs,
+    settled): settled is False when budget matvecs run out first or on a
+    breakdown (rho, r.v, t.t or omega 0 or not finite), which returns the
+    last iterate and the matvecs spent."""
     sup = lambda a: float(np.max(np.abs(a)))
     bad = lambda z: not (z and math.isfinite(z))
     x, used = w, 0
@@ -954,14 +943,14 @@ def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
         while used < budget and sup(r) >= stop:
             rho, last = float((rhat * r).sum()), rho
             if bad(rho):
-                break
+                return x, used, False
             p = r + (rho / last * alpha / omega) * (p - omega * v)
             v = p - P @ p
             used += 1
             rv = float((rhat * v).sum())
             alpha = rho / rv if rv else 0.0
             if bad(alpha):
-                break
+                return x, used, False
             x = x + alpha * p
             r = r - alpha * v
             if used == budget or sup(r) < stop:
@@ -971,13 +960,9 @@ def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
             tt = float((t * t).sum())
             omega = float((t * r).sum()) / tt if tt else 0.0
             if bad(omega):
-                break
+                return x, used, False
             x = x + omega * r
             r = r - omega * t
-        else:
-            continue
-        x, more, settled = _jacobi(P, x, c, stop, budget - used)
-        return x, used + more, settled
     return x, budget, False
 
 
@@ -1004,8 +989,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
        node.  A sweep that checks s <= T(s) exactly makes (s, T(s)) the
        certified pair; the values of earlier policies generally fail the
        check.  The first pair is (0, T(0)): every band average of 0 is 0,
-       so T(0) = c needs no sweep.  An evaluation that does not settle in
-       max_iter matvecs ends the steps.
+       so T(0) = c needs no sweep.  An evaluation that does not settle
+       (max_iter matvecs spent, or a BiCGSTAB breakdown) ends the steps.
     2. Polish: value iteration from the certified pair, with the monotone
        check on every sweep.  After a converged last step, T(s) - s is
        below tol_iter and it runs no sweep.

@@ -44,6 +44,7 @@ TWO_PI = 2.0 * math.pi
 # 1 - |cos| ~ 1e-12 corresponds to an angle of ~1.4e-6 rad.
 _ALIGNED_TOL = 1e-12
 
+# Attempts per row before the S^2 band draw raises SamplingFailureError.
 _REJECTION_ATTEMPT_BOUND = 10 ** 6
 
 
@@ -141,12 +142,6 @@ class Cap:
         return bool(inside) if v.ndim == 1 else inside
 
 
-def game_cap(axis, eps: float) -> Cap:
-    """Admissible cap for a game step: measure = half sphere + delta_eps."""
-    axis = np.asarray(axis, dtype=float)
-    return Cap(axis, theta_eps(eps, axis.shape[0]))
-
-
 @lru_cache(maxsize=64)
 def _leggauss(order: int):
     x, w = np.polynomial.legendre.leggauss(order)
@@ -217,14 +212,14 @@ class CapIntersection:
             return self._quadrature2(order)
         return self._quadrature3(order)
 
-    def sample(self, rng, attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
+    def sample(self, rng) -> np.ndarray:
         """One uniform draw from the region: sample_bands on one row."""
         if self.is_empty:
             raise DegenerateRegionError("cannot sample a ~zero measure region")
         a, b = self.cap_a, self.cap_b
         width = band_draw_width(self.dim)
         return sample_bands(a.axis[None, :], b.axis[None, :], a.theta, b.theta,
-                            lambda rows: rng.random((1, width)), attempt_bound)[0]
+                            lambda rows: rng.random((1, width)))[0]
 
     # -- N = 2: explicit arcs ---------------------------------------------
 
@@ -390,7 +385,7 @@ def in_bands(v: np.ndarray, a: np.ndarray, b: np.ndarray,
 
 
 def sample_bands(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
-                 draw, attempt_bound: int = _REJECTION_ATTEMPT_BOUND) -> np.ndarray:
+                 draw) -> np.ndarray:
     """One uniform draw from each band {v : <v, a_i> >= -theta_a, <v, b_i> >= -theta_b}.
 
     a, b are (m, N) unit axes and theta_a, theta_b in [0, 1].  draw(rows)
@@ -409,7 +404,7 @@ def sample_bands(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
     """
     if a.shape[1] == 2:
         return _sample_arcs(a, b, theta_a, theta_b, draw(np.arange(len(a)))[:, 0])
-    return _sample_caps3(a, b, theta_a, theta_b, draw, attempt_bound)
+    return _sample_caps3(a, b, theta_a, theta_b, draw)
 
 
 def _arc_rows(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float):
@@ -472,12 +467,12 @@ def _orthobases(axes: np.ndarray):
 
 
 def _sample_caps3(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
-                  draw, attempt_bound: int) -> np.ndarray:
+                  draw) -> np.ndarray:
     e1, e2 = _orthobases(a)
     out = np.empty_like(a)
     rows = np.arange(len(a))
     n = _BAND_BLOCK
-    for _ in range(max(1, attempt_bound // n)):
+    for _ in range(max(1, _REJECTION_ATTEMPT_BOUND // n)):
         u = draw(rows)
         t = u[:, :n] * (1.0 + theta_a) - theta_a
         phi = TWO_PI * u[:, n:]
@@ -494,16 +489,8 @@ def _sample_caps3(a: np.ndarray, b: np.ndarray, theta_a: float, theta_b: float,
         if not rows.size:
             return out
     raise SamplingFailureError(
-        f"no accepted sample in {attempt_bound} attempts; region nearly degenerate"
+        f"no accepted sample in {_REJECTION_ATTEMPT_BOUND} attempts; region nearly degenerate"
     )
-
-
-def circle_axes(M: int) -> np.ndarray:
-    """M equispaced unit vectors on the circle, first one at angle 0."""
-    if M < 1:
-        raise InvalidParameterError("need at least one axis")
-    ang = TWO_PI * np.arange(M) / M
-    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
 def fibonacci_axes(M: int) -> np.ndarray:

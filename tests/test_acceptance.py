@@ -1,25 +1,27 @@
 """End-to-end acceptance gate, one test per advertised guarantee.
 
-The module fixture solves the unit-disk problem once at eps in
-{0.2, 0.1, 0.05} with the default 2D grid law h = (eps/2) min(1,
+The module fixture solves the unit-disk problem once, with `solver.solve`,
+at eps in {0.2, 0.1, 0.05} with the default 2D grid law h = (eps/2) min(1,
 sqrt(eps/0.2)), i.e. h = eps/2, eps/(2 sqrt 2) and eps/4, and 64 axes;
-every test reuses those fields.
+every test reuses those fields, which sit on the DPP fixed point to rounding.
 
 The oracle-convergence gate is green through that grid law.  Multilinear
 interpolation biases the fixed point by O(h^2/eps^2) of the value; at a
 fixed h = eps/2 that deficit does not shrink with eps and the sup error
 grows along the sweep, while under the law it falls like eps.
 
-The game-vs-DPP gate is red, for one measured cause, the discretization:
-the game (which plays continuum steps) lands at 0.5084 +- 0.0007 at the
-centre, while the grid gives 0.4741, 0.4852, 0.4964 and 0.5007 at
-h/eps = 1/2, 1/2.83, 1/4 and 1/6; the gap shrinks only about linearly in
-h/eps, so the test's ~0.002 tolerance needs about h = eps/20 or a sharper
-monotone scheme.  Its assertions state the intended contract and stay as
-they are.
+The game-vs-DPP gate is red, for one measured cause, the discretization.
+It plays at eps = 0.1 against the field on the law's grid h = eps/(2 sqrt 2).
+The game (which plays continuum steps) lands at 0.5084 +- 0.0007 at the
+centre, where that field reads 0.4852: multilinear interpolation reads a
+concave field low, and the rim smears the jump from u >= eps^2 K inside to
+0 outside.  At the five gate points the game and the field differ by 0.015
+to 0.023, against tolerances (3 stderr + tol_iter) of 0.0018 to 0.0020.
+The gap shrinks only about linearly in h/eps, so that tolerance needs about
+h = eps/20 or a sharper monotone scheme.  Its assertions state the intended
+contract and stay as they are.
 """
 
-import os
 import time
 from dataclasses import replace
 
@@ -32,14 +34,12 @@ from curvegame.errors import NonConvergenceError
 EPS_SWEEP = (0.2, 0.1, 0.05)
 DISK = solver.unit_ball(2)
 ORACLE = analysis.BallOracle(R=1.0, L=1.0, N=2)
-THREADS = os.cpu_count() or 1
 
 
 class Sweep:
     def __init__(self):
         self.field = {}
         self.cfg = {}
-        self.increments = {}
         self.seconds = {}
 
 
@@ -48,15 +48,11 @@ def sweep():
     out = Sweep()
     for eps in EPS_SWEEP:
         cfg = solver.resolve_config(solver.SolverConfig(eps=eps), 2)
-        inc: list = []
         t0 = time.perf_counter()
-        field = solver.value_iteration(
-            DISK, cfg, monitor=lambda n, d, inc=inc: inc.append(d)
-        )
+        field = solver.solve(DISK, cfg)
         out.seconds[eps] = time.perf_counter() - t0
         out.field[eps] = field
         out.cfg[eps] = cfg
-        out.increments[eps] = inc
     return out
 
 
@@ -133,10 +129,15 @@ def test_monotone_iterates_bounded(sweep):
             break
     else:
         pytest.fail("coarse run did not converge in 500 sweeps")
-    # the production sweeps report nonnegative sup increments throughout,
-    # and every iterate stays below the strict supersolution
+    # a production-size value iteration reports nonnegative signed sup
+    # increments max(new - u) throughout (solve's sweep_log holds |T(x) - x|,
+    # nonnegative by construction), and every solved field stays below the
+    # strict supersolution
+    increments = []
+    solver.value_iteration(DISK, sweep.cfg[0.2],
+                           monitor=lambda n, d: increments.append(d))
+    assert increments and all(d >= 0.0 for d in increments)
     for eps in EPS_SWEEP:
-        assert all(d >= 0.0 for d in sweep.increments[eps])
         barrier = barrier_field(sweep.cfg[eps])
         assert np.all(sweep.field[eps].values <= barrier.values)
 
@@ -167,7 +168,6 @@ def test_game_value_matches_dpp(sweep):
     for i, x0 in enumerate(points):
         est = game.estimate_value(
             np.array(x0), sp, sc, 10_000, eps, DISK, seed=1000 + i,
-            threads=THREADS,
         )
         u = solver.interpolate(f, np.array(x0))
         gaps.append((x0, abs(est.mean - u), 3.0 * est.stderr + cfg.tol_iter))
@@ -190,7 +190,7 @@ def test_martingale_diagnostics(sweep):
     for name, sp in pauls.items():
         r = game.martingale_diagnostic(
             (0.3, 0.0), (0.0, 0.0), sp=sp, n=400, eps=0.1, domain=DISK,
-            seed=7, threads=THREADS,
+            seed=7,
         )
         assert r["increment_pass"], (name, r["increment_mean"],
                                      r["increment_threshold"])

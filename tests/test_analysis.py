@@ -55,21 +55,18 @@ def test_oracle_validation():
 
 
 def test_supersolution_bound():
+    # the quadratic barrier L (R^2 - |x|^2) / (2 (N - 1)), a strict
+    # supersolution for L > 1 on a domain inside B_R
     x = np.array([0.3, 0.0])
-    b1 = analysis.supersolution_bound(x, R=2.0, L=2.0, N=2)
-    b2 = analysis.supersolution_bound(x, R=2.0, L=3.0, N=2)
+    b1 = analysis.BallOracle(R=2.0, L=2.0, N=2).value(x)
+    b2 = analysis.BallOracle(R=2.0, L=3.0, N=2).value(x)
     assert 0.0 < b1 < b2  # monotone in the source constant
-    with pytest.raises(InvalidParameterError):
-        analysis.supersolution_bound(x, R=2.0, L=1.0, N=2)
 
 
 def test_supersolution_dominates_converged_field():
     cfg = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
     f = solver.value_iteration(DISK, cfg)
-    pts = f.node_points()
-    bound = np.array([
-        analysis.supersolution_bound(p, R=2.0, L=2.0, N=2) for p in pts
-    ]).reshape(f.shape)
+    bound = analysis.BallOracle(R=2.0, L=2.0, N=2).values(f.node_points()).reshape(f.shape)
     # only interior nodes: box corners fall outside B_R where the barrier
     # goes negative while the field is pinned at zero
     inner = f.interior_mask

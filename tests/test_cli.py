@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvegame import analysis, cli, solver
+from curvegame import analysis, cli, game, solver, sphere
 from curvegame.errors import InvalidParameterError
 
 
@@ -79,6 +79,25 @@ def test_unknown_config_keys_exit_one(tmp_path):
     for doc, flags in [(workloads.BALL3_CONFIG, []), (readme, ["--eps", "0.5"])]:
         cfg.write_text(json.dumps(doc))
         assert run("solve", "--config", str(cfg), *flags, "--out", str(out)) == 0
+
+
+def test_traced_bench_patches_and_restores_the_layers():
+    """bench/tracing.py's instrument reads every callable it wraps when it is
+    entered, so a deleted or renamed one would fail every traced bench op."""
+    spec = importlib.util.spec_from_file_location(
+        "tracing", Path(__file__).resolve().parents[1] / "bench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    owners = (solver, game, sphere, sphere.CapIntersection)
+    before = [dict(vars(owner)) for owner in owners]
+    with tracing.instrument(tracing.Tracer(), solver, game, sphere):
+        patched = any(vars(owner)[name] is not fn
+                      for owner, was in zip(owners, before) for name, fn in was.items())
+    assert patched
+    for owner, was in zip(owners, before):
+        now = vars(owner)
+        assert now.keys() == was.keys()
+        assert all(now[name] is fn for name, fn in was.items()), owner
 
 
 def test_config_keys_each_command_reads_are_accepted(tmp_path):
@@ -667,6 +686,16 @@ def test_simulate_diagnostic_mode(tmp_path):
         assert key in rep
     assert rep["mode"] == "diagnostic"
     assert rep["n"] == 50
+
+
+def test_simulate_diagnostic_needs_two_episodes(tmp_path, recwarn):
+    # one episode has no stderr: refused before anything is computed or written
+    out = tmp_path / "out"
+    code = run("simulate", "--mode", "diagnostic", "--eps", "0.2", "--n", "1",
+               "--out", str(out))
+    assert code == 1
+    assert not (out / "diagnostic.json").exists()
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
 
 def test_simulate_fixed_axis_needs_axis(tmp_path):

@@ -257,15 +257,13 @@ def test_episode_validation():
         game.play_episode(np.zeros(2), s, s, 0.0, DISK, rng())
 
 
-def test_runaway_episode_raises():
+def test_runaway_episode_raises(monkeypatch):
     # mirrored strategies keep the walk unbiased, so three rounds of a
     # 0.01 step cannot reach the boundary from the center
+    monkeypatch.setattr(game, "ROUND_CAP", 3)
     s = game.fixed_axis_strategy([1.0, 0.0])
     with pytest.raises(RunawayEpisodeError):
-        game.play_episode(
-            np.zeros(2), s, game.mirrored_strategy(s), 0.01, DISK, rng(),
-            max_rounds=3,
-        )
+        game.play_episode(np.zeros(2), s, game.mirrored_strategy(s), 0.01, DISK, rng())
 
 
 def test_episode_json_dict():
@@ -293,16 +291,13 @@ def test_payoff_k_override():
 # batches
 
 
-def test_run_episodes_deterministic_and_thread_invariant():
+def test_run_episodes_deterministic():
     args = (np.zeros(2), game.fixed_axis_strategy([1.0, 0.0]),
             game.radial_exit_strategy([0.0, 0.0]), 40, 0.1, DISK, 17)
     a = game.run_episodes(*args)
     b = game.run_episodes(*args)
-    c = game.run_episodes(*args, threads=4)
     for x, y in zip(a, b):
         assert np.array_equal(x.positions, y.positions)
-    for x, y in zip(a, c):
-        assert x.payoff == y.payoff and np.array_equal(x.positions, y.positions)
 
 
 def test_episode_streams_are_independent_of_batch_size():
@@ -315,16 +310,13 @@ def test_episode_streams_are_independent_of_batch_size():
         assert np.array_equal(x.positions, y.positions)
 
 
-def test_run_episodes_deterministic_and_thread_invariant_3d():
+def test_run_episodes_deterministic_3d():
     args = (np.zeros(3), game.fixed_axis_strategy([1.0, 0.0, 0.0]),
             game.radial_exit_strategy([0.0, 0.0, 0.0]), 20, 0.2, BALL, 17)
     a = game.run_episodes(*args)
     b = game.run_episodes(*args)
-    c = game.run_episodes(*args, threads=4)
     for x, y in zip(a, b):
         assert np.array_equal(x.positions, y.positions)
-    for x, y in zip(a, c):
-        assert x.payoff == y.payoff and np.array_equal(x.positions, y.positions)
 
 
 def test_episode_streams_are_independent_of_batch_size_3d():
@@ -357,6 +349,8 @@ def test_estimate_value_needs_two_episodes():
         game.estimate_value(np.zeros(2), s, s, 1, 0.1, DISK, seed=0)
     with pytest.raises(InvalidParameterError):
         game.run_episodes(np.zeros(2), s, s, 0, 0.1, DISK, 0)
+    with pytest.raises(InvalidParameterError):
+        game.martingale_diagnostic(np.zeros(2), np.zeros(2), n=1, domain=DISK)
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,12 @@ def cfg2(eps, **kw):
     return solver.resolve_config(solver.SolverConfig(eps=eps, **kw), 2)
 
 
+def circle_axes(M):
+    """The circle Bellman's M axes: axis k at angle 2 pi k / M."""
+    ang = 2.0 * math.pi * np.arange(M) / M
+    return np.stack([np.cos(ang), np.sin(ang)], axis=1)
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -203,16 +209,15 @@ def test_sweep_matches_literal_operator():
     f = solver.field_from_function(
         DISK, c, lambda p: 0.5 * (1.0 - np.einsum("ij,ij->i", p, p))
     )
-    axes = sphere.circle_axes(8)
+    axes = circle_axes(8)
+    theta = sphere.theta_eps(c.eps, 2)
 
     def literal(x):
         best = -math.inf
         for a in axes:
             worst = math.inf
             for b in axes:
-                region = sphere.intersect_caps(
-                    sphere.game_cap(a, c.eps), sphere.game_cap(b, c.eps)
-                )
+                region = sphere.intersect_caps(sphere.Cap(a, theta), sphere.Cap(b, theta))
                 avg = region.average(
                     lambda vs: solver.interpolate(f, x + c.eps * vs),
                     order=96,
@@ -240,7 +245,7 @@ def test_circle_reduce_matches_cell_coverage(M, Q, eps):
     V = np.random.default_rng(M + Q).random((Q, 4))
     dphi = 2.0 * math.pi / Q
     left = dphi * (np.arange(Q) - 0.5)  # cell q spans [left[q], left[q] + dphi)
-    axes = sphere.circle_axes(M)
+    axes = circle_axes(M)
     avg = np.empty((M, M, V.shape[1]))
     for i in range(M):
         for j in range(M):
@@ -730,33 +735,41 @@ def _first_policy_matrix(c):
 
 def test_evaluation_lands_where_jacobi_does():
     """BiCGSTAB on the tie-break policy at eps = 0.2 settles with its true sup
-    residual below stop, within 1e-12 of a long Jacobi run, in fewer
-    matvecs than Jacobi needs for the same stop."""
+    residual below stop, within 1e-12 of a long Jacobi run u <- P u + c, in
+    fewer matvecs than Jacobi needs for the same stop."""
     c = cfg2(0.2)
     kernel, P = _first_policy_matrix(c)
     stop = c.tol_iter * solver._EVAL_TOL
     w = np.zeros(kernel.n_interior)
+
+    def jacobi(stop):
+        # (u, matvecs) once the sup increment is below stop
+        u = w
+        for n in range(1, c.max_iter + 1):
+            new = P @ u + kernel.payoff
+            increment = np.max(np.abs(new - u))
+            u = new
+            if increment < stop:
+                return u, n
+        pytest.fail(f"Jacobi did not settle below {stop} in {c.max_iter} matvecs")
+
     x, used, settled = solver._evaluate(P, w, kernel.payoff, stop, c.max_iter)
     assert settled and 0 < used
     assert np.max(np.abs(kernel.payoff - (x - P @ x))) < stop
-    ref, jacobi, done = solver._jacobi(P, w, kernel.payoff, 1e-16, c.max_iter)
-    assert done and np.max(np.abs(x - ref)) <= 1e-12
-    assert used < solver._jacobi(P, w, kernel.payoff, stop, c.max_iter)[1]
+    assert np.max(np.abs(x - jacobi(1e-16)[0])) <= 1e-12
+    assert used < jacobi(stop)[1]
 
 
-def test_evaluation_breakdown_falls_back_to_jacobi():
+def test_evaluation_breakdown_returns_unsettled():
     """For P = [[0, 2], [0, 0]] from x = 0, r = (1, 1) and r.(I - P) r = 0:
-    BiCGSTAB breaks down after one matvec past the residual's, and Jacobi
-    reaches the solution (3, 1) in three more."""
+    BiCGSTAB breaks down after one matvec past the residual's and returns
+    its iterate unsettled, for solve to end the policy steps."""
     from scipy import sparse
 
     P = sparse.csr_matrix(np.array([[0.0, 2.0], [0.0, 0.0]]))
     with np.errstate(all="raise"):
         x, used, settled = solver._evaluate(P, np.zeros(2), 1.0, 1e-12, 100)
-    assert settled and used == 5
-    assert np.array_equal(x, [3.0, 1.0])
-    # the same breakdown with too little budget left for Jacobi
-    assert solver._evaluate(P, np.zeros(2), 1.0, 1e-12, 4)[1:] == (4, False)
+    assert np.array_equal(x, [0.0, 0.0]) and (used, settled) == (2, False)
 
 
 def test_evaluation_stops_at_its_budget():

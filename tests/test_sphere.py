@@ -134,7 +134,7 @@ def test_game_cap_measure_margin():
         for N in (2, 3):
             axis = np.zeros(N)
             axis[0] = 1.0
-            cap = sphere.game_cap(axis, eps)
+            cap = sphere.Cap(axis, sphere.theta_eps(eps, N))
             margin = cap.measure - 0.5 * sphere.sphere_measure(N)
             assert margin == pytest.approx(sphere.delta_eps(eps), rel=1e-12)
 
@@ -271,11 +271,12 @@ def test_sample_empty_region_raises():
         band([0.0, 1.0], 0.0).sample(rng)
 
 
-def test_sample3_nearly_degenerate_raises():
+def test_sample3_nearly_degenerate_raises(monkeypatch):
+    monkeypatch.setattr(sphere, "_REJECTION_ATTEMPT_BOUND", 512)
     rng = np.random.default_rng(0)
     thin = band([0.0, 0.0, 1.0], 1e-9)
     with pytest.raises((SamplingFailureError, DegenerateRegionError)):
-        thin.sample(rng, attempt_bound=512)
+        thin.sample(rng)
 
 
 def test_circle_sampler_uniform_chi_squared():
@@ -310,10 +311,10 @@ def test_sphere_sampler_mean_height_symmetric():
 # batch band draws
 
 
-def sample_bands(a, b, theta, rng, **kw):
+def sample_bands(a, b, theta, rng):
     width = sphere.band_draw_width(a.shape[1])
     return sphere.sample_bands(
-        a, b, theta, theta, lambda rows: rng.random((len(rows), width)), **kw
+        a, b, theta, theta, lambda rows: rng.random((len(rows), width))
     )
 
 
@@ -425,28 +426,19 @@ def test_sample_bands_streams_are_per_row():
     assert np.array_equal(full[3:], part)
 
 
-def test_sample_bands_degenerate_raise():
+def test_sample_bands_degenerate_raise(monkeypatch):
+    monkeypatch.setattr(sphere, "_REJECTION_ATTEMPT_BOUND", 256)
     rng = np.random.default_rng(0)
     # theta = 0 and opposite axes: the band is a point pair on the circle
     # and the equator on the sphere
     with pytest.raises(DegenerateRegionError):
         sample_bands(np.array([[0.0, 1.0]]), np.array([[0.0, -1.0]]), 0.0, rng)
     with pytest.raises(SamplingFailureError):
-        sample_bands(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]),
-                     0.0, rng, attempt_bound=256)
+        sample_bands(np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, -1.0]]), 0.0, rng)
 
 
 # ---------------------------------------------------------------------------
 # axis families
-
-
-def test_circle_axes_structure():
-    M = 16
-    ax = sphere.circle_axes(M)
-    assert ax.shape == (M, 2)
-    assert np.allclose(np.linalg.norm(ax, axis=1), 1.0, atol=1e-14)
-    # antipodal pairing: axis k + M/2 is the negation of axis k
-    assert np.allclose(ax[M // 2:], -ax[: M // 2], atol=1e-12)
 
 
 def test_fibonacci_axes_structure():
@@ -461,6 +453,6 @@ def test_fibonacci_axes_structure():
 
 def test_axis_count_validation():
     with pytest.raises(InvalidParameterError):
-        sphere.circle_axes(0)
+        sphere.fibonacci_axes(0)
     with pytest.raises(InvalidParameterError):
         sphere.fibonacci_axes(-1)

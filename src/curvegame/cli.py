@@ -233,6 +233,10 @@ def _strategy(name: str, cfg: dict, field, domain, player: str):
 
 
 def cmd_simulate(cfg: dict, out: Path) -> int:
+    n = cfg.get("n", 1000)
+    if n < 2:
+        # one episode has no stderr: refused before anything is read or played
+        raise InvalidParameterError("n must be at least 2 for a stderr")
     field = None
     header = None
     if cfg.get("field"):
@@ -244,7 +248,6 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         raise InvalidParameterError("config needs eps")
     eps = float(cfg["eps"])
     seed = cfg.get("seed", 0)
-    n = cfg.get("n", 1000)
     mode = cfg.get("mode", "estimate")
     x0 = _point(cfg.get("x0", [0.0] * domain.dim), domain.dim, "x0")
 
@@ -282,7 +285,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     wall = time.perf_counter() - t0
     payoffs = np.array([e.payoff for e in episodes])
     mean = float(np.mean(payoffs))
-    stderr = float(np.std(payoffs, ddof=1) / np.sqrt(n)) if n > 1 else 0.0
+    stderr = float(np.std(payoffs, ddof=1) / np.sqrt(n))
     fallbacks = int(sum(e.fallbacks for e in episodes))
     artifact = {
         "mode": "estimate",

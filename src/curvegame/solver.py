@@ -21,12 +21,13 @@ a subsolution, which their sweep certifies exactly, and they are the result;
 when the steps stop short, the same monotone iteration polishes the last
 certified field.  One sweep kernel
 serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
-sums (circle: a sparse map to axis steps and shortest arcs; sphere: a dense
-array, one row per cap pair i <= j, applied as a BLAS product), and `maxmin`
-turns those into max over Paul's axes of min over Carol's axes and, for the
-policy steps, into the id of the pair that attains it.  For nodes whose
-samples all lie in the domain, `cover` is merged with the interpolation
-weights into one map of the gathered node values.
+sums (circle: a sparse map to axis steps and shortest arcs; sphere: one row
+per cap pair i <= j, stored per Paul axis i on cap i's support only and
+applied as one BLAS product per axis), and `maxmin` turns those into max
+over Paul's axes of min over Carol's axes and, for the policy steps, into
+the id of the pair that attains it.  For nodes whose samples all lie in the
+domain, `cover` is merged with the interpolation weights into one map of
+the gathered node values.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -573,6 +574,65 @@ class _CircleBellman:
         return R
 
 
+class _PairTable:
+    """A nonnegative map of n_cols columns, stored as row blocks, each on its
+    own columns.
+
+    `blocks` yields pairs (block, cols), taken one at a time: the block
+    holds the map's next block.shape[0] rows on the columns cols only, and
+    the rest of those rows is 0.  `table @ V` is one BLAS product (GEMM) per
+    block on V's rows cols, written into the block's rows of the result;
+    `table[ids]` gives the rows ids as a dense (ids.size, n_cols) array.
+
+    OpenBLAS may split a product across threads, and for some shapes that
+    changes the order of its sums.  With OpenBLAS 0.3.31 on a 2-core x86-64
+    machine, every product tried gave the same bytes at one and two threads
+    when its column count was a multiple of 8 and its inner dimension was at
+    most 384 or a multiple of 32; other shapes often did not.  So V's
+    columns are padded with zeros to a multiple of 8, and a block on more
+    than 384 columns is padded to a multiple of 32 with zero weights on
+    column n_cols, a zero row appended to V.
+    """
+
+    def __init__(self, blocks, n_cols: int):
+        self.blocks, self.cols = [], []
+        for block, cols in blocks:
+            if cols.size > 384 and cols.size % 32:
+                pad = -cols.size % 32
+                block = np.pad(block, ((0, 0), (0, pad)))
+                cols = np.pad(cols, (0, pad), constant_values=n_cols)
+            self.blocks.append(np.ascontiguousarray(block))
+            self.cols.append(cols)
+        self.stops = np.cumsum([b.shape[0] for b in self.blocks])
+        self.shape = (int(self.stops[-1]), n_cols)
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes stored: the blocks and their column indices."""
+        return sum(b.nbytes + c.nbytes for b, c in zip(self.blocks, self.cols))
+
+    def count_nonzero(self) -> int:
+        return sum(int(np.count_nonzero(b)) for b in self.blocks)
+
+    def __matmul__(self, V: np.ndarray) -> np.ndarray:
+        n = V.shape[1]
+        X = np.zeros((V.shape[0] + 1, n + -n % 8))
+        X[:-1, :n] = V
+        R = np.empty((self.shape[0], X.shape[1]))
+        for block, cols, stop in zip(self.blocks, self.cols, self.stops):
+            np.matmul(block, X[cols], out=R[stop - block.shape[0] : stop])
+        return R[:, :n]
+
+    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
+        which = np.searchsorted(self.stops, ids, side="right")
+        out = np.zeros((ids.size, self.shape[1] + 1))
+        for b in np.unique(which):
+            at = np.flatnonzero(which == b)
+            block = self.blocks[b]
+            out[at[:, None], self.cols[b]] = block[ids[at] - (self.stops[b] - block.shape[0])]
+        return out[:, :-1]
+
+
 class _SphereBellman:
     """max-min of cap-pair averages on a shared product grid over S^2.
 
@@ -581,12 +641,14 @@ class _SphereBellman:
     cap edge (linear ramp across one cell) so that averages vary smoothly as
     caps rotate; memberships stay in [0, 1].
 
-    `cover` is a dense (M(M+1)/2, Q) array, filled one cap i at a time, with
-    one row per cap pair (i, j), i <= j, in row-major order: the band average
-    sum_q member_i member_j w_q V_q / denom_ij, with denom_ij = sum_q
-    member_i member_j w_q.  A third or more of its weights are nonzero, so a
-    BLAS product beats a sparse one.  `maxmin` reads pair (j, i) from row (i, j)
-    and takes the min over Carol's j one Paul row i at a time (an (M, M, m)
+    `cover` is a _PairTable with one row per cap pair (i, j), i <= j, in
+    row-major order: the band average sum_q member_i member_j w_q V_q /
+    denom_ij, with denom_ij = sum_q member_i member_j w_q.  Those rows are
+    zero wherever member_i is, so Paul's axis i has one block, its rows
+    (i, j >= i), stored on cap i's support alone (54-69% of the Q nodes; the
+    blocks take 57-62% of the dense table's bytes at the 3D configs
+    measured).  `maxmin` reads pair (j, i) from row (i, j) and
+    takes the min over Carol's j one Paul row i at a time (an (M, M, m)
     gather would take MBs per block), then the max over Paul's i.  Every
     weight is nonnegative and nothing is subtracted, so the map from samples
     to result is monotone exactly in floating point.
@@ -628,14 +690,18 @@ class _SphereBellman:
         upper = np.triu_indices(M)
         self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> row of cover
         self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
-        self.cover = np.empty((upper[0].size, wq.size))
-        for i in range(M):
-            block = self.cover[self.pair[i, i] : self.pair[i, M - 1] + 1]  # (i, j >= i)
-            np.multiply(self.member[i] * wq, self.member[i:], out=block)
-            denom = block.sum(axis=1)
-            if not np.all(denom > 1e-12):
-                raise InvalidParameterError("degenerate cap pair on the quadrature grid")
-            block /= denom[:, None]
+        self.cover = _PairTable(map(self._pair_block, range(M)), wq.size)
+
+    def _pair_block(self, i: int) -> tuple:
+        """Paul axis i's rows (i, j >= i) of cover on cap i's support, and
+        that support."""
+        cap = np.flatnonzero(self.member[i] > 0.0)
+        block = self.member[i, cap] * self.weights[cap] * self.member[i:, cap]
+        denom = block.sum(axis=1)
+        if not np.all(denom > 1e-12):
+            raise InvalidParameterError("degenerate cap pair on the quadrature grid")
+        block /= denom[:, None]
+        return block, cap
 
     def maxmin(self, R: np.ndarray, policy: bool = False):
         """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
@@ -666,8 +732,9 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
     Both have `nodes`, the (Q, dim) unit directions v_q at which the field
     is sampled (at x + eps v_q), and `cover`, a nonnegative map from the Q
-    samples to the rows that `maxmin` combines (sparse on the circle, a
-    dense array on the sphere).  A cap pair is named by one integer, its
+    samples to the rows that `maxmin` combines (a CSR matrix on the circle,
+    a _PairTable of one block per Paul axis on the sphere), applied as
+    `cover @ samples`.  A cap pair is named by one integer, its
     pair id.  `maxmin(R, policy=False)` takes R = cover @ samples, shape
     (rows, m), to the (m,) values max over Paul's axes of the min over
     Carol's axes; with policy it returns (values, ids), the id of each
@@ -681,6 +748,14 @@ def _make_bellman(dim: int, cfg: SolverConfig):
     if dim == 2:
         return _CircleBellman(theta, cfg.axis_count, cfg.quad_order)
     return _SphereBellman(theta, sphere.fibonacci_axes(cfg.axis_count), cfg.quad_order)
+
+
+def _sizes(a) -> tuple:
+    """(nonzero weights, bytes stored) of a _PairTable or a CSR matrix; the
+    latter is counted on a copy, as counting sorts its indices in place."""
+    if isinstance(a, _PairTable):
+        return a.count_nonzero(), a.nbytes
+    return int(a.copy().count_nonzero()), a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
 class _Kernel:
@@ -705,9 +780,11 @@ class _Kernel:
     (step sums and shortest arcs on the circle, cap-pair averages on the
     sphere).  The other ("rim" nodes, `rim_idx`) form all Q samples with
     samp, zero those outside the domain and apply cover.  Both maps have
-    nonnegative weights and are applied with `@` (sparse on the circle,
-    BLAS on the sphere) in an order that does not depend on the data, so
-    the sweep stays exactly monotone.
+    nonnegative weights and are applied with `@` in an order that does not
+    depend on the data, so the sweep stays exactly monotone: sparse
+    products on the circle; on the sphere _PairTable products, one GEMM per
+    Paul axis on its cap's columns for cover and one on all offsets for
+    merged, so a rim node pays only for the columns its pairs can weigh.
     """
 
     BLOCK = 256
@@ -734,15 +811,15 @@ class _Kernel:
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
                                       shape=(Q, offsets.size))
-        # one GEMM on the sphere; scipy would form (samp.T @ cover.T).T,
-        # copying cover
-        dense = isinstance(bell.cover, np.ndarray)
-        self.merged = bell.cover @ (self.samp.toarray() if dense else self.samp)
-        # nonzero weights, for the solve manifest; a sparse map is counted on
-        # a copy, as counting sorts its indices in place
-        self.nnz_cover, self.nnz_merged = (
-            int(np.count_nonzero(a) if dense else a.copy().count_nonzero())
-            for a in (bell.cover, self.merged))
+        if isinstance(bell.cover, _PairTable):
+            # one block on all offsets, so deep products are padded the same way
+            self.merged = _PairTable([(bell.cover @ self.samp.toarray(),
+                                      np.arange(offsets.size))], offsets.size)
+        else:
+            self.merged = bell.cover @ self.samp
+        # for the solve manifest
+        self.nnz_cover, self.table_bytes = _sizes(bell.cover)
+        self.nnz_merged = _sizes(self.merged)[0]
         # deep: every x + eps v_q is inside; surely so if the eps-ball is
         deep = domain.holds_balls(pts, cfg.eps * (1.0 + 1e-9))
         near = np.flatnonzero(~deep)
@@ -1078,6 +1155,7 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "nnz_cover": kernel.nnz_cover,
         "nnz_merged": kernel.nnz_merged,
         "nnz_P": nnz_P,
+        "table_bytes": kernel.table_bytes,
         # the sup of the last sweep from v, which is v's
         "residual": increment,
     }

@@ -351,6 +351,10 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     assert tel["sweep_log"][-1]["increment"] == manifest["residual"]
     assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
     assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0
+    # the circle's CSR cover: a float64 weight and an int32 column index per
+    # weight, and 164 int32 row pointers (M = 64 steps, kmax - 1 = 35 more
+    # steps of the run, 64 shortest arcs)
+    assert tel["table_bytes"] == 12 * tel["nnz_cover"] + 4 * 164 == 27_764
     assert manifest["residual"] <= 1e-12
     # timings and counts stay out of the byte-stable field files
     header = read_json(out / "field.json")
@@ -696,6 +700,16 @@ def test_simulate_diagnostic_needs_two_episodes(tmp_path, recwarn):
     assert code == 1
     assert not (out / "diagnostic.json").exists()
     assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+
+
+def test_simulate_estimate_needs_two_episodes(tmp_path):
+    # one episode has no stderr: refused before any episode is played or
+    # anything is written, not reported as "stderr": 0
+    out = tmp_path / "out"
+    code = run("simulate", "--eps", "0.2", "--n", "1", "--paul", "radial",
+               "--carol", "radial", "--out", str(out))
+    assert code == 1
+    assert not out.exists()
 
 
 def test_simulate_fixed_axis_needs_axis(tmp_path):

@@ -1,9 +1,11 @@
+import gc
 import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import weakref
 import zlib
 from pathlib import Path
 
@@ -510,6 +512,11 @@ def test_ball3_solve_end_to_end():
     assert err.max() <= 0.05
     again = solver.value_iteration(ball, c)
     assert again.values.tobytes() == f.values.tobytes()
+    # the pair table, stored on each Paul cap's support, holds the dense
+    # table's nonzero weights in less than its M(M+1)/2 x Q float64 bytes
+    tel = solver.solve(ball, c).telemetry
+    assert tel["nnz_cover"] == 206_622
+    assert 0 < tel["table_bytes"] < 64 * 65 // 2 * 16**2 * 8
 
 
 # ---------------------------------------------------------------------------
@@ -517,6 +524,26 @@ def test_ball3_solve_end_to_end():
 
 BALL3 = solver.resolve_config(
     solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
+
+
+@pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.2)), (solver.unit_ball(3), BALL3)])
+def test_kernels_are_freed_by_reference_counting(domain, c):
+    """A dropped kernel, swept and assembled once, is freed at once with the
+    garbage collector off, and so are its Bellman, pair table and merged
+    map: none of them is in a reference cycle, so no table outlives its
+    kernel until a collector pass."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        kernel = solver._Kernel(domain, c)
+        kernel.policy_matrix(kernel.policy_sweep(np.zeros(kernel.n_interior))[1])
+        refs = [weakref.ref(a) for a in (kernel, kernel.bellman, kernel.bellman.cover,
+                                         kernel.merged)]
+        del kernel
+        assert [ref() for ref in refs] == [None] * 4
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _kernel_at_fixed_point(domain, c):
@@ -576,15 +603,23 @@ _FROZEN_POLICY = [
 def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
     """Values and pair ids of both max-mins, ties included, stay those
     recorded: the circle at (M, Q, eps) and the sphere at the ball3-solve
-    config."""
+    config.  The sphere's R comes from the dense pair table it stored when
+    the digests were recorded, rebuilt here, so that they pin maxmin on the
+    same inputs; the stored table's denominators sum fewer zeros and may
+    differ from it in the last place."""
     c = solver.resolve_config(
         solver.SolverConfig(eps=eps, axis_count=M, quad_order=Q), dim)
     bell = solver._make_bellman(dim, c)
+    cover = bell.cover
+    if dim == 3:
+        member = bell.member
+        cover = np.concatenate([member[i] * bell.weights * member[i:] for i in range(M)])
+        cover /= cover.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(M + Q)
-    n, rows = bell.nodes.shape[0], bell.cover.shape[0]
-    blocks = (bell.cover @ rng.random((n, 200)),
-              bell.cover @ rng.integers(0, 2, (n, 200)).astype(float),
-              bell.cover @ np.zeros((n, 3)),
+    n, rows = bell.nodes.shape[0], cover.shape[0]
+    blocks = (cover @ rng.random((n, 200)),
+              cover @ rng.integers(0, 2, (n, 200)).astype(float),
+              cover @ np.zeros((n, 3)),
               rng.integers(0, 2, (rows, 200)).astype(float))
     for R, digest in zip(blocks, digests):
         values, ids = bell.maxmin(R, policy=True)
@@ -592,16 +627,19 @@ def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
         assert got.hexdigest() == digest
 
 def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
-    """The 3D kernel, whose pair map is a dense array applied by BLAS:
-    w <= w' node-wise (random gaps, 1-ulp bumps and ties) gives
+    """The 3D kernel, whose pair map is one block per Paul axis applied by
+    BLAS: w <= w' node-wise (random gaps, 1-ulp bumps and ties) gives
     sweep(w) <= sweep(w'); maxmin, one Paul row at a time, equals the
     (M, M, m) gather form bit for bit, with and without policy; and every
-    pair row is a nonnegative average (weights summing to 1)."""
+    pair row is a nonnegative average (weights summing to 1) stored on its
+    Paul cap's support."""
     ball = solver.unit_ball(3)
     kernel = solver._Kernel(ball, BALL3)
     bell = kernel.bellman
-    assert isinstance(bell.cover, np.ndarray) and bell.cover.min() >= 0.0
-    assert np.max(np.abs(bell.cover.sum(axis=1) - 1.0)) <= 1e-14
+    for i, (block, cols) in enumerate(zip(bell.cover.blocks, bell.cover.cols)):
+        assert block.shape[0] == BALL3.axis_count - i and block.min() >= 0.0
+        assert np.max(np.abs(block.sum(axis=1) - 1.0)) <= 1e-14
+        assert np.array_equal(cols, np.flatnonzero(bell.member[i] > 0.0))
     rng = np.random.default_rng(8)
     n = kernel.n_interior
     for trial in range(4):
@@ -634,23 +672,33 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
 _ROWS_DIGEST = """
 import hashlib, numpy as np
 from curvegame import solver
-ball = solver.unit_ball(3)
-c = solver.resolve_config(solver.SolverConfig(eps=0.4, axis_count=64, quad_order=16), 3)
-kernel = solver._Kernel(ball, c)
-u = np.random.default_rng(3).random(kernel.n_interior)
-digest = hashlib.sha256()
-for _, R in kernel._rows(u):
-    digest.update(R.tobytes())
-print(digest.hexdigest())
-print(hashlib.sha256(solver.solve(ball, c).values.tobytes()).hexdigest())
+for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
+                              (solver.Ellipse((0.1, 0.0, -0.2), (1.0, 0.7, 0.5)), 0.3, 32, 16),
+                              (solver.unit_ball(3), 0.4, 16, 32)):
+    c = solver.resolve_config(
+        solver.SolverConfig(eps=eps, axis_count=M, quad_order=order), 3)
+    kernel = solver._Kernel(domain, c)
+    u = np.random.default_rng(3).random(kernel.n_interior)
+    digest = hashlib.sha256()
+    for block in kernel.merged.blocks:
+        digest.update(block.tobytes())
+    for _, R in kernel._rows(u):
+        digest.update(R.tobytes())
+    print(digest.hexdigest())
+    print(hashlib.sha256(solver.solve(domain, c).values.tobytes()).hexdigest())
 """
 
 
 def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
-    """Every block's pair rows, the BLAS products of the 3D sweep, and the
-    3D solve's field carry the same bytes at one and two BLAS threads.  This
-    needs blocks of at most 256 nodes: OpenBLAS gave other bytes at two
-    threads for 362."""
+    """The merged map, every block's pair rows (the BLAS products of the 3D
+    build and sweep) and the 3D solve's field carry the same bytes at one
+    and two BLAS threads, on the ball3-solve config, on the off-centre
+    ellipse at 32 axes and at quadrature order 32, where each Paul block
+    spans more than 384 nodes.  This needs blocks of at most 256 nodes
+    (OpenBLAS gave other bytes at two threads for 362) and _PairTable's
+    padding: unpadded, the per-Paul-block products of the ball3 merged
+    build (124 offset columns) and the order-32 pair rows and field gave
+    other bytes at two threads."""
     src = str(Path(solver.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):

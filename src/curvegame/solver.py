@@ -230,8 +230,11 @@ def resolve_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     """Fill defaults and validate; returns a fully concrete config.
 
     Defaults: K = C(N); 64 axes and Q = 1024 circle cells in 2D, 128 axes
-    and quadrature order 64 in 3D; tol_iter = eps^2 1e-3; grid_h from
-    default_grid_h (the 2D grid law, eps/2 in 3D).
+    and quadrature order 32 in 3D; tol_iter = eps^2 1e-3; grid_h from
+    default_grid_h (the 2D grid law, eps/2 in 3D).  On the unit ball at
+    eps = 0.4, 0.3 and 0.2, order 32 moves the centre from order 64's by
+    less than a tenth of its error against the oracle 1/4, in at most half
+    the time and memory.
     """
     if dim not in (2, 3):
         raise InvalidParameterError("dimension must be 2 or 3")
@@ -245,7 +248,7 @@ def resolve_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     M = (64 if dim == 2 else 128) if cfg.axis_count is None else int(cfg.axis_count)
     if M < 8:
         raise InvalidParameterError("axis_count must be at least 8")
-    order = (1024 if dim == 2 else 64) if cfg.quad_order is None else int(cfg.quad_order)
+    order = (1024 if dim == 2 else 32) if cfg.quad_order is None else int(cfg.quad_order)
     if order < 16:
         raise InvalidParameterError("quad_order must be at least 16")
     tol = cfg.eps**2 * 1e-3 if cfg.tol_iter is None else float(cfg.tol_iter)
@@ -575,23 +578,27 @@ class _CircleBellman:
 
 
 class _PairTable:
-    """A nonnegative map of n_cols columns, stored as row blocks, each on its
-    own columns.
+    """A nonnegative map of n_cols columns and one more, which reads a zero
+    row, stored as row blocks, each on its own columns.
 
     `blocks` yields pairs (block, cols), taken one at a time: the block
     holds the map's next block.shape[0] rows on the columns cols only, and
-    the rest of those rows is 0.  `table @ V` is one BLAS product (GEMM) per
-    block on V's rows cols, written into the block's rows of the result;
-    `table[ids]` gives the rows ids as a dense (ids.size, n_cols) array.
+    the rest of those rows is 0.  `table @ X` is one BLAS product (GEMM) per
+    block on X's rows cols, written into the block's rows of the result,
+    which has X's columns; `table[ids]` gives the rows ids as a dense
+    (ids.size, n_cols + 1) array whose last column is 0.  `shape` counts
+    that column.
 
     OpenBLAS may split a product across threads, and for some shapes that
     changes the order of its sums.  With OpenBLAS 0.3.31 on a 2-core x86-64
     machine, every product tried gave the same bytes at one and two threads
     when its column count was a multiple of 8 and its inner dimension was at
-    most 384 or a multiple of 32; other shapes often did not.  So V's
-    columns are padded with zeros to a multiple of 8, and a block on more
-    than 384 columns is padded to a multiple of 32 with zero weights on
-    column n_cols, a zero row appended to V.
+    most 384 or a multiple of 32; other shapes often did not.  So X comes in
+    a padded layout: the map's input with a zero row appended (row n_cols)
+    and its columns padded to a multiple of 8.  The kernel forms its
+    gathered values and its samples in that layout, so nothing is copied
+    into it.  A block on more than 384 columns is padded to a multiple of 32
+    with zero weights on column n_cols, which reads the zero row.
     """
 
     def __init__(self, blocks, n_cols: int):
@@ -604,7 +611,7 @@ class _PairTable:
             self.blocks.append(np.ascontiguousarray(block))
             self.cols.append(cols)
         self.stops = np.cumsum([b.shape[0] for b in self.blocks])
-        self.shape = (int(self.stops[-1]), n_cols)
+        self.shape = (int(self.stops[-1]), n_cols + 1)
 
     @property
     def nbytes(self) -> int:
@@ -614,23 +621,20 @@ class _PairTable:
     def count_nonzero(self) -> int:
         return sum(int(np.count_nonzero(b)) for b in self.blocks)
 
-    def __matmul__(self, V: np.ndarray) -> np.ndarray:
-        n = V.shape[1]
-        X = np.zeros((V.shape[0] + 1, n + -n % 8))
-        X[:-1, :n] = V
+    def __matmul__(self, X: np.ndarray) -> np.ndarray:
         R = np.empty((self.shape[0], X.shape[1]))
         for block, cols, stop in zip(self.blocks, self.cols, self.stops):
             np.matmul(block, X[cols], out=R[stop - block.shape[0] : stop])
-        return R[:, :n]
+        return R
 
     def __getitem__(self, ids: np.ndarray) -> np.ndarray:
         which = np.searchsorted(self.stops, ids, side="right")
-        out = np.zeros((ids.size, self.shape[1] + 1))
+        out = np.zeros((ids.size, self.shape[1]))
         for b in np.unique(which):
             at = np.flatnonzero(which == b)
             block = self.blocks[b]
             out[at[:, None], self.cols[b]] = block[ids[at] - (self.stops[b] - block.shape[0])]
-        return out[:, :-1]
+        return out
 
 
 class _SphereBellman:
@@ -719,7 +723,7 @@ class _SphereBellman:
         """A pair's band average is one row of cover: A's row ids."""
         R = A[ids]
         if drop is not None:
-            R[drop] = 0.0
+            R[:, : drop.shape[1]][drop] = 0.0
         return R
 
 
@@ -732,14 +736,15 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
     Both have `nodes`, the (Q, dim) unit directions v_q at which the field
     is sampled (at x + eps v_q), and `cover`, a nonnegative map from the Q
-    samples to the rows that `maxmin` combines (a CSR matrix on the circle,
-    a _PairTable of one block per Paul axis on the sphere), applied as
-    `cover @ samples`.  A cap pair is named by one integer, its
-    pair id.  `maxmin(R, policy=False)` takes R = cover @ samples, shape
-    (rows, m), to the (m,) values max over Paul's axes of the min over
-    Carol's axes; with policy it returns (values, ids), the id of each
-    column's chosen pair: Paul's first maximizing axis against the first
-    minimum among his candidates, in a tie order fixed per Bellman.
+    samples to the rows that `maxmin` combines (a CSR matrix on the circle;
+    on the sphere a _PairTable of one block per Paul axis, which also reads
+    a zero row after the samples), applied as `cover @ samples`.  A cap
+    pair is named by one integer, its pair id.  `maxmin(R, policy=False)`
+    takes R = cover @ samples, shape (rows, m), to the (m,) values max over
+    Paul's axes of the min over Carol's axes; with policy it returns
+    (values, ids), the id of each column's chosen pair: Paul's first
+    maximizing axis against the first minimum among his candidates, in a
+    tie order fixed per Bellman.
     `pair_rows(A, ids, drop=None)` gives row r as the band average of the
     pair ids[r], as a map of the columns of A (A has cover's rows), zero
     where the bool drop[r] holds.
@@ -772,22 +777,32 @@ class _Kernel:
     x + eps v_q: the same flat stencil offsets (the grid strides over the 2^N
     cell corners) and nonnegative corner weights at every node.  `samp` maps
     the values at the distinct offsets to the Q samples.  A table built once,
-    offsets x nodes, gives the position in u (or the slot) of each offset's
-    node; a block gathers its columns from u with the slot appended.  Nodes
-    whose samples all lie in the domain ("deep" nodes, `deep_idx`; sampled
-    only where `holds_balls` leaves it open) then need only the merged map
-    cover @ samp, which takes the gathered values straight to cover's rows
-    (step sums and shortest arcs on the circle, cap-pair averages on the
-    sphere).  The other ("rim" nodes, `rim_idx`) form all Q samples with
-    samp, zero those outside the domain and apply cover.  Both maps have
-    nonnegative weights and are applied with `@` in an order that does not
-    depend on the data, so the sweep stays exactly monotone: sparse
-    products on the circle; on the sphere _PairTable products, one GEMM per
-    Paul axis on its cap's columns for cover and one on all offsets for
-    merged, so a rim node pays only for the columns its pairs can weigh.
+    offsets x nodes (int32), gives the position in u (or the slot) of each
+    offset's node; a block gathers its columns from u with the slot
+    appended.  Nodes whose samples all lie in the domain ("deep" nodes,
+    `deep_idx`; sampled only where `holds_balls` leaves it open, POINTS
+    samples at a time, so that the build's transients do not grow with Q)
+    then need only the merged map cover @ samp, which takes the gathered
+    values straight to cover's rows (step sums and shortest arcs on the
+    circle, cap-pair averages on the sphere).  The other ("rim" nodes,
+    `rim_idx`) form all Q samples with samp, zero those outside the domain
+    and apply cover.  Both maps have nonnegative weights and are applied
+    with `@` in an order that does not depend on the data, so the sweep
+    stays exactly monotone: sparse products on the circle; on the sphere
+    _PairTable products, one GEMM per Paul axis on its cap's columns for
+    cover and one on all offsets for merged, so a rim node pays only for
+    the columns its pairs can weigh.  A block's gathered values and samples
+    are formed once, in the padded layout that a _PairTable reads (the
+    tables carry the slot's row and padding columns, samp an empty column
+    and, where cover reads one, an empty last row), and a sweep holds one
+    block's rows at a time.
     """
 
+    # nodes per block of a sweep
     BLOCK = 256
+    # sample points tested against the domain at once while the kernel is
+    # built (whole nodes, at least one)
+    POINTS = 1 << 15
 
     def __init__(self, domain, cfg: SolverConfig):
         from scipy import sparse
@@ -800,7 +815,6 @@ class _Kernel:
         pts = grid.node_points()[self.int_flat]
         dim = domain.dim
         Q = bell.nodes.shape[0]
-        B = self.BLOCK
         step = cfg.eps * bell.nodes
         fi = np.floor(step / grid.h).astype(np.int64)
         # flat offset and weight of each (direction, corner) stencil node
@@ -809,12 +823,17 @@ class _Kernel:
         nz = w > 0.0
         offsets, col = np.unique(offs[nz], return_inverse=True)
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
+        # cover's zero row, if it reads one, and column offsets.size (the
+        # slot's row of the index tables) stay empty
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
-                                      shape=(Q, offsets.size))
+                                      shape=(bell.cover.shape[1], offsets.size + 1))
         if isinstance(bell.cover, _PairTable):
             # one block on all offsets, so deep products are padded the same way
-            self.merged = _PairTable([(bell.cover @ self.samp.toarray(),
-                                      np.arange(offsets.size))], offsets.size)
+            S = self.samp.copy()
+            S.resize(S.shape[0], offsets.size + -offsets.size % 8)
+            merged = bell.cover @ S.toarray()
+            self.merged = _PairTable([(merged[:, : offsets.size], np.arange(offsets.size))],
+                                     offsets.size)
         else:
             self.merged = bell.cover @ self.samp
         # for the solve manifest
@@ -824,6 +843,7 @@ class _Kernel:
         deep = domain.holds_balls(pts, cfg.eps * (1.0 + 1e-9))
         near = np.flatnonzero(~deep)
         inside = np.empty((Q, near.size), dtype=bool)
+        B = max(1, self.POINTS // Q)
         for s in range(0, near.size, B):
             p = pts[near[s : s + B]]
             inside[:, s : s + B] = domain.contains(
@@ -831,11 +851,18 @@ class _Kernel:
         deep[near] = inside.all(axis=0)
         self.outside = ~inside[:, ~deep[near]]
         # position in u of every grid node; exterior nodes read the slot n
-        slot = np.full(math.prod(grid.shape), n)
+        slot = np.full(math.prod(grid.shape), n, dtype=np.int32)
         slot[self.int_flat] = np.arange(n)
         self.deep, self.rim = np.flatnonzero(deep), np.flatnonzero(~deep)
-        self.deep_idx, self.rim_idx = (slot[self.int_flat[v] + offsets[:, None]]
-                                       for v in (self.deep, self.rim))
+
+        def table(v):
+            # offsets x nodes v, one more row and columns up to a multiple
+            # of 8 reading the slot: a block gathers in the padded layout
+            idx = np.full((offsets.size + 1, v.size + -v.size % 8), n, dtype=np.int32)
+            idx[:-1, : v.size] = slot[self.int_flat[v] + offsets[:, None]]
+            return idx
+
+        self.deep_idx, self.rim_idx = table(self.deep), table(self.rim)
 
     def values(self, field: ValueField) -> np.ndarray:
         """The field's interior values; InvalidParameterError unless the
@@ -854,21 +881,29 @@ class _Kernel:
         return ValueField(self.grid.domain, self.grid.lo, self.grid.h, vals, n, increment)
 
     def _rows(self, u: np.ndarray):
-        """(interior positions, cover rows of their samples), block by block."""
+        """(interior positions, cover rows of their samples), block by block.
+        A block's gathered values, and its samples, come in the padded
+        layout that a _PairTable reads: columns up to a multiple of 8 (the
+        slot's) and, where the map reads one, a zero last row; the rows keep
+        only the block's columns.
+        The caller drops a block's rows before it asks for the next."""
         ext = np.append(u, 0.0)
-        B = self.BLOCK
+        B, Q = self.BLOCK, self.outside.shape[0]
         for s in range(0, self.deep.size, B):
-            yield self.deep[s : s + B], self.merged @ ext[self.deep_idx[:, s : s + B]]
+            pos = self.deep[s : s + B]
+            yield pos, (self.merged @ ext[self.deep_idx[:, s : s + B]])[:, : pos.size]
         for s in range(0, self.rim.size, B):
+            pos = self.rim[s : s + B]
             V = self.samp @ ext[self.rim_idx[:, s : s + B]]
-            V[self.outside[:, s : s + B]] = 0.0
-            yield self.rim[s : s + B], self.bellman.cover @ V
+            V[:Q, : pos.size][self.outside[:, s : s + B]] = 0.0
+            yield pos, (self.bellman.cover @ V)[:, : pos.size]
 
     def sweep(self, u: np.ndarray) -> np.ndarray:
         """T(u): the Bellman right-hand sides of the interior values u."""
         out = np.empty(self.n_interior)
         for pos, R in self._rows(u):
             out[pos] = self.bellman.maxmin(R)
+            del R
         return out + self.payoff
 
     def policy_sweep(self, u: np.ndarray) -> tuple:
@@ -878,6 +913,7 @@ class _Kernel:
         ids = np.empty(self.n_interior, dtype=np.intp)
         for pos, R in self._rows(u):
             out[pos], ids[pos] = self.bellman.maxmin(R, policy=True)
+            del R
         return out + self.payoff, ids
 
     def policy_matrix(self, ids: np.ndarray):

@@ -561,7 +561,7 @@ def _save_oracle_field(dim: int) -> None:
 FROZEN_FIELD_FILES = {
     2: ("17414796e1dd29ddf9b5fa43a25c5db217e3969db174af18523e9486f1c567bf",
         "4203da941613a636e650c80d331fa8105865d17ecf23a4bb377f79f0eae8a9fd"),
-    3: ("2db47065170db24c6670badaaa4b69cbbe5e8b98bccc43333aaf157226fa336c",
+    3: ("f6757f3b58c30199ea5cdfda6c8cda5e737255c72aac9952f1f0319559e18cf8",
         "d5a5a1699ace1e72b49be3cb9a72bdbf2a7548c076664aa6b3d257195e448357"),
 }
 

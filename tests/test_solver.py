@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 import zlib
 from pathlib import Path
@@ -115,6 +116,7 @@ def test_resolve_config_defaults():
     c3 = solver.resolve_config(solver.SolverConfig(eps=0.2), 3)
     assert c3.K == 0.25
     assert c3.axis_count == 128
+    assert c3.quad_order == 32
     # the 2D grid law h = (eps/2) min(1, sqrt(eps/0.2)): exactly eps/2 from
     # 0.2 up, h^2/eps^2 proportional to eps below
     assert cfg2(0.1).grid_h == pytest.approx(0.05 * math.sqrt(0.5), rel=1e-15)
@@ -544,6 +546,45 @@ def test_kernels_are_freed_by_reference_counting(domain, c):
     finally:
         if enabled:
             gc.enable()
+
+
+def _traced(fn) -> tuple:
+    """(bytes held after fn(), peak bytes above that) of fn's numpy and
+    Python allocations, by tracemalloc; fn's result is kept until both are
+    read."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    del out
+    return held, peak - held
+
+
+def test_a_sweep_holds_one_block_of_pair_rows():
+    """A 3D policy sweep at the ball3-solve config allocates, above what it
+    returns, at most one node block's pair rows, M(M+1)/2 x BLOCK float64,
+    plus 1.5 MB for that block's samples, its gathers and the max-min's
+    scratch: the previous block's rows are dropped before the next block's
+    are formed."""
+    kernel = solver._Kernel(solver.unit_ball(3), BALL3)
+    u = np.random.default_rng(5).random(kernel.n_interior)
+    M = BALL3.axis_count
+    rows = M * (M + 1) // 2 * kernel.BLOCK * 8
+    _, transient = _traced(lambda: kernel.policy_sweep(u))
+    assert rows < transient <= rows + 1.5e6
+
+
+def test_kernel_build_transient_is_bounded():
+    """Building the 3D kernel at M = 16 and quadrature order 64 (Q = 4 096)
+    allocates less than 12 MB beyond what the kernel holds: the samples of
+    the nodes near the boundary are tested against the domain a fixed
+    number of points at a time, so their coordinates and temporaries do not
+    grow with Q."""
+    c = solver.resolve_config(solver.SolverConfig(eps=0.4, axis_count=16, quad_order=64), 3)
+    _, transient = _traced(lambda: solver._Kernel(solver.unit_ball(3), c))
+    assert transient < 12e6
 
 
 def _kernel_at_fixed_point(domain, c):

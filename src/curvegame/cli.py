@@ -220,7 +220,7 @@ def _strategy(name: str, cfg: dict, field, domain, player: str):
             )
         return game.gradient_cap_strategy(field, player)
     if name == "radial":
-        z = _point(cfg.get("z", [0.0] * domain.dim), domain.dim, "z")
+        z = _point(cfg.get("z", domain.center), domain.dim, "z")
         return game.radial_exit_strategy(z)
     if name == "fixed_axis":
         axis = cfg.get("axis")
@@ -249,10 +249,10 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     eps = float(cfg["eps"])
     seed = cfg.get("seed", 0)
     mode = cfg.get("mode", "estimate")
-    x0 = _point(cfg.get("x0", [0.0] * domain.dim), domain.dim, "x0")
+    x0 = _point(cfg.get("x0", domain.center), domain.dim, "x0")
 
     if mode == "diagnostic":
-        z = _point(cfg.get("z", [0.0] * domain.dim), domain.dim, "z")
+        z = _point(cfg.get("z", domain.center), domain.dim, "z")
         sp = None
         if cfg.get("paul"):
             sp = _strategy(cfg["paul"], cfg, field, domain, "paul")
@@ -392,10 +392,11 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         "residual": residual,
         "tol_iter": scfg.tol_iter,
     })
-    barrier = solver.field_from_function(
-        domain, scfg,
-        lambda pts: analysis.BallOracle(R=2.0, L=2.0, N=domain.dim).values(pts),
-    )
+    # the arrival time, at double the source, of the ball about the domain's
+    # centre with twice its support radius: a strict supersolution
+    center = np.asarray(domain.center, dtype=float)
+    big = analysis.BallOracle(R=2.0 * domain.support_radius(center), L=2.0, N=domain.dim)
+    barrier = solver.field_from_function(domain, scfg, lambda pts: big.values(pts - center))
     ok_super, worst_super = solver.check_dpp_supersolution(barrier, scfg)
     below = bool(np.all(field.values <= barrier.values + scfg.tol_iter))
     checks.append({
@@ -407,7 +408,6 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     })
     if hasattr(domain, "radius"):
         oracle = analysis.BallOracle(R=domain.radius, L=1.0, N=domain.dim)
-        center = np.asarray(domain.center, dtype=float)
         got = solver.interpolate(field, center)
         want = oracle.value(np.zeros(domain.dim))
         # generous: the coarse default grid underestimates by several percent,

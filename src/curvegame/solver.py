@@ -24,10 +24,10 @@ serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
 sums (circle: a sparse map to axis steps and shortest arcs; sphere: one row
 per cap pair i <= j, stored per Paul axis i on cap i's support only and
 applied as one BLAS product per axis), and `maxmin` turns those into max
-over Paul's axes of min over Carol's axes and, for the policy steps, into
-the id of the pair that attains it.  For nodes whose samples all lie in the
-domain, `cover` is merged with the interpolation weights into one map of
-the gathered node values.
+over Paul's axes of min over Carol's axes and the id of the pair that
+attains it, which the policy steps read.  For nodes whose samples all lie
+in the domain, `cover` is merged with the interpolation weights into one
+map of the gathered node values.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -526,12 +526,11 @@ class _CircleBellman:
         self.order = np.concatenate([np.arange(h, -1, -1) * M + p, back * M + (p - back) % M],
                                     axis=1)
 
-    def maxmin(self, R: np.ndarray, policy: bool = False):
-        """R = cover @ samples, shape (rows, m); returns (m,) max_i min_j of
-        the cap-pair averages.  With policy, returns (values, ids): the same
-        values and the pair id k M + base of Paul's first maximizing axis
-        against his first minimizing candidate in `order`, read from the
-        bands kept for that."""
+    def maxmin(self, R: np.ndarray) -> tuple:
+        """R = cover @ samples, shape (rows, m); returns (values, ids): the
+        (m,) max_i min_j of the cap-pair averages and the pair id k M + base
+        of Paul's first maximizing axis against his first minimizing
+        candidate in `order`, read from the h + 1 bands kept for that."""
         M, kmax, h = self.M, self.kmax, self.M // 2
         m = R.shape[1]
         steps = R[: M + kmax - 1]
@@ -540,9 +539,9 @@ class _CircleBellman:
         # of high: Paul's axis p + k (mod M) against Carol's axis p
         low = np.full((M, m), np.inf)
         high = np.full((M + h, m), np.inf)
-        # band k, row base: the pair (base, base + k); with policy every band
-        # is kept for the tail, else one buffer serves them all
-        bands = np.empty((h + 1 if policy else 1, M, m))
+        # band k, row base: the pair (base, base + k); every band is kept
+        # for the tail
+        bands = np.empty((h + 1, M, m))
         second = {}
         for k in range(kmax, -1, -1):
             if k < kmax:
@@ -550,7 +549,7 @@ class _CircleBellman:
             if M - k <= h:
                 second[M - k] = np.roll(arc, k - M, axis=0)  # A_k[. + M - k]
             if k <= h:
-                band = bands[k if policy else 0]
+                band = bands[k]
                 if k in second:
                     np.add(arc, second[k], out=band)
                     band *= self.scale[k]
@@ -561,8 +560,6 @@ class _CircleBellman:
                     np.minimum(high[k : k + M], band, out=high[k : k + M])
         np.minimum(low, high[:M], out=low)
         np.minimum(low[:h], high[M:], out=low[:h])
-        if not policy:
-            return low.max(axis=0)
         return _choose(low, bands.reshape(-1, m), self.order)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None):
@@ -707,16 +704,14 @@ class _SphereBellman:
         block /= denom[:, None]
         return block, cap
 
-    def maxmin(self, R: np.ndarray, policy: bool = False):
-        """R = cover @ samples, shape (M(M+1)/2, m); returns (m,) max_i min_j
-        of the cap-pair averages, and with policy (values, ids): the pair id
+    def maxmin(self, R: np.ndarray) -> tuple:
+        """R = cover @ samples, shape (M(M+1)/2, m); returns (values, ids):
+        the (m,) max_i min_j of the cap-pair averages and the pair id
         pair[i, j] of Paul's first maximizing axis i and Carol's first
         minimizing axis j against it."""
         inner = np.empty((self.M, R.shape[1]))
         for i in range(self.M):
             np.min(R[self.pair[i]], axis=0, out=inner[i])
-        if not policy:
-            return inner.max(axis=0)
         return _choose(inner, R, self.pair)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None) -> np.ndarray:
@@ -739,12 +734,11 @@ def _make_bellman(dim: int, cfg: SolverConfig):
     samples to the rows that `maxmin` combines (a CSR matrix on the circle;
     on the sphere a _PairTable of one block per Paul axis, which also reads
     a zero row after the samples), applied as `cover @ samples`.  A cap
-    pair is named by one integer, its pair id.  `maxmin(R, policy=False)`
-    takes R = cover @ samples, shape (rows, m), to the (m,) values max over
-    Paul's axes of the min over Carol's axes; with policy it returns
-    (values, ids), the id of each column's chosen pair: Paul's first
-    maximizing axis against the first minimum among his candidates, in a
-    tie order fixed per Bellman.
+    pair is named by one integer, its pair id.  `maxmin(R)` takes
+    R = cover @ samples, shape (rows, m), to (values, ids): the (m,) max
+    over Paul's axes of the min over Carol's axes, and the id of each
+    column's chosen pair, Paul's first maximizing axis against the first
+    minimum among his candidates, in a tie order fixed per Bellman.
     `pair_rows(A, ids, drop=None)` gives row r as the band average of the
     pair ids[r], as a map of the columns of A (A has cover's rows), zero
     where the bool drop[r] holds.
@@ -768,9 +762,9 @@ class _Kernel:
     `grid` = empty_field(domain, cfg): one Bellman sweep from the interior
     values u, shape (n_interior,), to T(u), in blocks of nodes that keep the
     max-min in cache.  Every solve, residual and supersolution check applies
-    T through `sweep`, `policy_sweep` or `policy_matrix`; no other code
-    applies it, and only `values` (which refuses a field on another grid)
-    and `field` read and write fields.  The DPP's u = 0 outside the domain
+    T through `sweep` or `policy_matrix`; no other code applies it, and only
+    `values` (which refuses a field on another grid) and `field` read and
+    write fields.  The DPP's u = 0 outside the domain
     is one fixed slot, position n_interior, that every exterior node reads.
 
     The sample of direction q at a node is the multilinear interpolant at
@@ -898,21 +892,13 @@ class _Kernel:
             V[:Q, : pos.size][self.outside[:, s : s + B]] = 0.0
             yield pos, (self.bellman.cover @ V)[:, : pos.size]
 
-    def sweep(self, u: np.ndarray) -> np.ndarray:
-        """T(u): the Bellman right-hand sides of the interior values u."""
-        out = np.empty(self.n_interior)
-        for pos, R in self._rows(u):
-            out[pos] = self.bellman.maxmin(R)
-            del R
-        return out + self.payoff
-
-    def policy_sweep(self, u: np.ndarray) -> tuple:
-        """sweep(u), bit for bit, and the pair id chosen at each interior
-        node."""
+    def sweep(self, u: np.ndarray) -> tuple:
+        """(T(u), ids): the Bellman right-hand sides of the interior values
+        u, and the pair id chosen at each interior node."""
         out = np.empty(self.n_interior)
         ids = np.empty(self.n_interior, dtype=np.intp)
         for pos, R in self._rows(u):
-            out[pos], ids[pos] = self.bellman.maxmin(R, policy=True)
+            out[pos], ids[pos] = self.bellman.maxmin(R)
             del R
         return out + self.payoff, ids
 
@@ -953,9 +939,10 @@ def _chain(sweep: Callable, u: np.ndarray, cfg: SolverConfig, n: int,
            last_input: bool = False) -> tuple:
     """Monotone value iteration u <- sweep(u) from the interior values u
     until the sup increment drops below tol_iter or the sweep count n
-    reaches max_iter; sweep is T, a kernel's sweep or a wrapper of it.
+    reaches max_iter; sweep is a kernel's sweep or a wrapper of it, and
+    only its values, T(u), are read.
 
-    first, when given, is sweep(u), already run and counted in n.  Every
+    first, when given, is T(u), already run and counted in n.  Every
     sweep is checked to be node-wise >= its input.  Returns (interior
     values of the last iterate, sweep count, last increment, converged);
     with last_input, the input of the last sweep in place of its output, so
@@ -964,7 +951,7 @@ def _chain(sweep: Callable, u: np.ndarray, cfg: SolverConfig, n: int,
     increment, prev = math.inf, u
     while first is not None or n < cfg.max_iter:
         if first is None:
-            new = sweep(u)
+            new = sweep(u)[0]
             n += 1
         else:
             new, first = first, None
@@ -1084,8 +1071,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     iteration, certified by its last sweep; same stop rule, exit meaning and
     field format (cfg's grid) as value_iteration.
 
-    0. Seed: one policy sweep of b, the ball's arrival time of
-       `_ball_time`, gives the first policy; only its pair ids are used.
+    0. Seed: one sweep of b, the ball's arrival time of `_ball_time`,
+       gives the first policy; only its pair ids are used.
        b's optimal pairs are radial, so this policy is near-optimal where
        the domain is near that ball, and policy iteration converges fast
        from a near-optimal policy (Puterman and Brumelle 1979).
@@ -1128,16 +1115,14 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     phase["kernel_build"] = clock() - t
     log = []
 
-    def logged(x: np.ndarray, step: str = "polish"):
-        # a sweep ("polish") or a policy sweep ("seed", "policy"), logged
-        # with its seconds and sup |T(x) - x|
+    def logged(x: np.ndarray, step: str = "polish") -> tuple:
+        # a sweep, logged with its phase ("seed", "policy" or "polish"), its
+        # seconds and sup |T(x) - x|
         t = clock()
-        polish = step == "polish"
-        out = kernel.sweep(x) if polish else kernel.policy_sweep(x)
-        Tx = out if polish else out[0]
+        Tx, ids = kernel.sweep(x)
         log.append({"phase": step, "s": clock() - t,
                     "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
-        return out
+        return Tx, ids
 
     c = kernel.payoff
     stop = _stop(domain, cfg)
@@ -1205,7 +1190,7 @@ def _defect(field: ValueField, cfg: SolverConfig) -> np.ndarray:
     values stored outside the domain are not read."""
     kernel = _Kernel(field.domain, resolve_config(cfg, field.domain.dim))
     u = kernel.values(field)
-    return kernel.sweep(u) - u
+    return kernel.sweep(u)[0] - u
 
 
 def dpp_residual(field: ValueField, cfg: SolverConfig) -> float:
@@ -1295,17 +1280,22 @@ def save_field(field: ValueField, path, cfg: SolverConfig | None = None) -> None
 def _load_copy(csv: bytes, copy: Path, shape: tuple) -> np.ndarray | None:
     """The values of save_field's binary copy, or None unless the copy is
     keyed to these CSV bytes and inflates to exactly the grid's values."""
+    count = math.prod(shape)
+    # a CSV of n values holds at least 2n bytes; a grid_shape that these
+    # cannot fill (negative, or too large to allocate) is the CSV path's to
+    # reject, so the buffer below is never sized from it
+    if not 0 <= 2 * count <= len(csv):
+        return None
     try:
         blob = copy.read_bytes()
     except OSError:
         return None
     if blob[:4] != zlib.crc32(csv).to_bytes(4, "little"):
         return None
-    size = 8 * math.prod(shape)
+    size = 8 * count
     try:
-        # one output buffer of the expected size (a longer stream grows it);
-        # a negative size is a grid_shape that the CSV path rejects
-        raw = zlib.decompress(blob[4:], bufsize=max(size, 0))
+        # one output buffer of the expected size (a longer stream grows it)
+        raw = zlib.decompress(blob[4:], bufsize=size)
     except zlib.error:
         return None
     if len(raw) != size:

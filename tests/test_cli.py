@@ -22,6 +22,20 @@ def read_json(path):
     return json.loads(path.read_text())
 
 
+def write_json(path, doc) -> str:
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+# the ball3-solve benchmark config
+BALL3 = {"domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1},
+         "eps": 0.4, "axis_count": 64, "quad_order": 16}
+
+# domains that do not hold the origin, or are not centred on it
+OFF_CENTRE = {"disk": {"shape": "ball", "center": [3, 0], "radius": 1},
+              "ellipse": {"shape": "ellipse", "center": [0, 0], "semi_axes": [3, 1]}}
+
+
 # ---------------------------------------------------------------------------
 # plumbing
 
@@ -368,12 +382,9 @@ def test_solve_bytes_do_not_depend_on_thread_settings(tmp_path):
     run over long vectors), and the 3D ball at eps = 0.4, 64 axes, order 16,
     whose sweeps run BLAS products, at one and two BLAS threads."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    ball3 = tmp_path / "ball3.json"
-    ball3.write_text(json.dumps({
-        "domain": {"shape": "ball", "center": [0, 0, 0], "radius": 1},
-        "eps": 0.4, "axis_count": 64, "quad_order": 16}))
+    ball3 = write_json(tmp_path / "ball3.json", BALL3)
     for label, args in (("disk", ["--eps", "0.3"]), ("disk01", ["--eps", "0.1"]),
-                        ("ball3", ["--config", str(ball3)])):
+                        ("ball3", ["--config", ball3])):
         outs = []
         for threads in ("1", "2"):
             env = {**os.environ, "PYTHONPATH": src, "OMP_NUM_THREADS": threads,
@@ -436,6 +447,24 @@ def test_simulate_gradient_needs_field(tmp_path):
                "--out", str(tmp_path / "out"))
     assert code == 1
     assert not (tmp_path / "out").exists()
+
+
+def test_simulate_starts_at_the_centre_of_an_off_centre_disk(tmp_path):
+    """Without --x0 and --z, simulate starts, and aims, at the domain's
+    centre, here (3, 0), not at the origin, which lies outside the disk."""
+    cfg = write_json(tmp_path / "c.json", {"domain": OFF_CENTRE["disk"]})
+    fdir = tmp_path / "fld"
+    assert run("solve", "--config", cfg, "--eps", "0.3", "--out", str(fdir)) == 0
+    est = tmp_path / "est"
+    assert run("simulate", "--field", str(fdir / "field.json"), "--n", "20",
+               "--out", str(est)) == 0
+    doc = read_json(est / "estimate.json")
+    assert doc["effective_config"]["x0"] == [3.0, 0.0] and doc["mean"] > 0.3
+    diag = tmp_path / "diag"
+    assert run("simulate", "--config", cfg, "--mode", "diagnostic", "--eps", "0.3",
+               "--n", "20", "--out", str(diag)) == 0
+    conf = read_json(diag / "diagnostic.json")["effective_config"]
+    assert conf["x0"] == conf["z"] == [3.0, 0.0]
 
 
 def test_simulate_with_field_and_determinism(tmp_path):
@@ -640,6 +669,21 @@ def test_values_file_outside_the_header_folder_exits_one(tmp_path, name):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_grid_shape_the_values_cannot_hold_exits_one(tmp_path):
+    """A header whose grid_shape asks for 10^11 values, with the CSV and
+    its binary copy intact, is refused as a usage error: no buffer is sized
+    from the header before the CSV's length bounds it."""
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    path = tmp_path / "f.json"
+    solver.save_field(solver.empty_field(solver.unit_ball(2), cfg), path, cfg=cfg)
+    write_json(path, {**read_json(path), "grid_shape": [100000, 100000, 10]})
+    with pytest.raises(InvalidParameterError, match="grid_shape"):
+        solver.load_field(path)
+    assert run("simulate", "--field", str(path), "--n", "5",
+               "--out", str(tmp_path / "out")) == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_manifest_counts(tmp_path):
     out = tmp_path / "out"
     assert run("simulate", "--eps", "0.2", "--n", "30", "--seed", "3",
@@ -752,6 +796,32 @@ def test_verify_passes_on_defaults(tmp_path):
             "supersolution_comparison", "oracle_agreement"} <= names
 
 
+@pytest.mark.parametrize("shape", sorted(OFF_CENTRE))
+def test_verify_passes_off_the_origin(tmp_path, shape):
+    """The barrier is centred on the domain with twice its support radius;
+    centred on the origin with radius 2 it was no supersolution on the disk
+    of radius 1 about (3, 0) (worst slack 7.4) nor on the ellipse with
+    semi-axes (3, 1)."""
+    cfg = write_json(tmp_path / "c.json", {"domain": OFF_CENTRE[shape]})
+    out = tmp_path / "out"
+    assert run("verify", "--config", cfg, "--eps", "0.3", "--out", str(out)) == 0
+    checks = read_json(out / "verify_report.json")["checks"]
+    assert "supersolution_comparison" in {c["name"] for c in checks}
+    assert all(c["passed"] for c in checks)
+
+
+def test_verify_passes_on_the_ball3_config(tmp_path):
+    """In 3D every check passes, the DPP residual and the barrier's
+    supersolution check among them, each a 3D sweep on a kernel of its own."""
+    out = tmp_path / "out"
+    assert run("verify", "--config", write_json(tmp_path / "c.json", BALL3),
+               "--out", str(out)) == 0
+    rep = read_json(out / "verify_report.json")
+    assert rep["all_pass"] is True and rep["effective_config"]["eps"] == 0.4
+    assert {"dpp_residual", "supersolution_comparison", "oracle_agreement"} <= {
+        c["name"] for c in rep["checks"]}
+
+
 def test_verify_flags_wrong_payoff_constant(tmp_path):
     out = tmp_path / "out"
     assert run("verify", "--eps", "0.3", "--K", "1.0", "--out", str(out)) == 3
@@ -814,6 +884,18 @@ def test_ellipse_solve_field_reads_back_in_levelset(tmp_path):
     assert row[2:] == [str(count), ""] and count > 0
 
 
+def test_levelset_on_the_ball3_field(tmp_path):
+    fdir = tmp_path / "fld"
+    assert run("solve", "--config", write_json(tmp_path / "c.json", BALL3),
+               "--out", str(fdir)) == 0
+    out = tmp_path / "out"
+    assert run("levelset", "--field", str(fdir / "field.json"),
+               "--t-list", "0.05,0.15", "--out", str(out)) == 0
+    rows = [l.split(",") for l in (out / "levelset.csv").read_text().splitlines()[1:]]
+    assert len(rows) == 2 and int(rows[1][2]) < int(rows[0][2])
+    assert all(0.0 <= float(r[3]) < 0.5 for r in rows)
+
+
 def test_levelset_requires_field(tmp_path):
     assert run("levelset", "--out", str(tmp_path / "o")) == 1
 
@@ -837,6 +919,18 @@ def test_converge_outputs(tmp_path):
     manifest = read_json(out / "converge_manifest.json")
     assert manifest["K"] == 0.5 and manifest["constant_C"] == 0.5
     assert len(manifest["rows"]) == 2
+
+
+def test_converge_in_3d(tmp_path):
+    cfg = write_json(tmp_path / "c.json", {"domain": BALL3["domain"]})
+    out = tmp_path / "out"
+    assert run("converge", "--config", cfg, "--eps-list", "0.5,0.4", "--t-list", "0.1",
+               "--axis-count", "32", "--quad-order", "16", "--out", str(out)) == 0
+    rows = read_json(out / "converge_manifest.json")["rows"]
+    assert [r["eps"] for r in rows] == [0.5, 0.4]
+    assert all(0.0 < r["sup_error"] < 0.25 and math.isfinite(r["hausdorff"]["0.1"])
+               for r in rows)
+    assert len((out / "converge.csv").read_text().splitlines()) == 3
 
 
 def test_converge_manifest_with_an_infinite_distance_is_json(tmp_path):

@@ -232,7 +232,7 @@ def test_sweep_matches_literal_operator():
 
     kernel = solver._Kernel(DISK, c)
     assert kernel.deep.size > 0 and kernel.rim.size > 0
-    got = kernel.sweep(f.values.ravel()[kernel.int_flat])
+    got = kernel.sweep(f.values.ravel()[kernel.int_flat])[0]
     pts = f.node_points()[kernel.int_flat]
     want = np.array([literal(x) for x in pts])
     assert got == pytest.approx(want, abs=5e-4)
@@ -264,7 +264,7 @@ def test_circle_reduce_matches_cell_coverage(M, Q, eps):
                     cover += np.clip(hi - lo, 0.0, None)
             avg[i, j] = cover @ V / cover.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.maxmin(bell.cover @ V)
+    got = bell.maxmin(bell.cover @ V)[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
@@ -282,7 +282,7 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
             w = bell.member[i] * bell.member[j] * bell.weights
             avg[i, j] = w @ V / w.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.maxmin(bell.cover @ V)
+    got = bell.maxmin(bell.cover @ V)[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
@@ -441,7 +441,7 @@ def test_constant_field_is_near_fixed_point_shift():
     c = cfg2(0.25)
     f = solver.field_from_function(DISK, c, lambda p: np.full(len(p), 0.7))
     kernel = solver._Kernel(DISK, c)
-    rhs = kernel.sweep(f.values.ravel()[kernel.int_flat])[kernel.deep]
+    rhs = kernel.sweep(f.values.ravel()[kernel.int_flat])[0][kernel.deep]
     assert rhs.size > 0
     assert rhs == pytest.approx(0.7 + c.eps**2 * c.K, abs=1e-12)
 
@@ -538,7 +538,7 @@ def test_kernels_are_freed_by_reference_counting(domain, c):
     gc.disable()
     try:
         kernel = solver._Kernel(domain, c)
-        kernel.policy_matrix(kernel.policy_sweep(np.zeros(kernel.n_interior))[1])
+        kernel.policy_matrix(kernel.sweep(np.zeros(kernel.n_interior))[1])
         refs = [weakref.ref(a) for a in (kernel, kernel.bellman, kernel.bellman.cover,
                                          kernel.merged)]
         del kernel
@@ -563,7 +563,7 @@ def _traced(fn) -> tuple:
 
 
 def test_a_sweep_holds_one_block_of_pair_rows():
-    """A 3D policy sweep at the ball3-solve config allocates, above what it
+    """A 3D sweep at the ball3-solve config allocates, above what it
     returns, at most one node block's pair rows, M(M+1)/2 x BLOCK float64,
     plus 1.5 MB for that block's samples, its gathers and the max-min's
     scratch: the previous block's rows are dropped before the next block's
@@ -572,7 +572,7 @@ def test_a_sweep_holds_one_block_of_pair_rows():
     u = np.random.default_rng(5).random(kernel.n_interior)
     M = BALL3.axis_count
     rows = M * (M + 1) // 2 * kernel.BLOCK * 8
-    _, transient = _traced(lambda: kernel.policy_sweep(u))
+    _, transient = _traced(lambda: kernel.sweep(u))
     assert rows < transient <= rows + 1.5e6
 
 
@@ -595,13 +595,13 @@ def _kernel_at_fixed_point(domain, c):
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.3)),
                                        (solver.unit_ball(3), BALL3)])
 def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
-    """The policy sweep returns the sweep's values bit for bit; the chosen
-    pair's row from pair_rows reproduces each value from the cover rows, and
-    the policy matrix reproduces the sweep as P u + eps^2 K."""
+    """The pair ids that the sweep returns, its policy, reproduce its
+    values: the chosen pair's row from pair_rows reproduces each value from
+    the cover rows, and the policy matrix reproduces the sweep as
+    P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
     u = f.values.ravel()[kernel.int_flat]
-    values, ids = kernel.policy_sweep(u)
-    assert values.tobytes() == kernel.sweep(u).tobytes()
+    values, ids = kernel.sweep(u)
     bell = kernel.bellman
     for pos, R in kernel._rows(u):
         picked = bell.pair_rows(R, ids[pos])
@@ -612,7 +612,7 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     assert np.allclose(P @ u + c.eps**2 * c.K, values, rtol=1e-13, atol=0)
 
 
-# sha256 of (values, pair ids) from maxmin(R, policy=True), for R = cover @ V
+# sha256 of (values, pair ids) from maxmin(R), for R = cover @ V
 # with V random, 0/1-valued and all zero, and for R itself 0/1-valued (ties
 # everywhere), as recorded when a policy was still a (paul, carol) axis
 # pair, converted to ids by the rule pair_rows applied then
@@ -663,7 +663,7 @@ def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
               cover @ np.zeros((n, 3)),
               rng.integers(0, 2, (rows, 200)).astype(float))
     for R, digest in zip(blocks, digests):
-        values, ids = bell.maxmin(R, policy=True)
+        values, ids = bell.maxmin(R)
         got = hashlib.sha256(values.tobytes() + ids.astype(np.int64).tobytes())
         assert got.hexdigest() == digest
 
@@ -671,7 +671,7 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
     """The 3D kernel, whose pair map is one block per Paul axis applied by
     BLAS: w <= w' node-wise (random gaps, 1-ulp bumps and ties) gives
     sweep(w) <= sweep(w'); maxmin, one Paul row at a time, equals the
-    (M, M, m) gather form bit for bit, with and without policy; and every
+    (M, M, m) gather form bit for bit, values and pair ids; and every
     pair row is a nonnegative average (weights summing to 1) stored on its
     Paul cap's support."""
     ball = solver.unit_ball(3)
@@ -689,7 +689,7 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         up = np.choose(rng.integers(0, 3, n),
                        [w, np.nextafter(w, np.inf), w + 0.01 * rng.random(n)])
         assert np.all(w <= up) and np.any(up == np.nextafter(w, np.inf))
-        low, high = kernel.sweep(w), kernel.sweep(up)
+        low, high = kernel.sweep(w)[0], kernel.sweep(up)[0]
         assert np.all(low <= high), trial
 
     def gather_form(R):
@@ -704,9 +704,8 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
                bell.cover @ rng.random((bell.nodes.shape[0], 5))]
     for R in blocks:
         values, picked, ids = gather_form(R)
-        assert bell.maxmin(R).tobytes() == values.tobytes()
-        got = bell.maxmin(R, policy=True)
-        assert got[0].tobytes() == picked.tobytes()
+        got = bell.maxmin(R)
+        assert got[0].tobytes() == values.tobytes() == picked.tobytes()
         assert np.array_equal(got[1], ids)
 
 
@@ -782,12 +781,13 @@ def test_solve_is_certified_by_its_last_policy_sweep(domain, c, monkeypatch):
     """A converged solve runs its seed sweep and its policy sweeps and no
     other: the last one certifies its input, which is the result, and that
     sweep's sup increment is the field's final increment and DPP residual."""
-    calls = []
-    for name in ("sweep", "policy_sweep"):
-        def counted(self, u, _run=getattr(solver._Kernel, name)):
-            calls.append(1)
-            return _run(self, u)
-        monkeypatch.setattr(solver._Kernel, name, counted)
+    calls, sweep = [], solver._Kernel.sweep
+
+    def counted(self, u):
+        calls.append(1)
+        return sweep(self, u)
+
+    monkeypatch.setattr(solver._Kernel, "sweep", counted)
     f = solver.solve(domain, c)
     tel = f.telemetry
     assert len(calls) == tel["sweeps"] == 1 + tel["policy_steps"] == f.iterations
@@ -818,7 +818,7 @@ def _first_policy_matrix(c):
     node, a harder evaluation than that of solve's first policy, which
     comes from its seed sweep."""
     kernel = solver._Kernel(DISK, c)
-    _, ids = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)), policy=True)
+    _, ids = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)))
     return kernel, kernel.policy_matrix(np.repeat(ids, kernel.n_interior))
 
 
@@ -917,11 +917,12 @@ def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkey
     certified."""
     c = cfg2(0.3)
     calls = []
-    policy_sweep, evaluate = solver._Kernel.policy_sweep, solver._evaluate
+    sweep, evaluate = solver._Kernel.sweep, solver._evaluate
 
     def lowered(self, s):
-        Ts, ids = policy_sweep(self, s)
+        Ts, ids = sweep(self, s)
         calls.append(1)
+        # the seed's, then two policy steps'; the polish's sweeps run as is
         if len(calls) == 3:
             Ts[0] = s[0] - 1e-3
         return Ts, ids
@@ -930,7 +931,7 @@ def test_an_uncertified_last_policy_sweep_leaves_the_result_to_the_polish(monkey
         x, used, settled = evaluate(P, w, cc, stop, budget)
         return x, used, settled and len(calls) < 3
 
-    monkeypatch.setattr(solver._Kernel, "policy_sweep", lowered)
+    monkeypatch.setattr(solver._Kernel, "sweep", lowered)
     monkeypatch.setattr(solver, "_evaluate", third_unsettled)
     f = solver.solve(DISK, c)
     tel = f.telemetry

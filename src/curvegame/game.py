@@ -226,7 +226,7 @@ class _Streams:
 
 
 def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
-          payoff_k: float | None, seed: int | None, indices) -> list:
+          seed: int | None, indices) -> list:
     """Play one episode per generator in lockstep; Episodes in rngs' order."""
     x0 = np.asarray(x0, dtype=float)
     if not domain.contains(x0):
@@ -234,7 +234,7 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
     N = domain.dim
-    K = sphere.constant_C(N) if payoff_k is None else float(payoff_k)
+    K = sphere.constant_C(N)
     theta = sphere.theta_eps(eps, N)
     n = len(rngs)
     streams = _Streams(rngs, sphere.band_draw_width(N))
@@ -280,17 +280,15 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
 
 
 def play_episode(x0, sp: Strategy, sc: Strategy, eps: float, domain, rng,
-                 *, payoff_k: float | None = None, seed: int | None = None,
-                 index: int | None = None) -> Episode:
+                 *, seed: int | None = None, index: int | None = None) -> Episode:
     """Play one game from x0 until the position exits the domain.
 
     Every step has length exactly eps (|v| = 1 by construction).  Payoff is
-    eps^2 * K * tau with K defaulting to constant_C(N).  Raises
+    eps^2 * C(N) * tau, with C(N) = sphere.constant_C(N).  Raises
     RunawayEpisodeError if ROUND_CAP is reached, which signals a
     mis-specified strategy rather than a long game.
     """
-    return _play(x0, sp, sc, eps, domain, [rng], payoff_k=payoff_k,
-                 seed=seed, indices=[index])[0]
+    return _play(x0, sp, sc, eps, domain, [rng], seed=seed, indices=[index])[0]
 
 
 def _episode_rng(seed: int, index: int):
@@ -300,7 +298,7 @@ def _episode_rng(seed: int, index: int):
 
 
 def run_episodes(x0, sp: Strategy, sc: Strategy, n: int, eps: float, domain,
-                 seed: int, *, payoff_k: float | None = None) -> list:
+                 seed: int) -> list:
     """n independent episodes on counter-derived streams; order-stable output.
 
     Episode i always uses the stream split (seed, i), so its result does not
@@ -310,15 +308,15 @@ def run_episodes(x0, sp: Strategy, sc: Strategy, n: int, eps: float, domain,
         raise InvalidParameterError("need at least one episode")
     return _play(x0, sp, sc, eps, domain,
                  [_episode_rng(seed, i) for i in range(n)],
-                 payoff_k=payoff_k, seed=seed, indices=range(n))
+                 seed=seed, indices=range(n))
 
 
 def estimate_value(x0, sp: Strategy, sc: Strategy, n: int, eps: float,
-                   domain, seed: int, *, payoff_k: float | None = None) -> McEstimate:
+                   domain, seed: int) -> McEstimate:
     """Monte Carlo estimate of the expected payoff from x0."""
     if n < 2:
         raise InvalidParameterError("n must be at least 2 for a stderr")
-    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed, payoff_k=payoff_k)
+    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed)
     payoffs = np.array([e.payoff for e in episodes])
     mean = float(np.mean(payoffs))
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n))

@@ -6,7 +6,9 @@ point x of the domain,
     u(x) = max_a min_b  avg_{A(a) cap B(b)} u(x + eps v) dsigma(v)  +  eps^2 K,
 
 where A, B are eps-game caps drawn from a fixed finite axis family, and u = 0
-outside the domain.  This module discretizes u on a uniform grid and evaluates
+outside the domain: an open axis-aligned ellipse, or a ball, the ellipse with
+equal semi-axes, so that point tests nest exactly where concentric domains
+nest.  This module discretizes u on a uniform grid and evaluates
 the right-hand side T with a quadrature grid on the sphere that is shared by
 all cap pairs.  T maps the values at the interior nodes to new ones; every
 exterior node reads one fixed slot that holds the 0, whatever a stored field
@@ -52,7 +54,7 @@ import json
 import math
 import time
 import zlib
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, field as _field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Callable
@@ -85,62 +87,10 @@ _SNAP = 1e-9
 # domains
 
 
-def _points(points, dim: int) -> np.ndarray:
-    """points as a float array whose last axis has length dim."""
-    p = np.asarray(points, dtype=float)
-    if p.shape[-1:] != (dim,):
-        raise InvalidParameterError(f"points must have {dim} coordinates")
-    return p
-
-
-@dataclass(frozen=True)
-class Ball:
-    """Open ball {|x - center| < radius}."""
-
-    center: tuple
-    radius: float
-
-    def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1 or c.size not in (2, 3):
-            raise InvalidParameterError("ball center must be a 2- or 3-vector")
-        if not self.radius > 0:
-            raise InvalidParameterError("ball radius must be positive")
-        object.__setattr__(self, "center", tuple(float(v) for v in c))
-
-    @property
-    def dim(self) -> int:
-        return len(self.center)
-
-    def contains(self, points):
-        """Membership of a point (bool) or of the rows of an (m, dim) batch."""
-        p = _points(points, self.dim)
-        d = p - np.asarray(self.center)
-        inside = sphere.row_dot(d, d) < self.radius**2
-        return bool(inside) if p.ndim == 1 else inside
-
-    def holds_balls(self, points: np.ndarray, d: float) -> np.ndarray:
-        """Whether each row's closed d-ball surely lies inside: |x - c|^2 < (r - d)^2."""
-        x = points - np.asarray(self.center)
-        return (sphere.row_dot(x, x) < (self.radius - d) ** 2) & (d < self.radius)
-
-    def bounds(self):
-        c = np.asarray(self.center)
-        r = self.radius
-        return c - r, c + r
-
-    def support_radius(self, z) -> float:
-        """max over boundary points y of |y - z|."""
-        z = np.asarray(z, dtype=float)
-        return float(np.linalg.norm(z - np.asarray(self.center)) + self.radius)
-
-    def as_dict(self) -> dict:
-        return {"shape": "ball", "center": list(self.center), "radius": self.radius}
-
-
 @dataclass(frozen=True)
 class Ellipse:
-    """Open axis-aligned ellipse {sum ((x_i - c_i)/s_i)^2 < 1}."""
+    """Open axis-aligned ellipse {sum ((x_i - c_i)/s_i)^2 < 1}.  Its methods
+    are the geometry of every domain: a Ball only fixes the semi-axes."""
 
     center: tuple
     semi_axes: tuple
@@ -159,18 +109,26 @@ class Ellipse:
     def dim(self) -> int:
         return len(self.center)
 
+    def _norm2(self, x: np.ndarray):
+        """|(x - c)/s|^2 over the last axis, summed from the first coordinate."""
+        q = 0.0
+        for i, (c, s) in enumerate(zip(self.center, self.semi_axes)):
+            t = (x[..., i] - c) / s
+            q = q + t * t
+        return q
+
     def contains(self, points):
         """Membership of a point (bool) or of the rows of an (m, dim) batch."""
-        p = _points(points, self.dim)
-        d = (p - np.asarray(self.center)) / np.asarray(self.semi_axes)
-        inside = sphere.row_dot(d, d) < 1.0
+        p = np.asarray(points, dtype=float)
+        if p.shape[-1:] != (self.dim,):
+            raise InvalidParameterError(f"points must have {self.dim} coordinates")
+        inside = self._norm2(p) < 1.0
         return bool(inside) if p.ndim == 1 else inside
 
     def holds_balls(self, points: np.ndarray, d: float) -> np.ndarray:
         """Whether each row's closed d-ball surely lies inside: |(x-c)/s|^2 < (1-d/min s)^2."""
-        x = (points - np.asarray(self.center)) / np.asarray(self.semi_axes)
         s = min(self.semi_axes)
-        return (sphere.row_dot(x, x) < (1.0 - d / s) ** 2) & (d < s)
+        return (self._norm2(points) < (1.0 - d / s) ** 2) & (d < s)
 
     def bounds(self):
         c = np.asarray(self.center)
@@ -187,6 +145,27 @@ class Ellipse:
             "center": list(self.center),
             "semi_axes": list(self.semi_axes),
         }
+
+
+@dataclass(frozen=True)
+class Ball(Ellipse):
+    """Open ball {|x - center| < radius}: the Ellipse whose semi-axes all equal
+    radius, written {"shape": "ball", ...} and never equal to an Ellipse."""
+
+    radius: float
+    semi_axes: tuple = _field(init=False, repr=False)
+
+    def __post_init__(self):
+        c = np.asarray(self.center, dtype=float)
+        if c.ndim != 1 or c.size not in (2, 3):
+            raise InvalidParameterError("ball center must be a 2- or 3-vector")
+        if not self.radius > 0:
+            raise InvalidParameterError("ball radius must be positive")
+        object.__setattr__(self, "semi_axes", (self.radius,) * c.size)
+        super().__post_init__()
+
+    def as_dict(self) -> dict:
+        return {"shape": "ball", "center": list(self.center), "radius": self.radius}
 
 
 def domain_from_dict(d: dict):
@@ -459,7 +438,8 @@ class _CircleBellman:
     time.  The linear part is the sparse map `cover` from the Q samples to
     the M step sums G (repeated cyclically as far as the run reaches) and
     the M shortest arcs; `maxmin` does the rest.  This holds for every
-    (Q, M): steps and arcs need not start on cell boundaries.
+    (Q, M): steps and arcs need not start on cell boundaries.  Only `_bands`
+    forms the bands: `maxmin` folds them, `select` is the identity's bands.
 
     Every weight is a nonnegative cell coverage and nothing is subtracted;
     the band averages are then scaled by positive constants and combined by
@@ -501,22 +481,13 @@ class _CircleBellman:
         h = M // 2
         self.scale = [1.0 / (length(k) + length(M - k)) for k in range(h + 1)]
         # row k M + base of select is the band average of the pair (base,
-        # base + k), k <= M/2: scale[k] times A_kmax[base] plus the steps
-        # base + k, ..., base + kmax - 1, and for near-opposite pairs also
-        # A_{M-k}[base + k], the same way
-        arc0 = M + kmax - 1  # row of the shortest arc A_kmax[0]
-        k, base = np.divmod(np.arange((h + 1) * M), M)
-        i2 = (base + k) % M
-        two = k >= M - kmax
-        # runs of cover rows: start, start + 1, ..., start + count - 1
-        start = np.concatenate([arc0 + base, base + k, arc0 + i2, i2 + M - k])
-        count = np.concatenate([np.ones_like(k), kmax - k, two, two * (kmax - M + k)])
-        rows = np.repeat(np.tile(k * M + base, 4), count)
-        cols = (np.repeat(start - np.cumsum(count) + count, count)
-                + np.arange(rows.size))
-        data = np.asarray(self.scale)[rows // M]
-        self.select = sparse.csr_matrix((data, (rows, cols)),
-                                        shape=((h + 1) * M, ua.size))
+        # base + k) as a map of cover's rows: maxmin's bands of the identity
+        bands = np.empty((h + 1, M, ua.size))
+        list(self._bands(np.eye(ua.size), bands))
+        D = bands.reshape(-1, ua.size)
+        nz = D != 0.0  # csr_matrix(D) finds these 3x slower, by a 2-D nonzero
+        self.select = sparse.csr_matrix((D[nz], np.flatnonzero(nz) % ua.size,
+                                         np.append(0, np.cumsum(nz.sum(axis=1)))), shape=D.shape)
         # Paul p's candidates in tie order, as pair ids: Carol's p + k for
         # k = M/2 down to 0, then p - k for k = M/2, ..., 1 rotated to start
         # at min(p, M/2) (for even M, p - M/2 is p + M/2, already first)
@@ -526,22 +497,15 @@ class _CircleBellman:
         self.order = np.concatenate([np.arange(h, -1, -1) * M + p, back * M + (p - back) % M],
                                     axis=1)
 
-    def maxmin(self, R: np.ndarray) -> tuple:
-        """R = cover @ samples, shape (rows, m); returns (values, ids): the
-        (m,) max_i min_j of the cap-pair averages and the pair id k M + base
-        of Paul's first maximizing axis against his first minimizing
-        candidate in `order`, read from the h + 1 bands kept for that."""
+    def _bands(self, R: np.ndarray, bands: np.ndarray):
+        """From R = cover @ samples, shape (rows, m), fill bands[k], shape
+        (M, m), with the band averages of the pairs (base, base + k), k <=
+        M/2, and yield each (k, bands[k]) as it is filled, k from M/2 down:
+        scale[k] times A_k = A_kmax plus the steps base + k, ...,
+        base + kmax - 1, and for near-opposite pairs also A_{M-k}[base + k]."""
         M, kmax, h = self.M, self.kmax, self.M // 2
-        m = R.shape[1]
         steps = R[: M + kmax - 1]
         arc = R[M + kmax - 1:].copy()  # A_kmax
-        # row p of low: Paul's axis p against Carol's axes p + k; row p + k
-        # of high: Paul's axis p + k (mod M) against Carol's axis p
-        low = np.full((M, m), np.inf)
-        high = np.full((M + h, m), np.inf)
-        # band k, row base: the pair (base, base + k); every band is kept
-        # for the tail
-        bands = np.empty((h + 1, M, m))
         second = {}
         for k in range(kmax, -1, -1):
             if k < kmax:
@@ -555,17 +519,31 @@ class _CircleBellman:
                     band *= self.scale[k]
                 else:
                     np.multiply(arc, self.scale[k], out=band)
-                np.minimum(low, band, out=low)
-                if k:
-                    np.minimum(high[k : k + M], band, out=high[k : k + M])
+                yield k, band
+
+    def maxmin(self, R: np.ndarray) -> tuple:
+        """R = cover @ samples, shape (rows, m); returns (values, ids): the
+        (m,) max_i min_j of the cap-pair averages and the pair id k M + base
+        of Paul's first maximizing axis against his first minimizing
+        candidate in `order`, read from the h + 1 bands kept for that."""
+        M, h = self.M, self.M // 2
+        m = R.shape[1]
+        # row p of low: Paul's axis p against Carol's axes p + k; row p + k
+        # of high: Paul's axis p + k (mod M) against Carol's axis p
+        low = np.full((M, m), np.inf)
+        high = np.full((M + h, m), np.inf)
+        bands = np.empty((h + 1, M, m))
+        for k, band in self._bands(R, bands):
+            np.minimum(low, band, out=low)
+            if k:
+                np.minimum(high[k : k + M], band, out=high[k : k + M])
         np.minimum(low, high[:M], out=low)
         np.minimum(low[:h], high[M:], out=low[:h])
         return _choose(low, bands.reshape(-1, m), self.order)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None):
-        """The band average of each pair is scale[k] times its step sums and
-        shortest arcs (the linear part of maxmin for that pair): the rows
-        ids of select, applied to A."""
+        """The band average of each pair as a map of A's columns (A has
+        cover's rows): the rows ids of select, applied to A."""
         R = self.select[ids] @ A
         if drop is not None:
             R.data[drop[np.repeat(np.arange(R.shape[0]), np.diff(R.indptr)), R.indices]] = 0.0

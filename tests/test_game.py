@@ -279,14 +279,6 @@ def test_episode_json_dict():
     assert isinstance(d["positions"][0][0], float)
 
 
-def test_payoff_k_override():
-    e = game.play_episode(
-        np.zeros(2), game.fixed_axis_strategy([1.0, 0.0]),
-        game.fixed_axis_strategy([0.0, 1.0]), 3.0, DISK, rng(1), payoff_k=2.0,
-    )
-    assert e.payoff == 3.0 * 3.0 * 2.0
-
-
 # ---------------------------------------------------------------------------
 # batches
 

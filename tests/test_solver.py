@@ -80,6 +80,43 @@ def test_contains_rejects_other_dimensions():
     assert solver.Ellipse((0.0, 0.0), (1.0, 2.0)).contains([0.0, 2.5]) is False
 
 
+def _near_sphere(rng, center, radius, n, axis=None):
+    """n points within about 2e-15 (relative) of the sphere |x - center| =
+    radius: in random directions, or, given an axis, in the directions
+    +-e_axis tilted by at most 3e-8 on the other axes."""
+    dim = len(center)
+    if axis is None:
+        u = rng.standard_normal((n, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+    else:
+        u = rng.uniform(-3e-8, 3e-8, (n, dim))
+        u[:, axis] = rng.choice([-1.0, 1.0], n)
+    scale = radius * (1.0 + rng.uniform(-2e-15, 2e-15, (n, 1)))
+    return np.asarray(center) + scale * u
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_ball_tests_points_as_its_equal_axes_ellipse(dim):
+    """One formula for both domains: a ball and the ellipse with equal
+    semi-axes agree on every point, even within an ulp of the sphere, and
+    the discrete domains nest, B_b <= E(a, b) <= B_a, point for point,
+    where the ellipse touches either ball."""
+    rng = np.random.default_rng(26 + dim)
+    c = (0.1, -0.2, 0.3)[:dim]
+    for r in (0.7, 0.3, 0.55):
+        p = _near_sphere(rng, c, r, 20_000)
+        ball, ellipse = solver.Ball(c, r), solver.Ellipse(c, (r,) * dim)
+        assert np.array_equal(ball.contains(p), ellipse.contains(p))
+    for b, a in ((0.6, 0.61), (0.3, 0.55)):
+        inner, outer = solver.Ball(c, b), solver.Ball(c, a)
+        e = solver.Ellipse(c, (a,) + (b,) * (dim - 1))
+        # the ellipse touches the inner ball at c +- b e_1, the outer at c +- a e_0
+        p = np.concatenate([_near_sphere(rng, c, b, 20_000, axis=1),
+                            _near_sphere(rng, c, a, 20_000, axis=0)])
+        assert not np.any(inner.contains(p) & ~e.contains(p))
+        assert not np.any(e.contains(p) & ~outer.contains(p))
+
+
 def test_domain_validation():
     with pytest.raises(InvalidParameterError):
         solver.Ball(center=(0.0, 0.0), radius=0.0)
@@ -241,9 +278,10 @@ def test_sweep_matches_literal_operator():
 @pytest.mark.parametrize("M, Q", [(8, 1024), (64, 1024), (9, 100)])
 @pytest.mark.parametrize("eps", [0.3, 0.1])
 def test_circle_reduce_matches_cell_coverage(M, Q, eps):
-    """The step-run reduce against a plain per-cell coverage sum over the
-    arcs of sphere.intersect_caps, for every cap pair: two-arc bands, arcs
-    shorter than an axis spacing, and Q not a multiple of M."""
+    """The step-run reduce and every pair's row of pair_rows against a
+    plain per-cell coverage sum over the arcs of sphere.intersect_caps, for
+    every cap pair: two-arc bands, arcs shorter than an axis spacing, and Q
+    not a multiple of M."""
     theta = sphere.theta_eps(eps, 2)
     bell = solver._CircleBellman(theta, M, Q)
     V = np.random.default_rng(M + Q).random((Q, 4))
@@ -266,6 +304,11 @@ def test_circle_reduce_matches_cell_coverage(M, Q, eps):
     expected = avg.min(axis=1).max(axis=0)
     got = bell.maxmin(bell.cover @ V)[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+    # pair id k M + base is the pair (base, base + k), k <= M/2
+    k, base = np.divmod(np.arange((M // 2 + 1) * M), M)
+    rows = bell.pair_rows(bell.cover @ V, k * M + base)
+    pair = avg[base, (base + k) % M]
+    assert np.all(np.abs(rows - pair) <= 1e-12 * np.abs(pair))
 
 
 @pytest.mark.parametrize("M", [8, 64])

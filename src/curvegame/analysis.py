@@ -302,8 +302,8 @@ def hausdorff_distance(a: LevelSetMask, b: LevelSetMask) -> float:
 # convergence study
 
 
-def _study_row(domain, eps: float, template: SolverConfig | None,
-               t_values, L: float) -> dict:
+def _study_row(domain, eps: float, template: SolverConfig | None, t_values) -> dict:
+    """One convergence_study row; a payoff eps^2 K gives the oracle source K / C(N)."""
     base = template if template is not None else SolverConfig(eps=eps)
     # tol_iter and grid_h reset to their per-eps defaults; a template's
     # absolute values would not scale across the sweep.
@@ -311,7 +311,7 @@ def _study_row(domain, eps: float, template: SolverConfig | None,
         replace(base, eps=float(eps), tol_iter=None, grid_h=None), domain.dim
     )
     field = solve(domain, cfg)
-    oracle = BallOracle(R=domain.radius, L=L, N=domain.dim)
+    oracle = BallOracle(R=domain.radius, L=cfg.K / constant_C(domain.dim), N=domain.dim)
     pts = field.node_points()
     centered = pts - np.asarray(domain.center)
     exact = oracle.values(centered).reshape(field.shape)
@@ -337,11 +337,11 @@ def _study_row(domain, eps: float, template: SolverConfig | None,
 
 
 def convergence_study(domain, eps_list, template: SolverConfig | None = None,
-                      *, t_values=(), L: float = 1.0) -> list:
+                      *, t_values=()) -> list:
     """Solve per eps on a centered-oracle ball domain and tabulate errors.
 
     Each row reports the interior sup-norm error against the ball oracle
-    with source constant L, the field maximum over the 2*eps boundary
+    with source L = K / C(N), the field maximum over the 2*eps boundary
     collar, and the Hausdorff distance between computed and oracle
     superlevel sets for every requested t.  tol_iter and grid_h follow the
     per-eps defaults; K, axis_count, quad_order and max_iter are taken from
@@ -353,4 +353,4 @@ def convergence_study(domain, eps_list, template: SolverConfig | None = None,
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise InvalidParameterError("need at least one eps")
-    return [_study_row(domain, e, template, t_values, L) for e in eps_list]
+    return [_study_row(domain, e, template, t_values) for e in eps_list]

@@ -15,12 +15,13 @@ name a flag of its command (underscores for dashes) or a key the command reads
 from configs only, such as domain; any other key is a usage error.  The seven
 solver settings are declared once, in SOLVER_SETTINGS, and the other typed
 flags in FLAG_TYPES; a config value is parsed from its text by its flag's type
-(a list flag's value from its comma-separated items).  --threads is accepted
-and checked, but every command runs in one thread.  All float output
-is printed with 17 significant digits, so identical configs and seeds give
-byte-identical artifacts.  Artifacts embed their full effective
-configuration; wall-clock timings go only to manifests and never into files
-meant for byte comparison.
+(a list flag's value from its comma-separated items).  --threads is checked,
+but every command runs in one thread.  Only simulate and verify, which draw
+random numbers, take --seed.  levelset and converge give the ball oracle the
+source L = K / C(N), K the payoff constant their field was solved with.  Float
+output has 17 significant digits, so identical configs and seeds give
+byte-identical artifacts, which embed their full effective configuration;
+wall-clock timings go only to manifests.
 
 Exit codes: 0 success (and --help), 1 usage or config error (a malformed
 command line included), 2 solver non-convergence, 3 verification failure.
@@ -61,7 +62,7 @@ def _float_list(s: str) -> list:
 # The other typed flags, name -> type.  The parser takes each flag's type
 # from these two tables, and _effective parses config values with them.
 FLAG_TYPES = {
-    "seed": int, "threads": int, "n": int, "L": float, "x0": _float_list,
+    "seed": int, "threads": int, "n": int, "x0": _float_list,
     "z": _float_list, "t_list": _float_list, "eps_list": _float_list,
 }
 
@@ -444,12 +445,11 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
         raise InvalidParameterError("levelset needs a field artifact; pass --field")
     field, header = solver.load_field(cfg["field"])
     t_list = cfg.get("t_list", [0.1, 0.25, 0.4])
-    eps = header.get("config", {}).get("eps")
-    oracle = None
-    if hasattr(field.domain, "radius"):
-        oracle = analysis.BallOracle(
-            R=field.domain.radius, L=cfg.get("L", 1.0), N=field.domain.dim
-        )
+    eps, K = map((header.get("config") or {}).get, ("eps", "K"))
+    # the oracle's source is K / C(N); a field saved without its K had K = C(N)
+    L = 1.0 if K is None else K / sphere.constant_C(field.domain.dim)
+    oracle = (analysis.BallOracle(R=field.domain.radius, L=L, N=field.domain.dim)
+              if hasattr(field.domain, "radius") else None)
     vmax = float(field.values.max())
     lines = ["eps,t,count,hausdorff_vs_oracle"]
     for t in t_list:
@@ -468,7 +468,7 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
         "command": "levelset",
         "field": str(cfg["field"]),
         "t_list": t_list,
-        "L": cfg.get("L", 1.0),
+        "L": L,
         "field_config": header.get("config"),
     }
     _write(out / "levelset_manifest.json", solver.dumps_compact(manifest) + "\n")
@@ -487,11 +487,11 @@ def cmd_converge(cfg: dict, out: Path) -> int:
     # each row sets its own eps; the study rejects an empty list and a
     # domain that is not a ball
     template = _solver_config({**cfg, "eps": 0.0})
-    L = cfg.get("L", 1.0)
     t0 = time.perf_counter()
-    rows = analysis.convergence_study(domain, eps_list, template,
-                                      t_values=t_list, L=L)
+    rows = analysis.convergence_study(domain, eps_list, template, t_values=t_list)
     wall = time.perf_counter() - t0
+    C = sphere.constant_C(domain.dim)
+    K = template.K if template.K is not None else C
     header_cols = ["eps", "grid_h", "iterations", "sup_error", "boundary_max"]
     # column labels read better in shortest form; data cells stay exact
     header_cols += [f"hausdorff_t{t:g}" for t in t_list]
@@ -507,9 +507,9 @@ def cmd_converge(cfg: dict, out: Path) -> int:
         "domain": domain.as_dict(),
         "eps_list": eps_list,
         "t_list": t_list,
-        "L": L,
-        "K": template.K if template.K is not None else sphere.constant_C(domain.dim),
-        "constant_C": sphere.constant_C(domain.dim),
+        "L": K / C,
+        "K": K,
+        "constant_C": C,
         "rows": rows,
         "wall_time_s": wall,
     }
@@ -545,7 +545,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=FLAG_TYPES["seed"], help="RNG seed override")
         p.add_argument("--threads", type=FLAG_TYPES["threads"],
                        help="thread cap, at least 1; accepted and checked, "
                             "every command runs in one thread")
@@ -560,8 +559,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = command("simulate", cmd_simulate, "Monte Carlo estimates and diagnostics",
                 ["eps"])
+    p.add_argument("--seed", type=FLAG_TYPES["seed"], help="RNG seed")
     p.add_argument("--n", type=FLAG_TYPES["n"])
-    p.add_argument("--mode", choices=["estimate", "diagnostic"])
+    p.add_argument("--mode", help="estimate | diagnostic")
     p.add_argument("--field", help="field artifact for gradient strategies")
     p.add_argument("--paul", help="gradient | radial | fixed_axis")
     p.add_argument("--carol", help="gradient | radial | fixed_axis")
@@ -569,20 +569,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", type=FLAG_TYPES["z"], help="reference point, comma separated")
     p.add_argument("--trace", help="episode trace JSONL filename")
 
-    command("verify", cmd_verify, "run the verification suite", ["eps", "K"])
+    p = command("verify", cmd_verify, "run the verification suite", ["eps", "K"])
+    p.add_argument("--seed", type=FLAG_TYPES["seed"], help="RNG seed")
 
     p = command("levelset", cmd_levelset, "superlevel masks of a stored field", [])
     p.add_argument("--field", help="field artifact to threshold")
     p.add_argument("--t-list", dest="t_list", type=FLAG_TYPES["t_list"],
                    help="levels, comma separated")
-    p.add_argument("--L", type=FLAG_TYPES["L"], help="oracle source constant")
 
     p = command("converge", cmd_converge, "oracle convergence study",
                 ["K", "axis_count", "quad_order", "max_iter"])
     p.add_argument("--eps-list", dest="eps_list", type=FLAG_TYPES["eps_list"],
                    help="eps values, comma separated")
     p.add_argument("--t-list", dest="t_list", type=FLAG_TYPES["t_list"])
-    p.add_argument("--L", type=FLAG_TYPES["L"])
 
     return top
 

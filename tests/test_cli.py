@@ -71,6 +71,8 @@ def test_malformed_config_exits_one(tmp_path):
 def test_unknown_config_keys_exit_one(tmp_path):
     cfg = tmp_path / "cfg.json"
     out = tmp_path / "out"
+    field = str(tmp_path / "fld" / "field.json")
+    assert run("solve", "--eps", "0.5", "--out", str(tmp_path / "fld")) == 0
     for command, doc in [
         ("solve", {"eps": 0.3, "axis_cont": 8}),
         ("solve", {"eps": 0.3, "threads": 2}),
@@ -81,6 +83,12 @@ def test_unknown_config_keys_exit_one(tmp_path):
         ("converge", {"tol_iter": 1e-4}),
         ("converge", {"grid_h": 0.1}),
         ("converge", {"parallel": True}),
+        # nothing random runs in these, and the oracle's L follows from K
+        ("solve", {"eps": 0.3, "seed": 1}),
+        ("levelset", {"field": field, "seed": 1}),
+        ("converge", {"eps_list": [0.5], "seed": 1}),
+        ("levelset", {"field": field, "L": 2.0}),
+        ("converge", {"eps_list": [0.5], "L": 2.0}),
     ]:
         cfg.write_text(json.dumps(doc))
         assert run(command, "--config", str(cfg), "--out", str(out)) == 1, doc
@@ -120,17 +128,16 @@ def test_config_keys_each_command_reads_are_accepted(tmp_path):
     settings = {"eps": 0.3, "K": 0.5, "axis_count": 8, "quad_order": 16,
                 "tol_iter": 1e-4, "max_iter": 10, "grid_h": 0.1}
     docs = {
-        "solve": {"domain": disk, "seed": 1, **settings},
+        "solve": {"domain": disk, **settings},
         "simulate": {"domain": disk, "axis": [1, 0], "eps": 0.3, "n": 4,
                      "mode": "estimate", "field": "f.json", "paul": "radial",
                      "carol": "radial", "x0": [0, 0], "z": [0, 0],
                      "trace": "t.jsonl", "seed": 1},
         "verify": {"domain": disk, "lemma_function": "one",
                    "lemma_eps_list": [0.01], "seed": 1, **settings},
-        "levelset": {"field": "f.json", "t_list": [0.1], "L": 1.0, "seed": 1},
+        "levelset": {"field": "f.json", "t_list": [0.1]},
         "converge": {"domain": disk, "eps_list": [0.3], "t_list": [0.1],
-                     "K": 0.5, "axis_count": 8, "quad_order": 16,
-                     "max_iter": 10, "L": 1.0, "seed": 1},
+                     "K": 0.5, "axis_count": 8, "quad_order": 16, "max_iter": 10},
     }
     for command, doc in docs.items():
         cfg.write_text(json.dumps(doc))
@@ -178,7 +185,6 @@ def test_config_values_parse_like_their_flags(tmp_path):
         ("simulate", {**radial, "n": 4.7}, ["--n", "4.7"]),
         ("simulate", {**radial, "seed": 1.5}, ["--seed", "1.5"]),
         ("simulate", {**radial, "x0": ["a", 0]}, ["--x0=a,0"]),
-        ("levelset", {"field": str(field), "L": "abc"}, ["--L", "abc"]),
         ("levelset", {"field": str(field), "t_list": ["a"]}, ["--t-list", "a"]),
         ("converge", {"eps_list": [True]}, ["--eps-list", "True"]),
         ("converge", {"eps_list": [0.5], "t_list": "x"}, ["--t-list", "x"]),
@@ -221,11 +227,16 @@ def test_verify_and_converge_take_axis_count_from_config(tmp_path, monkeypatch):
     assert seen == [("verify", 16), ("converge", 16)]
 
 
-def test_malformed_command_line_exits_one(capsys):
+def test_malformed_command_line_exits_one(tmp_path, capsys):
     # argparse alone would exit 2, the non-convergence code
+    field = tmp_path / "fld" / "field.json"
+    assert run("solve", "--eps", "0.5", "--out", str(field.parent)) == 0
+    out = ["--out", str(tmp_path / "out")]
     for argv in (["solve", "--eps", "abc"], ["solve", "--bogus"], ["bogus"],
-                 ["simulate", "--x0", "a,b"], []):
+                 ["simulate", "--x0", "a,b"], ["solve", "--eps", "0.5", "--seed", "1", *out],
+                 ["levelset", "--field", str(field), "--L", "2", *out], []):
         assert run(*argv) == 1, argv
+    assert not (tmp_path / "out").exists()
     assert "invalid float value" in capsys.readouterr().err
     for argv in (["--help"], ["solve", "--help"]):
         with pytest.raises(SystemExit) as exc:
@@ -766,9 +777,12 @@ def test_simulate_fixed_axis_needs_axis(tmp_path):
 def test_simulate_unknown_mode_exits_one(tmp_path):
     cfg = tmp_path / "c.json"
     cfg.write_text(json.dumps({"mode": "bogus"}))
-    assert run("simulate", "--config", str(cfg), "--eps", "0.5", "--n", "4",
-               "--paul", "radial", "--carol", "radial",
-               "--out", str(tmp_path / "o")) == 1
+    out = tmp_path / "o"
+    flags = ["--eps", "0.5", "--n", "4", "--paul", "radial", "--carol", "radial"]
+    assert run("simulate", "--config", str(cfg), *flags, "--out", str(out)) == 1
+    # a flag takes the same check as a config value
+    assert run("simulate", "--mode", "bogus", *flags, "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_simulate_fixed_axis_and_diagnostic_strategy(tmp_path):
@@ -943,6 +957,31 @@ def test_converge_manifest_with_an_infinite_distance_is_json(tmp_path):
     manifest = read_json(out / "converge_manifest.json")
     assert manifest["rows"][0]["hausdorff"] == {"0.49": math.inf}
     assert (out / "converge.csv").read_text().splitlines()[1].endswith(",inf")
+
+
+def test_oracle_source_follows_the_payoff_constant(tmp_path):
+    """C(2) = 0.5, so K = 1.0 doubles the payoff and the field: the oracle's
+    source L = K / C(N) doubles with it, so every error doubles, and the
+    level t of the doubled field is the level t/2 of the default one."""
+    def rows(name, *argv):
+        out = tmp_path / name
+        assert run(*argv, "--out", str(out)) == 0
+        return [l.split(",") for l in (out / f"{argv[0]}.csv").read_text().splitlines()[1:]]
+
+    study = ["converge", "--eps-list", "0.3,0.2"]
+    default = rows("cv1", *study, "--t-list", "0.25")
+    doubled = rows("cv2", *study, "--K", "1.0", "--t-list", "0.5")
+    assert len(doubled) == 2 and float(doubled[0][3]) < 0.1
+    for a, b in zip(default, doubled):
+        assert float(b[3]) == pytest.approx(2.0 * float(a[3]), rel=1e-9)
+        assert float(b[4]) == pytest.approx(2.0 * float(a[4]), rel=1e-9)
+        assert b[5] == a[5]
+    for K, levels in (("0.5", "0.1,0.25"), ("1.0", "0.2,0.5")):
+        assert run("solve", "--eps", "0.3", "--K", K, "--out", str(tmp_path / K)) == 0
+        got = rows("ls" + K, "levelset", "--field", str(tmp_path / K / "field.json"),
+                   "--t-list", levels)
+        assert [int(r[2]) for r in got] == [121, 69], K
+        assert [float(r[3]) for r in got] == pytest.approx([0.15, 0.0], abs=1e-12), K
 
 
 def test_converge_nonconvergence_exits_two(tmp_path):

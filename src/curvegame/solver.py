@@ -24,10 +24,12 @@ when the steps stop short, the same monotone iteration polishes the last
 certified field.  One sweep kernel
 serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
 sums (circle: a sparse map to axis steps and shortest arcs; sphere: one row
-per cap pair i <= j, stored per Paul axis i on cap i's support only and
-applied as one BLAS product per axis), and `maxmin` turns those into max
-over Paul's axes of min over Carol's axes and the id of the pair that
-attains it, which the policy steps read.  For nodes whose samples all lie
+per cap pair i <= j, stored per Paul axis i on cap i's support only), and
+`maxmin` turns those into max over Paul's axes of min over Carol's axes and
+the id of the pair that attains it, which the policy steps read.  On the
+sphere `maxmin` prunes exactly: it forms Paul i's full row over Carol's
+axes only for the axes that an upper bound and a floor leave able to win,
+about one row per node of the M(M+1)/2 pair rows.  For nodes whose samples all lie
 in the domain, `cover` is merged with the interpolation weights into one
 map of the gathered node values.
 
@@ -409,16 +411,14 @@ def interpolate(field: ValueField, p):
 # shared-grid averaging kernels
 
 
-def _choose(inner: np.ndarray, rows: np.ndarray, order: np.ndarray) -> tuple:
-    """The policy tail of both max-mins.  inner (M, m) holds each Paul axis's
-    min over Carol's; rows holds the pair values, one row per pair id; order
-    (M, M) lists Paul p's M candidate pair ids in tie order.  Returns (the
-    max over Paul of inner, the pair id of Paul's first maximizing axis
-    against his first minimizing candidate)."""
+def _choose(inner: np.ndarray, pick: Callable) -> tuple:
+    """The policy tail of both max-mins.  inner (M, m) holds each Paul
+    axis's min over Carol's; pick(paul) gives, for Paul's axis paul[c] at
+    each column c, the pair id of his first minimizing candidate in the
+    Bellman's tie order.  Returns (the max over Paul of inner, pick of
+    Paul's first maximizing axis)."""
     paul = inner.argmax(axis=0)
-    cols = np.arange(inner.shape[1])
-    ids = order[paul, rows[order[paul].T, cols].argmin(axis=0)]
-    return inner[paul, cols], ids
+    return inner[paul, np.arange(inner.shape[1])], pick(paul)
 
 
 class _CircleBellman:
@@ -523,10 +523,11 @@ class _CircleBellman:
                 yield k, band
 
     def maxmin(self, R: np.ndarray) -> tuple:
-        """R = cover @ samples, shape (rows, m); returns (values, ids): the
-        (m,) max_i min_j of the cap-pair averages and the pair id k M + base
-        of Paul's first maximizing axis against his first minimizing
-        candidate in `order`, read from the h + 1 bands kept for that."""
+        """R = cover @ samples, shape (rows, m); returns (values, ids,
+        rows): the (m,) max_i min_j of the cap-pair averages, the pair id
+        k M + base of Paul's first maximizing axis against his first
+        minimizing candidate in `order`, read from the h + 1 bands kept for
+        that, and the M m Paul rows folded."""
         M, h = self.M, self.M // 2
         m = R.shape[1]
         # row p of low: Paul's axis p against Carol's axes p + k; row p + k
@@ -540,7 +541,9 @@ class _CircleBellman:
                 np.minimum(high[k : k + M], band, out=high[k : k + M])
         np.minimum(low, high[:M], out=low)
         np.minimum(low[:h], high[M:], out=low[:h])
-        return _choose(low, bands.reshape(-1, m), self.order)
+        rows, cols, order = bands.reshape(-1, m), np.arange(m), self.order
+        pick = lambda paul: order[paul, rows[order[paul].T, cols].argmin(axis=0)]
+        return (*_choose(low, pick), M * m)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None):
         """The band average of each pair as a map of A's columns (A has
@@ -627,12 +630,17 @@ class _SphereBellman:
     zero wherever member_i is, so Paul's axis i has one block, its rows
     (i, j >= i), stored on cap i's support alone (54-69% of the Q nodes; the
     blocks take 57-62% of the dense table's bytes at the 3D configs
-    measured).  `maxmin` reads pair (j, i) from row (i, j) and
-    takes the min over Carol's j one Paul row i at a time (an (M, M, m)
-    gather would take MBs per block), then the max over Paul's i.  Every
-    weight is nonnegative and nothing is subtracted, so the map from samples
-    to result is monotone exactly in floating point.
+    measured).  The sweep does not apply cover: `maxmin` forms Paul i's
+    full row R(i, .) over all Carol axes, at one node, as (member_j @
+    (member_i w V)) / denom_ij on cap i's support (`paul_rows`), and it
+    forms such a row only for the Paul axes that can still win.  Every
+    factor is nonnegative and nothing is subtracted, so each row, and the
+    max-min of the rows, is monotone in the samples exactly in floating
+    point.
     """
+
+    # Carol axes nearest -a_i whose pairs bound Paul i's min from above
+    GUESSES = 7
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
         self.theta = theta
@@ -670,28 +678,93 @@ class _SphereBellman:
         upper = np.triu_indices(M)
         self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> row of cover
         self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
+        self.denom = np.empty((M, M))  # denom_ij, filled block by block
         self.cover = _PairTable(map(self._pair_block, range(M)), wq.size)
+        # the factors of paul_rows, with the zero row that cover reads
+        self.scaled = np.pad(self.member * wq, ((0, 0), (0, 1)))  # member_i w
+        self.carol = np.pad(self.member, ((0, 0), (0, 1)))  # member_j
+        # Carol's GUESSES axes nearest -a_i, nearest first, per Paul axis i
+        self.guess = np.argsort(axes @ axes.T, axis=1, kind="stable")[:, : self.GUESSES]
 
     def _pair_block(self, i: int) -> tuple:
         """Paul axis i's rows (i, j >= i) of cover on cap i's support, and
-        that support."""
+        that support; their denominators go to denom."""
         cap = np.flatnonzero(self.member[i] > 0.0)
         block = self.member[i, cap] * self.weights[cap] * self.member[i:, cap]
         denom = block.sum(axis=1)
         if not np.all(denom > 1e-12):
             raise InvalidParameterError("degenerate cap pair on the quadrature grid")
         block /= denom[:, None]
+        self.denom[i, i:] = self.denom[i:, i] = denom
         return block, cap
 
-    def maxmin(self, R: np.ndarray) -> tuple:
-        """R = cover @ samples, shape (M(M+1)/2, m); returns (values, ids):
-        the (m,) max_i min_j of the cap-pair averages and the pair id
+    def weighted(self, i: int, V: np.ndarray) -> np.ndarray:
+        """member_i w V on cap i's support, shape (m, cap size), from the
+        nodes' samples V (m, Q + 1) in cover's padded layout."""
+        cap = self.cover.cols[i]
+        y = V[:, cap]
+        y *= self.scaled[i, cap]
+        return y
+
+    def paul_rows(self, i: int, y: np.ndarray) -> np.ndarray:
+        """Paul axis i's full rows R(i, j), every Carol axis j, shape
+        (m, M), from y = weighted(i, V): (member_j @ y) / denom_ij.  Each
+        node's row is one product of a fixed shape whatever other nodes y
+        holds, so a node's R(i, j) has one value in every call."""
+        W = np.take(self.carol, self.cover.cols[i], axis=1)  # C-ordered, as BLAS reads it
+        R = np.matmul(W, y[:, :, None])[:, :, 0]
+        R /= self.denom[i]
+        return R
+
+    def maxmin(self, V: np.ndarray, bound: np.ndarray, slack: np.ndarray,
+               hint: np.ndarray) -> tuple:
+        """The max-min at m nodes, pruned exactly (alpha-beta; Knuth and
+        Moore 1975).  V (m, Q + 1) holds the nodes' samples; bound (M, m)
+        an upper bound of each Paul axis's min over Carol's, to within
+        slack (m,), which also covers the rounding between two products of
+        one pair row; hint (m,) a Paul axis per node.
+
+        The hint's full row gives the floor L = min_j R(hint, j) <= T and
+        Carol's reply to it, j*.  An axis i whose bound is below L - slack,
+        or else whose R(i, j*) is, has its min below L: it can neither be
+        the max nor tie it, and only the other axes get full rows.  Returns
+        (values, ids, rows): the max_i min_j R(i, j), the pair id
         pair[i, j] of Paul's first maximizing axis i and Carol's first
-        minimizing axis j against it."""
-        inner = np.empty((self.M, R.shape[1]))
-        for i in range(self.M):
-            np.min(R[self.pair[i]], axis=0, out=inner[i])
-        return _choose(inner, R, self.pair)
+        minimizing axis j against it, and the count of full rows formed;
+        all as the max-min of every full row gives them, bit for bit."""
+        M, m = self.M, V.shape[0]
+        inner = np.full((M, m), -np.inf)
+        carol = np.zeros((M, m), dtype=np.intp)
+        cols = np.arange(m)
+        formed = [m]
+
+        def rows(paul, nodes, reply=None):
+            # full rows of the (paul, node) items, grouped by Paul axis;
+            # with reply, only of those whose pair (paul, reply) is not
+            # below the floor
+            order = np.argsort(paul, kind="stable")
+            paul, nodes = paul[order], nodes[order]
+            stops = np.searchsorted(paul, np.arange(M + 1))
+            for i in np.flatnonzero(np.diff(stops)):
+                at = nodes[stops[i] : stops[i + 1]]
+                y = self.weighted(i, V[at])
+                if reply is not None:
+                    j = reply[at]
+                    pair = np.einsum("kq,kq->k", y, self.carol[j][:, self.cover.cols[i]])
+                    keep = pair / self.denom[i, j] >= floor[at] - slack[at]
+                    at, y = at[keep], y[keep]
+                    formed[0] += at.size
+                R = self.paul_rows(i, y)
+                inner[i, at] = R.min(axis=1)
+                carol[i, at] = R.argmin(axis=1)
+
+        rows(hint, cols)
+        floor, reply = inner[hint, cols], carol[hint, cols]
+        alive = bound >= floor - slack
+        alive[hint, cols] = False
+        rows(*np.nonzero(alive), reply)
+        pick = lambda paul: self.pair[paul, carol[paul, cols]]
+        return (*_choose(inner, pick), formed[0])
 
     def pair_rows(self, A, ids: np.ndarray, drop=None) -> np.ndarray:
         """A pair's band average is one row of cover: A's row ids."""
@@ -762,13 +835,17 @@ class _Kernel:
     and apply cover.  Both maps have nonnegative weights and are applied
     with `@` in an order that does not depend on the data, so the sweep
     stays exactly monotone: sparse products on the circle; on the sphere
-    _PairTable products, one GEMM per Paul axis on its cap's columns for
-    cover and one on all offsets for merged, so a rim node pays only for
-    the columns its pairs can weigh.  A block's gathered values and samples
-    are formed once, in the padded layout that a _PairTable reads (the
-    tables carry the slot's row and padding columns, samp an empty column
-    and, where cover reads one, an empty last row), and a sweep holds one
-    block's rows at a time.
+    _PairTable products.  A block's gathered values and samples are formed
+    once, in the padded layout that a _PairTable reads (the tables carry
+    the slot's row and padding columns, samp an empty column and, where
+    cover reads one, an empty last row).  On the circle a sweep holds one
+    block's rows at a time.  On the sphere deep and rim nodes take one
+    path and only the mask differs: a sweep forms every node's samples, a
+    bound from merged's rows of the pairs (i, guess) on the gathered
+    values, and hands them with the hint (the Paul axis nearest the
+    centre's direction, fixed per node) to the pruned `maxmin`, which
+    forms full Paul rows for the axes that can still win; no block of all
+    pair rows is formed.  policy_matrix reads each pair's stored weights.
     """
 
     # nodes per block of a sweep
@@ -836,6 +913,17 @@ class _Kernel:
             return idx
 
         self.deep_idx, self.rim_idx = table(self.deep), table(self.rim)
+        if isinstance(bell, _SphereBellman):
+            # the bound rows: merged's pairs (i, guess[i, k]), i-major
+            self.bound = self.merged[bell.pair[np.arange(bell.M)[:, None], bell.guess].ravel()]
+            # 2 gamma_K of the rounding that can part a bound row from its
+            # full row (see _rows)
+            K = bell.cover.shape[1] + self.merged.shape[1] + 64
+            self.slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53)
+            # the Paul axis nearest the centre's direction, in the order
+            # deep then rim that _rows gives the nodes
+            inward = np.asarray(domain.center) - pts[np.concatenate([self.deep, self.rim])]
+            self.hint = np.argmax(inward @ bell.axes.T, axis=1)
 
     def values(self, field: ValueField) -> np.ndarray:
         """The field's interior values; InvalidParameterError unless the
@@ -854,31 +942,70 @@ class _Kernel:
         return ValueField(self.grid.domain, self.grid.lo, self.grid.h, vals, n, increment)
 
     def _rows(self, u: np.ndarray):
-        """(interior positions, cover rows of their samples), block by block.
-        A block's gathered values, and its samples, come in the padded
-        layout that a _PairTable reads: columns up to a multiple of 8 (the
-        slot's) and, where the map reads one, a zero last row; the rows keep
-        only the block's columns.
-        The caller drops a block's rows before it asks for the next."""
+        """(interior positions, maxmin's arguments) of the interior values
+        u.  The gathered values of a node block, and its samples, come in
+        the padded layout that a _PairTable reads: columns up to a multiple
+        of 8 (the slot's) and, where the map reads one, a zero last row.
+
+        On the circle, one item per node block: its cover rows (merged @
+        gathered values at deep nodes; cover @ samples, those outside the
+        domain zeroed, at rim nodes); the caller drops a block's rows
+        before it asks for the next.  On the sphere, one item for every
+        node, deep then rim: their samples (zeroed outside the domain at
+        rim nodes), the bound, its slack and the hint.  Bound row (i, k) is
+        merged's pair (i, guess[i, k]) applied to the gathered values
+        clipped at 0, g+; a sample zeroed outside the domain is at most the
+        sample of g+, so the min over k bounds Paul i's min from above in
+        exact arithmetic, for any u.  Rounding can part the two by at most
+        the samples' (8 terms), the full row's (cover's columns, and 3
+        roundings per weight), merged's build (as many) and the bound
+        product's (merged's columns), each gamma_n of n terms times
+        max|g|: slack = 2 gamma_K max|g| with K = cover's columns +
+        merged's + 64 holds all of them with room for the compare."""
         ext = np.append(u, 0.0)
         B, Q = self.BLOCK, self.outside.shape[0]
-        for s in range(0, self.deep.size, B):
-            pos = self.deep[s : s + B]
-            yield pos, (self.merged @ ext[self.deep_idx[:, s : s + B]])[:, : pos.size]
-        for s in range(0, self.rim.size, B):
-            pos = self.rim[s : s + B]
-            V = self.samp @ ext[self.rim_idx[:, s : s + B]]
-            V[:Q, : pos.size][self.outside[:, s : s + B]] = 0.0
-            yield pos, (self.bellman.cover @ V)[:, : pos.size]
+        bell = self.bellman
+        if not isinstance(bell, _SphereBellman):
+            for s in range(0, self.deep.size, B):
+                pos = self.deep[s : s + B]
+                yield pos, ((self.merged @ ext[self.deep_idx[:, s : s + B]])[:, : pos.size],)
+            for s in range(0, self.rim.size, B):
+                pos = self.rim[s : s + B]
+                V = self.samp @ ext[self.rim_idx[:, s : s + B]]
+                V[:Q, : pos.size][self.outside[:, s : s + B]] = 0.0
+                yield pos, ((bell.cover @ V)[:, : pos.size],)
+            return
+        n, M = self.n_interior, bell.M
+        samples = np.empty((n, bell.cover.shape[1]))
+        bound, slack = np.empty((M, n)), np.empty(n)
+        at = 0
+        for nodes, idx, outside in ((self.deep, self.deep_idx, None),
+                                    (self.rim, self.rim_idx, self.outside)):
+            for s in range(0, nodes.size, B):
+                g = ext[idx[:, s : s + B]]
+                b = min(B, nodes.size - s)
+                V = self.samp @ g
+                if outside is not None:
+                    V[:Q, :b][outside[:, s : s + B]] = 0.0
+                samples[at : at + b] = V[:, :b].T
+                g = g[:, :b]
+                upper = self.bound @ np.maximum(g, 0.0)
+                bound[:, at : at + b] = upper.reshape(M, -1, b).min(axis=1)
+                slack[at : at + b] = self.slack * np.abs(g).max(axis=0)
+                at += b
+        yield np.concatenate([self.deep, self.rim]), (samples, bound, slack, self.hint)
 
     def sweep(self, u: np.ndarray) -> tuple:
         """(T(u), ids): the Bellman right-hand sides of the interior values
-        u, and the pair id chosen at each interior node."""
+        u, and the pair id chosen at each interior node.  Sets rows, the
+        count of Paul rows its max-mins formed."""
         out = np.empty(self.n_interior)
         ids = np.empty(self.n_interior, dtype=np.intp)
-        for pos, R in self._rows(u):
-            out[pos], ids[pos] = self.bellman.maxmin(R)
-            del R
+        self.rows = 0
+        for pos, args in self._rows(u):
+            out[pos], ids[pos], rows = self.bellman.maxmin(*args)
+            self.rows += rows
+            del args
         return out + self.payoff, ids
 
     def policy_matrix(self, ids: np.ndarray):
@@ -888,18 +1015,19 @@ class _Kernel:
         with samp (deep nodes through merged; rim nodes through cover with
         the samples outside the domain dropped), with its columns read from
         deep_idx or rim_idx; the exterior slot, which holds 0, is dropped.
-        A CSR matrix."""
+        Assembled BLOCK nodes at a time; a CSR matrix."""
         from scipy import sparse
 
-        bell = self.bellman
-        deep = bell.pair_rows(self.merged, ids[self.deep])
-        rim = bell.pair_rows(bell.cover, ids[self.rim], self.outside.T)
-        deep, rim = sparse.coo_matrix(deep), sparse.coo_matrix(rim @ self.samp)
-        rows = np.concatenate([self.deep[deep.row], self.rim[rim.row]])
-        cols = np.concatenate([self.deep_idx[deep.col, deep.row],
-                               self.rim_idx[rim.col, rim.row]])
-        data = np.concatenate([deep.data, rim.data])
-        n = self.n_interior
+        bell, B, n = self.bellman, self.BLOCK, self.n_interior
+        parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0))]
+        for nodes, idx, table, drop in ((self.deep, self.deep_idx, self.merged, None),
+                                        (self.rim, self.rim_idx, bell.cover, self.outside.T)):
+            for s in range(0, nodes.size, B):
+                R = bell.pair_rows(table, ids[nodes[s : s + B]],
+                                   None if drop is None else drop[s : s + B])
+                R = sparse.coo_matrix(R if drop is None else R @ self.samp)
+                parts.append((nodes[s + R.row], idx[R.col, s + R.row], R.data))
+        rows, cols, data = map(np.concatenate, zip(*parts))
         keep = cols < n
         return sparse.csr_matrix((data[keep], (rows[keep], cols[keep])), shape=(n, n))
 
@@ -1100,7 +1228,8 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         t = clock()
         Tx, ids = kernel.sweep(x)
         log.append({"phase": step, "s": clock() - t,
-                    "increment": float(np.max(np.abs(Tx - x), initial=0.0))})
+                    "increment": float(np.max(np.abs(Tx - x), initial=0.0)),
+                    "rows": kernel.rows})
         return Tx, ids
 
     c = kernel.payoff

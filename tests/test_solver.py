@@ -325,8 +325,21 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
             w = bell.member[i] * bell.member[j] * bell.weights
             avg[i, j] = w @ V / w.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.maxmin(bell.cover @ V)[0]
+    got = bell.maxmin(*_sphere_args(bell, V.T))[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
+
+
+def _sphere_args(bell, V, hint=None):
+    """The sphere maxmin's arguments for samples V (m, Q): V in cover's
+    padded layout, a bound that keeps every axis alive, the slack 2 gamma_K
+    max|V| of two roundings of a pair row (K = Q + 65) and the hint (axis 0
+    by default)."""
+    m = V.shape[0]
+    V = np.pad(V, ((0, 0), (0, bell.cover.shape[1] - V.shape[1])))
+    hint = np.zeros(m, dtype=np.intp) if hint is None else hint
+    K = V.shape[1] + 64
+    slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53) * np.abs(V).max(axis=1)
+    return V, np.full((bell.M, m), np.inf), slack, hint
 
 
 # sha256 of the circle Bellman's cover and select (data, int64 indices and
@@ -607,16 +620,16 @@ def _traced(fn) -> tuple:
 
 def test_a_sweep_holds_one_block_of_pair_rows():
     """A 3D sweep at the ball3-solve config allocates, above what it
-    returns, at most one node block's pair rows, M(M+1)/2 x BLOCK float64,
-    plus 1.5 MB for that block's samples, its gathers and the max-min's
-    scratch: the previous block's rows are dropped before the next block's
-    are formed."""
+    returns, every node's samples, (Q + 1) float64 each, and three M x n
+    tables (the bound, each Paul axis's min and Carol's reply), plus 2.5 MB
+    for one node block's gathers, bound products and the max-min's
+    scratch: it forms no block of all pair rows."""
     kernel = solver._Kernel(solver.unit_ball(3), BALL3)
     u = np.random.default_rng(5).random(kernel.n_interior)
-    M = BALL3.axis_count
-    rows = M * (M + 1) // 2 * kernel.BLOCK * 8
+    M, n = BALL3.axis_count, kernel.n_interior
+    held = n * (kernel.bellman.cover.shape[1] + 3 * M) * 8
     _, transient = _traced(lambda: kernel.sweep(u))
-    assert rows < transient <= rows + 1.5e6
+    assert held < transient <= held + 2.5e6
 
 
 def test_kernel_build_transient_is_bounded():
@@ -646,7 +659,9 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     u = f.values.ravel()[kernel.int_flat]
     values, ids = kernel.sweep(u)
     bell = kernel.bellman
-    for pos, R in kernel._rows(u):
+    for pos, args in kernel._rows(u):
+        # the circle's cover rows, or the sphere's from its samples
+        R = args[0] if len(args) == 1 else bell.cover @ args[0].T
         picked = bell.pair_rows(R, ids[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
@@ -676,10 +691,11 @@ _FROZEN_POLICY = [
       "c8d14fee1ef9c00d59f4ad18429c5f5fddc3c75290237ac1a6c6ea01c98dc19f",
       "b28313af51020e956805d50f3e8202352ff5cb3f7ba1b45fe64033939a1f4fd7")),
     (3, 64, 16, 0.4,
-     ("68959586db3aee25f2fb79c691ad0046a2e07ff95feb21e6304121cc7e959627",
-      "4bdda1af6b628fa912b5403d5bf1b82f30b950df2472765f03aed98ef81c868c",
+     # the sphere's, recorded when its max-min came to read samples
+     ("a1608328963bbe15d5d76e4d6198496447d1d121afe79daafc9ed31efcb98ee6",
+      "faeb6db96eeee42c8c320f01591e2b0d5e28483f7abac27abecae6a911440b79",
       "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
-      "80b9431951a65dc870e5bf94afc64d0a887a75b9a992948f740e6d54347b2b9c")),
+      "cb503f12bc99bd3a7b9f8f65efd6b8346dd5f2e1cbc7c7c3c9962ee3202c2eb8")),
 ]
 
 
@@ -705,8 +721,13 @@ def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
               cover @ rng.integers(0, 2, (n, 200)).astype(float),
               cover @ np.zeros((n, 3)),
               rng.integers(0, 2, (rows, 200)).astype(float))
+    if dim == 3:
+        # the sphere's max-min reads samples, not rows: V random, 0/1, zero
+        # and constant (ties everywhere), every axis alive
+        blocks = (rng.random((200, n)), rng.integers(0, 2, (200, n)).astype(float),
+                  np.zeros((3, n)), np.full((3, n), 0.25))
     for R, digest in zip(blocks, digests):
-        values, ids = bell.maxmin(R)
+        values, ids = bell.maxmin(*(_sphere_args(bell, R) if dim == 3 else (R,)))[:2]
         got = hashlib.sha256(values.tobytes() + ids.astype(np.int64).tobytes())
         assert got.hexdigest() == digest
 
@@ -735,21 +756,31 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         low, high = kernel.sweep(w)[0], kernel.sweep(up)[0]
         assert np.all(low <= high), trial
 
-    def gather_form(R):
-        inner = R[bell.pair].min(axis=1)
+    def exhaustive(V, hint):
+        # every Paul axis's full rows, then the max-min with the same ties
+        full = np.stack([bell.paul_rows(i, bell.weighted(i, V)) for i in range(bell.M)])
+        inner = full.min(axis=2)
         paul = inner.argmax(axis=0)
-        cols = np.arange(R.shape[1])
-        carol = R[bell.pair[paul].T, cols].argmin(axis=0)
-        return inner.max(axis=0), inner[paul, cols], bell.pair[paul, carol]
+        cols = np.arange(V.shape[0])
+        return inner[paul, cols], bell.pair[paul, full[paul, cols].argmin(axis=1)]
 
-    blocks = [R for _, R in kernel._rows(0.3 * rng.random(n))]
-    blocks += [np.zeros((bell.cover.shape[0], 3)),
-               bell.cover @ rng.random((bell.nodes.shape[0], 5))]
-    for R in blocks:
-        values, picked, ids = gather_form(R)
-        got = bell.maxmin(R)
-        assert got[0].tobytes() == values.tobytes() == picked.tobytes()
-        assert np.array_equal(got[1], ids)
+    (V, bound, slack, hint), = [a for _, a in kernel._rows(0.3 * rng.random(n))]
+    seed = solver._ball_time(ball, BALL3, kernel.grid.node_points()[kernel.int_flat])
+    cases = [(V, bound, slack, hint), [a for _, a in kernel._rows(seed)][0],
+             (V, bound, slack, (hint + 17) % bell.M)]  # a wrong hint
+    Q = bell.nodes.shape[0]
+    for W in (rng.random((5, Q)), rng.integers(0, 2, (5, Q)).astype(float),
+              np.zeros((3, Q)), np.full((3, Q), 0.7)):
+        cases.append(_sphere_args(bell, W))
+    # near-ties within the slack: every bound a hair above the true min
+    inner = np.stack([bell.paul_rows(i, bell.weighted(i, V)).min(axis=1)
+                      for i in range(bell.M)])
+    cases.append((V, np.nextafter(inner, np.inf), slack, hint))
+    for case, (V, bound, slack, hint) in enumerate(cases):
+        values, ids = exhaustive(V, hint)
+        got = bell.maxmin(V, bound, slack, hint)
+        assert got[0].tobytes() == values.tobytes(), case
+        assert np.array_equal(got[1], ids), case
 
 
 _ROWS_DIGEST = """
@@ -765,8 +796,10 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
     digest = hashlib.sha256()
     for block in kernel.merged.blocks:
         digest.update(block.tobytes())
-    for _, R in kernel._rows(u):
-        digest.update(R.tobytes())
+    for _, args in kernel._rows(u):
+        digest.update(args[0].tobytes())  # the samples; the bound may round otherwise
+    for a in kernel.sweep(u):
+        digest.update(a.tobytes())
     print(digest.hexdigest())
     print(hashlib.sha256(solver.solve(domain, c).values.tobytes()).hexdigest())
 """
@@ -861,7 +894,7 @@ def _first_policy_matrix(c):
     node, a harder evaluation than that of solve's first policy, which
     comes from its seed sweep."""
     kernel = solver._Kernel(DISK, c)
-    _, ids = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)))
+    _, ids, _ = kernel.bellman.maxmin(np.zeros((kernel.bellman.cover.shape[0], 1)))
     return kernel, kernel.policy_matrix(np.repeat(ids, kernel.n_interior))
 
 

@@ -253,6 +253,9 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     x0 = _point(cfg.get("x0", domain.center), domain.dim, "x0")
 
     if mode == "diagnostic":
+        for key in ("carol", "trace"):
+            if cfg.get(key) is not None:
+                raise InvalidParameterError(f"simulate --mode diagnostic takes no {key}")
         z = _point(cfg.get("z", domain.center), domain.dim, "z")
         sp = None
         if cfg.get("paul"):
@@ -450,13 +453,9 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
     L = 1.0 if K is None else K / sphere.constant_C(field.domain.dim)
     oracle = (analysis.BallOracle(R=field.domain.radius, L=L, N=field.domain.dim)
               if hasattr(field.domain, "radius") else None)
-    vmax = float(field.values.max())
+    # a negative level is refused by superlevel_set, before anything is written
     lines = ["eps,t,count,hausdorff_vs_oracle"]
     for t in t_list:
-        if t < 0 or t > vmax:
-            # out-of-range level: emit the empty-mask sentinel row
-            lines.append(f"{_fmt(eps)},{_fmt(t)},0,inf")
-            continue
         mask = analysis.superlevel_set(field, t)
         d = ""
         if oracle is not None:

@@ -27,11 +27,15 @@ sums (circle: a sparse map to axis steps and shortest arcs; sphere: one row
 per cap pair i <= j, stored per Paul axis i on cap i's support only), and
 `maxmin` turns those into max over Paul's axes of min over Carol's axes and
 the id of the pair that attains it, which the policy steps read.  On the
-sphere `maxmin` prunes exactly: it forms Paul i's full row over Carol's
-axes only for the axes that an upper bound and a floor leave able to win,
-about one row per node of the M(M+1)/2 pair rows.  For nodes whose samples all lie
+sphere the sweep does not form all M(M+1)/2 pair rows: `maxmin` prunes
+exactly (alpha-beta).  From a node's samples it forms the full row over
+Carol's axes of one hint axis of Paul's, whose min is a floor, and then
+only those of the axes that one product with Carol's reply to the hint
+leaves able to reach the floor: about 1.1 of the M Paul rows per node.
+For nodes whose samples all lie
 in the domain, `cover` is merged with the interpolation weights into one
-map of the gathered node values.
+map of the gathered node values, which the sweep applies on the circle and
+the policy matrix on both.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -42,12 +46,14 @@ Monotonicity of the iteration is preserved exactly in floating point: every
 update is composed of non-negatively weighted sums of field values (summed in
 an order that does not depend on the data, BLAS products too; on the circle a
 band is its shortest arc plus a run of whole axis-spacing steps, on the sphere
-a pair row carries the weights member_i member_j w_q / denom_ij: nothing is
-subtracted), minima, maxima, multiplication by a positive constant, and
-addition of a constant.  Each is monotone under IEEE round-to-nearest, so
-w_{n+1} >= w_n holds bit-for-bit.  In `solve` the same holds for a polish
-chain from a certified start; the policy evaluations need no such
-property, because only the check of their sweep vouches for what they give.
+a pair value sums member_j (member_i w_q V_q) and divides by denom_ij:
+nothing is subtracted), minima, maxima, multiplication by a positive
+constant, and addition of a constant.  Each is monotone under IEEE
+round-to-nearest, so w_{n+1} >= w_n holds bit-for-bit; the sphere's pruned
+max-min gives that of every pair value, bit for bit.  In `solve` the same
+holds for a polish chain from a certified start; the policy evaluations
+need no such property, because only the check of their sweep vouches for
+what they give.
 """
 
 from __future__ import annotations
@@ -574,10 +580,10 @@ class _PairTable:
     when its column count was a multiple of 8 and its inner dimension was at
     most 384 or a multiple of 32; other shapes often did not.  So X comes in
     a padded layout: the map's input with a zero row appended (row n_cols)
-    and its columns padded to a multiple of 8.  The kernel forms its
-    gathered values and its samples in that layout, so nothing is copied
-    into it.  A block on more than 384 columns is padded to a multiple of 32
-    with zero weights on column n_cols, which reads the zero row.
+    and its columns padded to a multiple of 8; the kernel's samp has that
+    layout when merged is built.  A block on more than 384 columns is
+    padded to a multiple of 32 with zero weights on column n_cols, which
+    reads the zero row.
     """
 
     def __init__(self, blocks, n_cols: int):
@@ -630,17 +636,16 @@ class _SphereBellman:
     zero wherever member_i is, so Paul's axis i has one block, its rows
     (i, j >= i), stored on cap i's support alone (54-69% of the Q nodes; the
     blocks take 57-62% of the dense table's bytes at the 3D configs
-    measured).  The sweep does not apply cover: `maxmin` forms Paul i's
-    full row R(i, .) over all Carol axes, at one node, as (member_j @
-    (member_i w V)) / denom_ij on cap i's support (`paul_rows`), and it
-    forms such a row only for the Paul axes that can still win.  Every
-    factor is nonnegative and nothing is subtracted, so each row, and the
-    max-min of the rows, is monotone in the samples exactly in floating
-    point.
+    measured); policy_matrix reads its rows.  The sweep does not apply
+    cover.  `maxmin` takes a node's samples V and forms Paul i's full row
+    R(i, .) over all Carol axes as (member_j @ (member_i w V)) / denom_ij,
+    one BLAS product per node and row (`paul_rows`), only for the hint's
+    axis and the axes that the product of Carol's reply to it leaves able
+    to win: about 1.1 of M rows per node at the 3D configs measured.
+    Every factor is nonnegative and nothing is subtracted, so each row,
+    and the max-min of the rows, is monotone in the samples exactly in
+    floating point.
     """
-
-    # Carol axes nearest -a_i whose pairs bound Paul i's min from above
-    GUESSES = 7
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
         self.theta = theta
@@ -680,11 +685,12 @@ class _SphereBellman:
         self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
         self.denom = np.empty((M, M))  # denom_ij, filled block by block
         self.cover = _PairTable(map(self._pair_block, range(M)), wq.size)
-        # the factors of paul_rows, with the zero row that cover reads
-        self.scaled = np.pad(self.member * wq, ((0, 0), (0, 1)))  # member_i w
-        self.carol = np.pad(self.member, ((0, 0), (0, 1)))  # member_j
-        # Carol's GUESSES axes nearest -a_i, nearest first, per Paul axis i
-        self.guess = np.argsort(axes @ axes.T, axis=1, kind="stable")[:, : self.GUESSES]
+        # 2 gamma_K, K = Q + 64: two products of one pair value over the Q
+        # samples, 3 roundings per term and a division, part by at most
+        # about 2 gamma_(Q+4) max|V|; the 60 more terms cover the rounding
+        # of denom_ij and of the compare
+        K = wq.size + 64
+        self.slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53)
 
     def _pair_block(self, i: int) -> tuple:
         """Paul axis i's rows (i, j >= i) of cover on cap i's support, and
@@ -698,73 +704,58 @@ class _SphereBellman:
         self.denom[i, i:] = self.denom[i:, i] = denom
         return block, cap
 
-    def weighted(self, i: int, V: np.ndarray) -> np.ndarray:
-        """member_i w V on cap i's support, shape (m, cap size), from the
-        nodes' samples V (m, Q + 1) in cover's padded layout."""
-        cap = self.cover.cols[i]
-        y = V[:, cap]
-        y *= self.scaled[i, cap]
-        return y
+    def _weigh(self, axes: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """member_a w V for the axis a = axes[k] of each node's samples
+        V[k], shape (m, Q)."""
+        Y = self.member[axes]
+        Y *= self.weights
+        Y *= V
+        return Y
 
-    def paul_rows(self, i: int, y: np.ndarray) -> np.ndarray:
-        """Paul axis i's full rows R(i, j), every Carol axis j, shape
-        (m, M), from y = weighted(i, V): (member_j @ y) / denom_ij.  Each
-        node's row is one product of a fixed shape whatever other nodes y
-        holds, so a node's R(i, j) has one value in every call."""
-        W = np.take(self.carol, self.cover.cols[i], axis=1)  # C-ordered, as BLAS reads it
-        R = np.matmul(W, y[:, :, None])[:, :, 0]
-        R /= self.denom[i]
+    def paul_rows(self, paul: np.ndarray, V: np.ndarray) -> np.ndarray:
+        """Full rows R(paul[k], j) over every Carol axis j, shape (m, M),
+        at the nodes whose samples are V (m, Q): (member_j @ (member_i w
+        V)) / denom_ij.  Each row is one product of a fixed shape whatever
+        else the call holds, so R(i, j) has one value at a node in every
+        call."""
+        R = np.matmul(self.member, self._weigh(paul, V)[:, :, None])[:, :, 0]
+        R /= self.denom[paul]
         return R
 
-    def maxmin(self, V: np.ndarray, bound: np.ndarray, slack: np.ndarray,
-               hint: np.ndarray) -> tuple:
+    def maxmin(self, V: np.ndarray, hint: np.ndarray) -> tuple:
         """The max-min at m nodes, pruned exactly (alpha-beta; Knuth and
-        Moore 1975).  V (m, Q + 1) holds the nodes' samples; bound (M, m)
-        an upper bound of each Paul axis's min over Carol's, to within
-        slack (m,), which also covers the rounding between two products of
-        one pair row; hint (m,) a Paul axis per node.
+        Moore 1975), from their samples V (m, Q) and a Paul axis per node,
+        hint (m,).
 
         The hint's full row gives the floor L = min_j R(hint, j) <= T and
-        Carol's reply to it, j*.  An axis i whose bound is below L - slack,
-        or else whose R(i, j*) is, has its min below L: it can neither be
-        the max nor tie it, and only the other axes get full rows.  Returns
+        Carol's reply to it, j*.  One product gives every Paul axis i's
+        pair value R(i, j*) >= min_j R(i, j); an axis whose value is below
+        L - slack max|V| (which covers the rounding between two products
+        of one pair row) has its min below L, so it can neither be the max
+        nor tie it, and only the other axes get full rows.  Returns
         (values, ids, rows): the max_i min_j R(i, j), the pair id
         pair[i, j] of Paul's first maximizing axis i and Carol's first
         minimizing axis j against it, and the count of full rows formed;
         all as the max-min of every full row gives them, bit for bit."""
         M, m = self.M, V.shape[0]
-        inner = np.full((M, m), -np.inf)
-        carol = np.zeros((M, m), dtype=np.intp)
         cols = np.arange(m)
-        formed = [m]
-
-        def rows(paul, nodes, reply=None):
-            # full rows of the (paul, node) items, grouped by Paul axis;
-            # with reply, only of those whose pair (paul, reply) is not
-            # below the floor
-            order = np.argsort(paul, kind="stable")
-            paul, nodes = paul[order], nodes[order]
-            stops = np.searchsorted(paul, np.arange(M + 1))
-            for i in np.flatnonzero(np.diff(stops)):
-                at = nodes[stops[i] : stops[i + 1]]
-                y = self.weighted(i, V[at])
-                if reply is not None:
-                    j = reply[at]
-                    pair = np.einsum("kq,kq->k", y, self.carol[j][:, self.cover.cols[i]])
-                    keep = pair / self.denom[i, j] >= floor[at] - slack[at]
-                    at, y = at[keep], y[keep]
-                    formed[0] += at.size
-                R = self.paul_rows(i, y)
-                inner[i, at] = R.min(axis=1)
-                carol[i, at] = R.argmin(axis=1)
-
-        rows(hint, cols)
-        floor, reply = inner[hint, cols], carol[hint, cols]
-        alive = bound >= floor - slack
+        R = self.paul_rows(hint, V)
+        floor, reply = R.min(axis=1), R.argmin(axis=1)
+        upper = self.member @ self._weigh(reply, V).T
+        upper /= self.denom[:, reply]
+        alive = upper >= floor - self.slack * np.maximum(V.max(axis=1), -V.min(axis=1))
         alive[hint, cols] = False
-        rows(*np.nonzero(alive), reply)
-        pick = lambda paul: self.pair[paul, carol[paul, cols]]
-        return (*_choose(inner, pick), formed[0])
+        # each Paul axis's min over Carol's, and Carol's first minimizing axis
+        inner = np.full((M, m), -np.inf)
+        answer = np.zeros((M, m), dtype=np.intp)
+        inner[hint, cols], answer[hint, cols] = floor, reply
+        paul, nodes = np.nonzero(alive)
+        for s in range(0, paul.size, m):  # m rows at a time
+            i, x = paul[s : s + m], nodes[s : s + m]
+            R = self.paul_rows(i, V[x])
+            inner[i, x], answer[i, x] = R.min(axis=1), R.argmin(axis=1)
+        pick = lambda p: self.pair[p, answer[p, cols]]
+        return (*_choose(inner, pick), m + paul.size)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None) -> np.ndarray:
         """A pair's band average is one row of cover: A's row ids."""
@@ -786,11 +777,14 @@ def _make_bellman(dim: int, cfg: SolverConfig):
     samples to the rows that `maxmin` combines (a CSR matrix on the circle;
     on the sphere a _PairTable of one block per Paul axis, which also reads
     a zero row after the samples), applied as `cover @ samples`.  A cap
-    pair is named by one integer, its pair id.  `maxmin(R)` takes
-    R = cover @ samples, shape (rows, m), to (values, ids): the (m,) max
-    over Paul's axes of the min over Carol's axes, and the id of each
-    column's chosen pair, Paul's first maximizing axis against the first
-    minimum among his candidates, in a tie order fixed per Bellman.
+    pair is named by one integer, its pair id.  `maxmin` gives (values,
+    ids, rows) at m nodes: the (m,) max over Paul's axes of the min over
+    Carol's axes, the id of each node's chosen pair, Paul's first
+    maximizing axis against the first minimum among his candidates, in a
+    tie order fixed per Bellman, and the count of Paul rows it formed.  On
+    the circle it takes R = cover @ samples, shape (rows, m); on the
+    sphere the samples themselves, one row per node, and a hint axis per
+    node.
     `pair_rows(A, ids, drop=None)` gives row r as the band average of the
     pair ids[r], as a map of the columns of A (A has cover's rows), zero
     where the bool drop[r] holds.
@@ -834,18 +828,17 @@ class _Kernel:
     `rim_idx`) form all Q samples with samp, zero those outside the domain
     and apply cover.  Both maps have nonnegative weights and are applied
     with `@` in an order that does not depend on the data, so the sweep
-    stays exactly monotone: sparse products on the circle; on the sphere
-    _PairTable products.  A block's gathered values and samples are formed
-    once, in the padded layout that a _PairTable reads (the tables carry
-    the slot's row and padding columns, samp an empty column and, where
-    cover reads one, an empty last row).  On the circle a sweep holds one
-    block's rows at a time.  On the sphere deep and rim nodes take one
-    path and only the mask differs: a sweep forms every node's samples, a
-    bound from merged's rows of the pairs (i, guess) on the gathered
-    values, and hands them with the hint (the Paul axis nearest the
-    centre's direction, fixed per node) to the pruned `maxmin`, which
-    forms full Paul rows for the axes that can still win; no block of all
-    pair rows is formed.  policy_matrix reads each pair's stored weights.
+    stays exactly monotone.  A block's gathered values and samples are
+    formed once, in the padded layout that a _PairTable reads (the tables
+    carry the slot's row and padding columns, samp an empty column and,
+    where cover reads one, an empty last row), and a sweep holds one
+    block's rows at a time.  That is the circle's sweep, and policy_matrix
+    on both.  On the sphere the sweep takes deep and rim nodes down one
+    path, where only the mask differs: a block's samples go with each
+    node's hint (the Paul axis nearest the centre's direction, fixed per
+    node, so that sweep(u) is a function of u alone) to the pruned
+    `maxmin`, which forms full Paul rows for the hint and the axes that
+    can still win; no block of all pair rows is formed.
     """
 
     # nodes per block of a sweep
@@ -914,16 +907,8 @@ class _Kernel:
 
         self.deep_idx, self.rim_idx = table(self.deep), table(self.rim)
         if isinstance(bell, _SphereBellman):
-            # the bound rows: merged's pairs (i, guess[i, k]), i-major
-            self.bound = self.merged[bell.pair[np.arange(bell.M)[:, None], bell.guess].ravel()]
-            # 2 gamma_K of the rounding that can part a bound row from its
-            # full row (see _rows)
-            K = bell.cover.shape[1] + self.merged.shape[1] + 64
-            self.slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53)
-            # the Paul axis nearest the centre's direction, in the order
-            # deep then rim that _rows gives the nodes
-            inward = np.asarray(domain.center) - pts[np.concatenate([self.deep, self.rim])]
-            self.hint = np.argmax(inward @ bell.axes.T, axis=1)
+            # each interior node's Paul axis nearest the centre's direction
+            self.hint = np.argmax((np.asarray(domain.center) - pts) @ bell.axes.T, axis=1)
 
     def values(self, field: ValueField) -> np.ndarray:
         """The field's interior values; InvalidParameterError unless the
@@ -943,57 +928,35 @@ class _Kernel:
 
     def _rows(self, u: np.ndarray):
         """(interior positions, maxmin's arguments) of the interior values
-        u.  The gathered values of a node block, and its samples, come in
-        the padded layout that a _PairTable reads: columns up to a multiple
-        of 8 (the slot's) and, where the map reads one, a zero last row.
-
-        On the circle, one item per node block: its cover rows (merged @
-        gathered values at deep nodes; cover @ samples, those outside the
-        domain zeroed, at rim nodes); the caller drops a block's rows
-        before it asks for the next.  On the sphere, one item for every
-        node, deep then rim: their samples (zeroed outside the domain at
-        rim nodes), the bound, its slack and the hint.  Bound row (i, k) is
-        merged's pair (i, guess[i, k]) applied to the gathered values
-        clipped at 0, g+; a sample zeroed outside the domain is at most the
-        sample of g+, so the min over k bounds Paul i's min from above in
-        exact arithmetic, for any u.  Rounding can part the two by at most
-        the samples' (8 terms), the full row's (cover's columns, and 3
-        roundings per weight), merged's build (as many) and the bound
-        product's (merged's columns), each gamma_n of n terms times
-        max|g|: slack = 2 gamma_K max|g| with K = cover's columns +
-        merged's + 64 holds all of them with room for the compare."""
+        u, one node block at a time, deep blocks first; the caller drops a
+        block's arguments before it asks for the next.  The gathered values
+        of a block, and its samples, come in the padded layout that a
+        _PairTable reads: columns up to a multiple of 8 (the slot's) and,
+        where the map reads one, a zero last row.  On the circle the
+        arguments are the block's cover rows: merged @ gathered values at
+        deep nodes, cover @ samples, those outside the domain zeroed, at
+        rim nodes.  On the sphere deep and rim nodes take one path and only
+        the mask differs: the arguments are the samples, one row of Q per
+        node, and the nodes' hints."""
         ext = np.append(u, 0.0)
         B, Q = self.BLOCK, self.outside.shape[0]
         bell = self.bellman
-        if not isinstance(bell, _SphereBellman):
-            for s in range(0, self.deep.size, B):
-                pos = self.deep[s : s + B]
-                yield pos, ((self.merged @ ext[self.deep_idx[:, s : s + B]])[:, : pos.size],)
-            for s in range(0, self.rim.size, B):
-                pos = self.rim[s : s + B]
-                V = self.samp @ ext[self.rim_idx[:, s : s + B]]
-                V[:Q, : pos.size][self.outside[:, s : s + B]] = 0.0
-                yield pos, ((bell.cover @ V)[:, : pos.size],)
-            return
-        n, M = self.n_interior, bell.M
-        samples = np.empty((n, bell.cover.shape[1]))
-        bound, slack = np.empty((M, n)), np.empty(n)
-        at = 0
+        sphere = isinstance(bell, _SphereBellman)
         for nodes, idx, outside in ((self.deep, self.deep_idx, None),
                                     (self.rim, self.rim_idx, self.outside)):
             for s in range(0, nodes.size, B):
-                g = ext[idx[:, s : s + B]]
-                b = min(B, nodes.size - s)
+                pos, g = nodes[s : s + B], ext[idx[:, s : s + B]]
+                if outside is None and not sphere:
+                    yield pos, ((self.merged @ g)[:, : pos.size],)
+                    continue
                 V = self.samp @ g
                 if outside is not None:
-                    V[:Q, :b][outside[:, s : s + B]] = 0.0
-                samples[at : at + b] = V[:, :b].T
-                g = g[:, :b]
-                upper = self.bound @ np.maximum(g, 0.0)
-                bound[:, at : at + b] = upper.reshape(M, -1, b).min(axis=1)
-                slack[at : at + b] = self.slack * np.abs(g).max(axis=0)
-                at += b
-        yield np.concatenate([self.deep, self.rim]), (samples, bound, slack, self.hint)
+                    V[:Q, : pos.size][outside[:, s : s + B]] = 0.0
+                if sphere:
+                    V = np.ascontiguousarray(V[:Q, : pos.size].T)  # one row per node
+                    yield pos, (V, self.hint[pos])
+                else:
+                    yield pos, ((bell.cover @ V)[:, : pos.size],)
 
     def sweep(self, u: np.ndarray) -> tuple:
         """(T(u), ids): the Bellman right-hand sides of the interior values

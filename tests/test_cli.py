@@ -89,6 +89,8 @@ def test_unknown_config_keys_exit_one(tmp_path):
         ("converge", {"eps_list": [0.5], "seed": 1}),
         ("levelset", {"field": field, "L": 2.0}),
         ("converge", {"eps_list": [0.5], "L": 2.0}),
+        # a diagnostic plays no Carol and writes no trace
+        ("simulate", {"eps": 0.5, "n": 4, "mode": "diagnostic", "carol": "radial"}),
     ]:
         cfg.write_text(json.dumps(doc))
         assert run(command, "--config", str(cfg), "--out", str(out)) == 1, doc
@@ -234,7 +236,9 @@ def test_malformed_command_line_exits_one(tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     for argv in (["solve", "--eps", "abc"], ["solve", "--bogus"], ["bogus"],
                  ["simulate", "--x0", "a,b"], ["solve", "--eps", "0.5", "--seed", "1", *out],
-                 ["levelset", "--field", str(field), "--L", "2", *out], []):
+                 ["levelset", "--field", str(field), "--L", "2", *out],
+                 ["simulate", "--mode", "diagnostic", "--eps", "0.5", "--n", "4",
+                  "--trace", "t.jsonl", *out], []):
         assert run(*argv) == 1, argv
     assert not (tmp_path / "out").exists()
     assert "invalid float value" in capsys.readouterr().err
@@ -242,6 +246,26 @@ def test_malformed_command_line_exits_one(tmp_path, capsys):
         with pytest.raises(SystemExit) as exc:
             run(*argv)
         assert exc.value.code == 0
+
+
+def test_levelset_refuses_a_negative_level(tmp_path):
+    """A negative level is a usage error, superlevel_set's own rule: exit
+    1 with nothing written."""
+    assert run("solve", "--eps", "0.5", "--out", str(tmp_path / "fld")) == 0
+    out = tmp_path / "out"
+    assert run("levelset", "--field", str(tmp_path / "fld" / "field.json"),
+               "--t-list=-0.1,0.1", "--out", str(out)) == 1
+    assert not out.exists()
+
+
+def test_levelset_computes_a_level_above_the_maximum(tmp_path):
+    """A level above the field's maximum is computed like any other: both
+    superlevel sets are empty, so the count and the distance are 0."""
+    assert run("solve", "--eps", "0.5", "--out", str(tmp_path / "fld")) == 0
+    out = tmp_path / "out"
+    assert run("levelset", "--field", str(tmp_path / "fld" / "field.json"),
+               "--t-list", "9", "--out", str(out)) == 0
+    assert (out / "levelset.csv").read_text().splitlines()[1] == "0.5,9,0,0"
 
 
 _PARSER_REUSE = """
@@ -374,6 +398,8 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     assert [e["phase"] for e in tel["sweep_log"]].count("seed") == 1
     assert tel["sweep_log"][0]["phase"] == "seed"
     assert tel["sweep_log"][-1]["increment"] == manifest["residual"]
+    # the circle's max-min folds all M = 64 Paul rows at every node
+    assert all(e["rows"] == 64 * tel["interior"] for e in tel["sweep_log"])
     assert tel["interior"] == 305 and 0 < tel["rim"] < tel["interior"]
     assert min(tel["nnz_cover"], tel["nnz_merged"], tel["nnz_P"]) > 0
     # the circle's CSR cover: a float64 weight and an int32 column index per
@@ -384,7 +410,7 @@ def test_solve_manifest_carries_solver_telemetry(tmp_path):
     # timings and counts stay out of the byte-stable field files
     header = read_json(out / "field.json")
     assert not {"solver", "phase_s", "policy_steps", "residual",
-                "evaluation_matvecs", "sweep_log"} & set(header)
+                "evaluation_matvecs", "sweep_log", "rows"} & set(header)
     assert header["iterations"] == tel["sweeps"]
 
 
@@ -873,8 +899,8 @@ def test_levelset_outputs(tmp_path):
     assert len(rows) == 3
     # superlevel sets nest: higher threshold, fewer nodes
     assert int(rows[1][2]) < int(rows[0][2])
-    # out-of-range level gets the sentinel row
-    assert rows[2][2] == "0" and rows[2][3] == "inf"
+    # a level above the maximum is computed: both sets empty, distance 0
+    assert rows[2][2] == "0" and rows[2][3] == "0"
     assert float(rows[0][3]) < 1.0
     manifest = read_json(out / "levelset_manifest.json")
     assert manifest["t_list"] == [0.1, 0.25, 9.0]

@@ -325,21 +325,8 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
             w = bell.member[i] * bell.member[j] * bell.weights
             avg[i, j] = w @ V / w.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.maxmin(*_sphere_args(bell, V.T))[0]
+    got = bell.maxmin(V.T, np.zeros(V.shape[1], dtype=np.intp))[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
-
-
-def _sphere_args(bell, V, hint=None):
-    """The sphere maxmin's arguments for samples V (m, Q): V in cover's
-    padded layout, a bound that keeps every axis alive, the slack 2 gamma_K
-    max|V| of two roundings of a pair row (K = Q + 65) and the hint (axis 0
-    by default)."""
-    m = V.shape[0]
-    V = np.pad(V, ((0, 0), (0, bell.cover.shape[1] - V.shape[1])))
-    hint = np.zeros(m, dtype=np.intp) if hint is None else hint
-    K = V.shape[1] + 64
-    slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53) * np.abs(V).max(axis=1)
-    return V, np.full((bell.M, m), np.inf), slack, hint
 
 
 # sha256 of the circle Bellman's cover and select (data, int64 indices and
@@ -575,6 +562,8 @@ def test_ball3_solve_end_to_end():
     tel = solver.solve(ball, c).telemetry
     assert tel["nnz_cover"] == 206_622
     assert 0 < tel["table_bytes"] < 64 * 65 // 2 * 16**2 * 8
+    # the pruned max-min forms fewer than two of the 64 Paul rows per node
+    assert all(tel["interior"] <= e["rows"] < 2 * tel["interior"] for e in tel["sweep_log"])
 
 
 # ---------------------------------------------------------------------------
@@ -620,16 +609,15 @@ def _traced(fn) -> tuple:
 
 def test_a_sweep_holds_one_block_of_pair_rows():
     """A 3D sweep at the ball3-solve config allocates, above what it
-    returns, every node's samples, (Q + 1) float64 each, and three M x n
-    tables (the bound, each Paul axis's min and Carol's reply), plus 2.5 MB
-    for one node block's gathers, bound products and the max-min's
-    scratch: it forms no block of all pair rows."""
+    returns, more than one node block's samples, (Q + 1) float64 per node,
+    and less than one block of all pair rows, M(M + 1)/2 float64 per node,
+    which it no longer forms: the pruned max-min forms a block's full rows
+    m at a time."""
     kernel = solver._Kernel(solver.unit_ball(3), BALL3)
     u = np.random.default_rng(5).random(kernel.n_interior)
-    M, n = BALL3.axis_count, kernel.n_interior
-    held = n * (kernel.bellman.cover.shape[1] + 3 * M) * 8
+    B, M = kernel.BLOCK, BALL3.axis_count
     _, transient = _traced(lambda: kernel.sweep(u))
-    assert held < transient <= held + 2.5e6
+    assert B * kernel.bellman.cover.shape[1] * 8 < transient < B * M * (M + 1) // 2 * 8
 
 
 def test_kernel_build_transient_is_bounded():
@@ -660,8 +648,9 @@ def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     values, ids = kernel.sweep(u)
     bell = kernel.bellman
     for pos, args in kernel._rows(u):
-        # the circle's cover rows, or the sphere's from its samples
-        R = args[0] if len(args) == 1 else bell.cover @ args[0].T
+        # the circle's cover rows, or the sphere's from its samples, with
+        # the zero row that cover reads
+        R = args[0] if len(args) == 1 else bell.cover @ np.pad(args[0], ((0, 0), (0, 1))).T
         picked = bell.pair_rows(R, ids[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
@@ -691,9 +680,12 @@ _FROZEN_POLICY = [
       "c8d14fee1ef9c00d59f4ad18429c5f5fddc3c75290237ac1a6c6ea01c98dc19f",
       "b28313af51020e956805d50f3e8202352ff5cb3f7ba1b45fe64033939a1f4fd7")),
     (3, 64, 16, 0.4,
-     # the sphere's, recorded when its max-min came to read samples
-     ("a1608328963bbe15d5d76e4d6198496447d1d121afe79daafc9ed31efcb98ee6",
-      "faeb6db96eeee42c8c320f01591e2b0d5e28483f7abac27abecae6a911440b79",
+     # the sphere's, recorded when its max-min came to read samples and to
+     # form each full row over all Q + 1 of them (the ids are those of the
+     # dense pair table, and the values within 1e-15 of them, but for V
+     # constant, whose pair values tie up to rounding)
+     ("38a8f006fcbba4e2e1b5e4b96120b3cec03417d8fd879158b6c12806596bf338",
+      "da8992faf6fce73fadfac6f58b82aec266980dade4e0a0093b071cf4cffec6ff",
       "17b0761f87b081d5cf10757ccc89f12be355c70e2e29df288b65b30710dcbcd1",
       "cb503f12bc99bd3a7b9f8f65efd6b8346dd5f2e1cbc7c7c3c9962ee3202c2eb8")),
 ]
@@ -703,41 +695,33 @@ _FROZEN_POLICY = [
 def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
     """Values and pair ids of both max-mins, ties included, stay those
     recorded: the circle at (M, Q, eps) and the sphere at the ball3-solve
-    config.  The sphere's R comes from the dense pair table it stored when
-    the digests were recorded, rebuilt here, so that they pin maxmin on the
-    same inputs; the stored table's denominators sum fewer zeros and may
-    differ from it in the last place."""
+    config.  The sphere's max-min reads samples, not rows: V random, 0/1,
+    zero and constant (ties everywhere), with axis 0 as every node's
+    hint."""
     c = solver.resolve_config(
         solver.SolverConfig(eps=eps, axis_count=M, quad_order=Q), dim)
     bell = solver._make_bellman(dim, c)
-    cover = bell.cover
-    if dim == 3:
-        member = bell.member
-        cover = np.concatenate([member[i] * bell.weights * member[i:] for i in range(M)])
-        cover /= cover.sum(axis=1, keepdims=True)
     rng = np.random.default_rng(M + Q)
-    n, rows = bell.nodes.shape[0], cover.shape[0]
-    blocks = (cover @ rng.random((n, 200)),
-              cover @ rng.integers(0, 2, (n, 200)).astype(float),
-              cover @ np.zeros((n, 3)),
-              rng.integers(0, 2, (rows, 200)).astype(float))
+    n = bell.nodes.shape[0]
     if dim == 3:
-        # the sphere's max-min reads samples, not rows: V random, 0/1, zero
-        # and constant (ties everywhere), every axis alive
-        blocks = (rng.random((200, n)), rng.integers(0, 2, (200, n)).astype(float),
-                  np.zeros((3, n)), np.full((3, n), 0.25))
-    for R, digest in zip(blocks, digests):
-        values, ids = bell.maxmin(*(_sphere_args(bell, R) if dim == 3 else (R,)))[:2]
+        blocks = [(V, np.zeros(V.shape[0], dtype=np.intp)) for V in
+                  (rng.random((200, n)), rng.integers(0, 2, (200, n)).astype(float),
+                   np.zeros((3, n)), np.full((3, n), 0.25))]
+    else:
+        R = bell.cover
+        blocks = [(R @ rng.random((n, 200)),), (R @ rng.integers(0, 2, (n, 200)).astype(float),),
+                  (R @ np.zeros((n, 3)),), (rng.integers(0, 2, (R.shape[0], 200)).astype(float),)]
+    for args, digest in zip(blocks, digests):
+        values, ids = bell.maxmin(*args)[:2]
         got = hashlib.sha256(values.tobytes() + ids.astype(np.int64).tobytes())
         assert got.hexdigest() == digest
 
+
 def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
-    """The 3D kernel, whose pair map is one block per Paul axis applied by
-    BLAS: w <= w' node-wise (random gaps, 1-ulp bumps and ties) gives
-    sweep(w) <= sweep(w'); maxmin, one Paul row at a time, equals the
-    (M, M, m) gather form bit for bit, values and pair ids; and every
-    pair row is a nonnegative average (weights summing to 1) stored on its
-    Paul cap's support."""
+    """The 3D kernel, whose pair map is one block per Paul axis: w <= w'
+    node-wise (random gaps, 1-ulp bumps and ties) gives sweep(w) <=
+    sweep(w'); and every pair row is a nonnegative average (weights summing
+    to 1) stored on its Paul cap's support."""
     ball = solver.unit_ball(3)
     kernel = solver._Kernel(ball, BALL3)
     bell = kernel.bellman
@@ -756,31 +740,51 @@ def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
         low, high = kernel.sweep(w)[0], kernel.sweep(up)[0]
         assert np.all(low <= high), trial
 
-    def exhaustive(V, hint):
-        # every Paul axis's full rows, then the max-min with the same ties
-        full = np.stack([bell.paul_rows(i, bell.weighted(i, V)) for i in range(bell.M)])
-        inner = full.min(axis=2)
-        paul = inner.argmax(axis=0)
-        cols = np.arange(V.shape[0])
-        return inner[paul, cols], bell.pair[paul, full[paul, cols].argmin(axis=1)]
 
-    (V, bound, slack, hint), = [a for _, a in kernel._rows(0.3 * rng.random(n))]
-    seed = solver._ball_time(ball, BALL3, kernel.grid.node_points()[kernel.int_flat])
-    cases = [(V, bound, slack, hint), [a for _, a in kernel._rows(seed)][0],
-             (V, bound, slack, (hint + 17) % bell.M)]  # a wrong hint
-    Q = bell.nodes.shape[0]
-    for W in (rng.random((5, Q)), rng.integers(0, 2, (5, Q)).astype(float),
-              np.zeros((3, Q)), np.full((3, Q), 0.7)):
-        cases.append(_sphere_args(bell, W))
-    # near-ties within the slack: every bound a hair above the true min
-    inner = np.stack([bell.paul_rows(i, bell.weighted(i, V)).min(axis=1)
-                      for i in range(bell.M)])
-    cases.append((V, np.nextafter(inner, np.inf), slack, hint))
-    for case, (V, bound, slack, hint) in enumerate(cases):
-        values, ids = exhaustive(V, hint)
-        got = bell.maxmin(V, bound, slack, hint)
-        assert got[0].tobytes() == values.tobytes(), case
-        assert np.array_equal(got[1], ids), case
+def _exhaustive_maxmin(bell, V):
+    """The sphere's max-min from every Paul axis's full rows, with maxmin's
+    ties: Paul's first maximizing axis, Carol's first minimizing one."""
+    m = V.shape[0]
+    full = np.stack([bell.paul_rows(np.full(m, i), V) for i in range(bell.M)])
+    inner = full.min(axis=2)
+    paul, cols = inner.argmax(axis=0), np.arange(m)
+    return inner[paul, cols], bell.pair[paul, full[paul, cols].argmin(axis=1)]
+
+
+@pytest.mark.parametrize("c", [BALL3, solver.resolve_config(
+    solver.SolverConfig(eps=0.4, axis_count=16, quad_order=16), 3)])
+def test_pruned_maxmin_equals_the_exhaustive_one(c):
+    """The pruned max-min gives the max-min of every Paul axis's full row,
+    bit for bit in values and pair ids, and it skips rows: on each node
+    block of random u and of the seed b (the enclosing ball's arrival
+    time), with the kernel's hints and with wrong ones, and on V random,
+    0/1, zero, constant at each node (ties everywhere) and 0.7 plus 1e-16
+    noise, with random hints.  At the last two, all pair values at a node
+    lie within a few ulps of each other, and without its slack the pruning
+    skips axes that tie or win there."""
+    ball = solver.unit_ball(3)
+    kernel = solver._Kernel(ball, c)
+    bell = kernel.bellman
+    n, Q = kernel.n_interior, bell.nodes.shape[0]
+    rng = np.random.default_rng(11)
+    seed = solver._ball_time(ball, c, kernel.grid.node_points()[kernel.int_flat])
+    cases = []
+    for u in (0.3 * rng.random(n), seed):
+        for _, (V, hint) in kernel._rows(u):
+            cases += [(V, hint), (V, (hint + 5) % bell.M)]
+    for V in (rng.random((20, Q)), rng.integers(0, 2, (20, Q)).astype(float),
+              np.zeros((3, Q)), np.ones((200, Q)) * rng.random((200, 1)),
+              0.7 + 1e-16 * rng.random((200, Q))):
+        cases.append((V, rng.integers(0, bell.M, V.shape[0])))
+    skipped = 0
+    for case, (V, hint) in enumerate(cases):
+        values, ids = _exhaustive_maxmin(bell, V)
+        got, got_ids, rows = bell.maxmin(V, hint)
+        assert got.tobytes() == values.tobytes(), case
+        assert np.array_equal(got_ids, ids), case
+        assert V.shape[0] <= rows <= V.shape[0] * bell.M
+        skipped += V.shape[0] * bell.M - rows
+    assert skipped > 0
 
 
 _ROWS_DIGEST = """
@@ -796,8 +800,13 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
     digest = hashlib.sha256()
     for block in kernel.merged.blocks:
         digest.update(block.tobytes())
-    for _, args in kernel._rows(u):
-        digest.update(args[0].tobytes())  # the samples; the bound may round otherwise
+    bell = kernel.bellman
+    for _, (V, hint) in kernel._rows(u):
+        digest.update(V.tobytes())
+        for i in range(bell.M):  # every Paul axis's full rows
+            digest.update(bell.paul_rows(np.full(V.shape[0], i), V).tobytes())
+        values, ids, rows = bell.maxmin(V, hint)
+        digest.update(values.tobytes() + ids.tobytes() + str(rows).encode())
     for a in kernel.sweep(u):
         digest.update(a.tobytes())
     print(digest.hexdigest())
@@ -806,15 +815,17 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
 
 
 def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
-    """The merged map, every block's pair rows (the BLAS products of the 3D
-    build and sweep) and the 3D solve's field carry the same bytes at one
-    and two BLAS threads, on the ball3-solve config, on the off-centre
-    ellipse at 32 axes and at quadrature order 32, where each Paul block
-    spans more than 384 nodes.  This needs blocks of at most 256 nodes
-    (OpenBLAS gave other bytes at two threads for 362) and _PairTable's
-    padding: unpadded, the per-Paul-block products of the ball3 merged
-    build (124 offset columns) and the order-32 pair rows and field gave
-    other bytes at two threads."""
+    """The BLAS products of the 3D build and sweep carry the same bytes at
+    one and two BLAS threads: the merged map, every node block's samples,
+    every Paul axis's full rows at the block's nodes, the pruned max-min
+    (values, ids and the count of rows it formed, which the product of
+    Carol's reply decides), the sweep and the 3D solve's field.  Checked on
+    the ball3-solve config, on the off-centre ellipse at 32 axes and at
+    quadrature order 32, where each Paul block spans more than 384 nodes.
+    This needs blocks of at most 256 nodes (OpenBLAS gave other bytes at
+    two threads for 362) and _PairTable's padding: unpadded, the
+    per-Paul-block products of the ball3 merged build (124 offset columns)
+    and the order-32 pair rows and field gave other bytes at two threads."""
     src = str(Path(solver.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):

@@ -254,7 +254,7 @@ class LevelSetMask:
 
 def superlevel_set(field: ValueField, t: float) -> LevelSetMask:
     """Mask of interior nodes with field value > t."""
-    if t < 0:
+    if not t >= 0:
         raise InvalidParameterError("level threshold must be nonnegative")
     mask = (field.values > t) & field.interior_mask
     return LevelSetMask(lo=tuple(field.lo), h=field.h, mask=mask)
@@ -267,7 +267,7 @@ def oracle_superlevel_set(field: ValueField, oracle: BallOracle,
     The oracle is radial about the domain center, so node coordinates are
     shifted there before evaluation.
     """
-    if t < 0:
+    if not t >= 0:
         raise InvalidParameterError("level threshold must be nonnegative")
     pts = field.node_points() - np.asarray(field.domain.center, dtype=float)
     vals = oracle.values(pts).reshape(field.shape)

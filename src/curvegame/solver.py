@@ -21,21 +21,20 @@ matvecs, sweep those values scaled by a fixed lam a hair below 1 for the
 next pairs, and repeat (3 to 7 sweeps).  The last step's scaled values are
 a subsolution, which their sweep certifies exactly, and they are the result;
 when the steps stop short, the same monotone iteration polishes the last
-certified field.  One sweep kernel
-serves 2D and 3D: a nonnegative map `cover` takes a node's samples to band
-sums (circle: a sparse map to axis steps and shortest arcs; sphere: one row
-per cap pair i <= j, stored per Paul axis i on cap i's support only), and
-`maxmin` turns those into max over Paul's axes of min over Carol's axes and
-the id of the pair that attains it, which the policy steps read.  On the
-sphere the sweep does not form all M(M+1)/2 pair rows: `maxmin` prunes
-exactly (alpha-beta).  From a node's samples it forms the full row over
-Carol's axes of one hint axis of Paul's, whose min is a floor, and then
-only those of the axes that one product with Carol's reply to the hint
-leaves able to reach the floor: about 1.1 of the M Paul rows per node.
-For nodes whose samples all lie
-in the domain, `cover` is merged with the interpolation weights into one
-map of the gathered node values, which the sweep applies on the circle and
-the policy matrix on both.
+certified field.  One sweep kernel serves 2D and 3D, and each Bellman's
+`maxmin` turns a node's samples into the max over Paul's axes of the min
+over Carol's axes and the id of the pair that attains it, which the
+policy steps read.  On the circle a nonnegative sparse map `cover` takes
+the samples to axis-step sums and shortest arcs, which `maxmin` folds into
+bands; for nodes whose samples all lie in the domain, `cover` is merged with
+the interpolation weights into one map of the gathered node values.  On the sphere a pair (i, j)'s value is
+(member_j @ (member_i w V)) / denom_ij, from the cap memberships, and the
+sweep does not form all M(M+1)/2 of them: `maxmin` prunes exactly
+(alpha-beta).  From a node's samples it forms the full row over Carol's
+axes of one hint axis of Paul's, whose min is a floor, and then only those
+of the axes that one product with Carol's reply to the hint leaves able to
+reach the floor: about 1.1 of the M Paul rows per node.  The policy matrix
+forms each chosen pair's row over the samples from the same memberships.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -230,8 +229,8 @@ def resolve_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     # raises if delta_eps(eps) is inadmissible for this dimension
     sphere.theta_eps(cfg.eps, dim)
     K = sphere.constant_C(dim) if cfg.K is None else float(cfg.K)
-    if not K > 0:
-        raise InvalidParameterError("K must be positive")
+    if not (K > 0 and math.isfinite(K)):
+        raise InvalidParameterError("K must be positive and finite")
     M = (64 if dim == 2 else 128) if cfg.axis_count is None else int(cfg.axis_count)
     if M < 8:
         raise InvalidParameterError("axis_count must be at least 8")
@@ -239,8 +238,8 @@ def resolve_config(cfg: SolverConfig, dim: int) -> SolverConfig:
     if order < 16:
         raise InvalidParameterError("quad_order must be at least 16")
     tol = cfg.eps**2 * 1e-3 if cfg.tol_iter is None else float(cfg.tol_iter)
-    if not tol > 0:
-        raise InvalidParameterError("tol_iter must be positive")
+    if not (tol > 0 and math.isfinite(tol)):
+        raise InvalidParameterError("tol_iter must be positive and finite")
     h = default_grid_h(cfg.eps, dim) if cfg.grid_h is None else float(cfg.grid_h)
     if not 0 < h <= cfg.eps:
         raise InvalidParameterError("grid_h must satisfy 0 < grid_h <= eps")
@@ -553,73 +552,14 @@ class _CircleBellman:
 
     def pair_rows(self, A, ids: np.ndarray, drop=None):
         """The band average of each pair as a map of A's columns (A has
-        cover's rows): the rows ids of select, applied to A."""
-        R = self.select[ids] @ A
+        cover's rows), or with A None of the Q samples, zero where drop[r]
+        holds: the rows ids of select, applied to A or to cover."""
+        R = self.select[ids] @ (self.cover if A is None else A)
         if drop is not None:
             R.data[drop[np.repeat(np.arange(R.shape[0]), np.diff(R.indptr)), R.indices]] = 0.0
             R.eliminate_zeros()
             R.sort_indices()
         return R
-
-
-class _PairTable:
-    """A nonnegative map of n_cols columns and one more, which reads a zero
-    row, stored as row blocks, each on its own columns.
-
-    `blocks` yields pairs (block, cols), taken one at a time: the block
-    holds the map's next block.shape[0] rows on the columns cols only, and
-    the rest of those rows is 0.  `table @ X` is one BLAS product (GEMM) per
-    block on X's rows cols, written into the block's rows of the result,
-    which has X's columns; `table[ids]` gives the rows ids as a dense
-    (ids.size, n_cols + 1) array whose last column is 0.  `shape` counts
-    that column.
-
-    OpenBLAS may split a product across threads, and for some shapes that
-    changes the order of its sums.  With OpenBLAS 0.3.31 on a 2-core x86-64
-    machine, every product tried gave the same bytes at one and two threads
-    when its column count was a multiple of 8 and its inner dimension was at
-    most 384 or a multiple of 32; other shapes often did not.  So X comes in
-    a padded layout: the map's input with a zero row appended (row n_cols)
-    and its columns padded to a multiple of 8; the kernel's samp has that
-    layout when merged is built.  A block on more than 384 columns is
-    padded to a multiple of 32 with zero weights on column n_cols, which
-    reads the zero row.
-    """
-
-    def __init__(self, blocks, n_cols: int):
-        self.blocks, self.cols = [], []
-        for block, cols in blocks:
-            if cols.size > 384 and cols.size % 32:
-                pad = -cols.size % 32
-                block = np.pad(block, ((0, 0), (0, pad)))
-                cols = np.pad(cols, (0, pad), constant_values=n_cols)
-            self.blocks.append(np.ascontiguousarray(block))
-            self.cols.append(cols)
-        self.stops = np.cumsum([b.shape[0] for b in self.blocks])
-        self.shape = (int(self.stops[-1]), n_cols + 1)
-
-    @property
-    def nbytes(self) -> int:
-        """Bytes stored: the blocks and their column indices."""
-        return sum(b.nbytes + c.nbytes for b, c in zip(self.blocks, self.cols))
-
-    def count_nonzero(self) -> int:
-        return sum(int(np.count_nonzero(b)) for b in self.blocks)
-
-    def __matmul__(self, X: np.ndarray) -> np.ndarray:
-        R = np.empty((self.shape[0], X.shape[1]))
-        for block, cols, stop in zip(self.blocks, self.cols, self.stops):
-            np.matmul(block, X[cols], out=R[stop - block.shape[0] : stop])
-        return R
-
-    def __getitem__(self, ids: np.ndarray) -> np.ndarray:
-        which = np.searchsorted(self.stops, ids, side="right")
-        out = np.zeros((ids.size, self.shape[1]))
-        for b in np.unique(which):
-            at = np.flatnonzero(which == b)
-            block = self.blocks[b]
-            out[at[:, None], self.cols[b]] = block[ids[at] - (self.stops[b] - block.shape[0])]
-        return out
 
 
 class _SphereBellman:
@@ -630,21 +570,18 @@ class _SphereBellman:
     cap edge (linear ramp across one cell) so that averages vary smoothly as
     caps rotate; memberships stay in [0, 1].
 
-    `cover` is a _PairTable with one row per cap pair (i, j), i <= j, in
-    row-major order: the band average sum_q member_i member_j w_q V_q /
-    denom_ij, with denom_ij = sum_q member_i member_j w_q.  Those rows are
-    zero wherever member_i is, so Paul's axis i has one block, its rows
-    (i, j >= i), stored on cap i's support alone (54-69% of the Q nodes; the
-    blocks take 57-62% of the dense table's bytes at the 3D configs
-    measured); policy_matrix reads its rows.  The sweep does not apply
-    cover.  `maxmin` takes a node's samples V and forms Paul i's full row
-    R(i, .) over all Carol axes as (member_j @ (member_i w V)) / denom_ij,
-    one BLAS product per node and row (`paul_rows`), only for the hint's
-    axis and the axes that the product of Carol's reply to it leaves able
-    to win: about 1.1 of M rows per node at the 3D configs measured.
-    Every factor is nonnegative and nothing is subtracted, so each row,
-    and the max-min of the rows, is monotone in the samples exactly in
-    floating point.
+    A cap pair (i, j), i <= j, has pair id `pair[i, j]`, its place in the
+    row-major upper triangle.  Its band average of samples V is
+    sum_q member_i member_j w_q V_q / denom_ij, with denom_ij = sum_q
+    member_i member_j w_q.  `maxmin` takes a node's samples V and forms Paul
+    i's full row R(i, .) over all Carol axes as (member_j @ (member_i w V))
+    / denom_ij, one BLAS product per node and row (`paul_rows`), only for
+    the hint's axis and the axes that the product of Carol's reply to it
+    leaves able to win: about 1.1 of M rows per node at the 3D configs
+    measured.  `pair_rows` gives a pair's weights over the samples,
+    (member_i w) member_j / denom_ij.  Every factor is nonnegative and
+    nothing is subtracted, so each row, and the max-min of the rows, is
+    monotone in the samples exactly in floating point.
     """
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
@@ -680,29 +617,23 @@ class _SphereBellman:
         np.clip(span, 1e-15, None, out=span)
         member = np.clip((dots + theta) / span + 0.5, 0.0, 1.0)
         self.member = np.ascontiguousarray(member.T)  # (M, Q3)
-        upper = np.triu_indices(M)
-        self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> row of cover
+        self.upper = upper = np.triu_indices(M)  # pair id -> (i, j), i <= j
+        self.pair = np.empty((M, M), dtype=np.intp)  # (i, j) -> pair id
         self.pair[upper] = self.pair[upper[::-1]] = np.arange(upper[0].size)
-        self.denom = np.empty((M, M))  # denom_ij, filled block by block
-        self.cover = _PairTable(map(self._pair_block, range(M)), wq.size)
+        self.denom = np.empty((M, M))
+        for i in range(M):
+            # Paul axis i's denominators, summed on cap i's support
+            cap = np.flatnonzero(self.member[i] > 0.0)
+            Y = self.member[i, cap] * wq[cap] * self.member[i:, cap]
+            self.denom[i, i:] = self.denom[i:, i] = Y.sum(axis=1)
+        if not np.all(self.denom > 1e-12):
+            raise InvalidParameterError("degenerate cap pair on the quadrature grid")
         # 2 gamma_K, K = Q + 64: two products of one pair value over the Q
         # samples, 3 roundings per term and a division, part by at most
         # about 2 gamma_(Q+4) max|V|; the 60 more terms cover the rounding
         # of denom_ij and of the compare
         K = wq.size + 64
         self.slack = 2.0 * K * 2.0**-53 / (1.0 - K * 2.0**-53)
-
-    def _pair_block(self, i: int) -> tuple:
-        """Paul axis i's rows (i, j >= i) of cover on cap i's support, and
-        that support; their denominators go to denom."""
-        cap = np.flatnonzero(self.member[i] > 0.0)
-        block = self.member[i, cap] * self.weights[cap] * self.member[i:, cap]
-        denom = block.sum(axis=1)
-        if not np.all(denom > 1e-12):
-            raise InvalidParameterError("degenerate cap pair on the quadrature grid")
-        block /= denom[:, None]
-        self.denom[i, i:] = self.denom[i:, i] = denom
-        return block, cap
 
     def _weigh(self, axes: np.ndarray, V: np.ndarray) -> np.ndarray:
         """member_a w V for the axis a = axes[k] of each node's samples
@@ -758,10 +689,20 @@ class _SphereBellman:
         return (*_choose(inner, pick), m + paul.size)
 
     def pair_rows(self, A, ids: np.ndarray, drop=None) -> np.ndarray:
-        """A pair's band average is one row of cover: A's row ids."""
-        R = A[ids]
+        """Row r is the pair ids[r]'s weights over the Q samples, (member_i
+        w) member_j / denom_ij for the pair (i, j), applied to A (A has the
+        samples' rows), or with A None zero where drop[r] holds.  Each
+        distinct pair's row is formed, and applied, once."""
+        pairs, back = np.unique(ids, return_inverse=True)
+        i, j = self.upper[0][pairs], self.upper[1][pairs]
+        rows = self.member[i] * self.weights
+        rows *= self.member[j]
+        rows /= self.denom[i, j][:, None]
+        if A is not None:
+            return (rows @ A)[back]
+        R = rows[back]
         if drop is not None:
-            R[:, : drop.shape[1]][drop] = 0.0
+            R[drop] = 0.0
         return R
 
 
@@ -773,21 +714,20 @@ def _make_bellman(dim: int, cfg: SolverConfig):
     """The max-min of cap-pair band averages for the circle or the sphere.
 
     Both have `nodes`, the (Q, dim) unit directions v_q at which the field
-    is sampled (at x + eps v_q), and `cover`, a nonnegative map from the Q
-    samples to the rows that `maxmin` combines (a CSR matrix on the circle;
-    on the sphere a _PairTable of one block per Paul axis, which also reads
-    a zero row after the samples), applied as `cover @ samples`.  A cap
-    pair is named by one integer, its pair id.  `maxmin` gives (values,
-    ids, rows) at m nodes: the (m,) max over Paul's axes of the min over
-    Carol's axes, the id of each node's chosen pair, Paul's first
-    maximizing axis against the first minimum among his candidates, in a
-    tie order fixed per Bellman, and the count of Paul rows it formed.  On
-    the circle it takes R = cover @ samples, shape (rows, m); on the
-    sphere the samples themselves, one row per node, and a hint axis per
-    node.
+    is sampled (at x + eps v_q).  A cap pair is named by one integer, its
+    pair id.  `maxmin` gives (values, ids, rows) at m nodes: the (m,) max
+    over Paul's axes of the min over Carol's axes, the id of each node's
+    chosen pair, Paul's first maximizing axis against the first minimum
+    among his candidates, in a tie order fixed per Bellman, and the count
+    of Paul rows it formed.  On the circle it takes R = cover @ samples,
+    shape (rows, m), where `cover` is a nonnegative CSR map from the Q
+    samples to step sums and shortest arcs; on the sphere the samples
+    themselves, one row per node, and a hint axis per node.
     `pair_rows(A, ids, drop=None)` gives row r as the band average of the
-    pair ids[r], as a map of the columns of A (A has cover's rows), zero
-    where the bool drop[r] holds.
+    pair ids[r], as a map of the columns of A (A has the rows of what
+    `maxmin` reads: cover's on the circle, the samples' on the sphere), or
+    with A None as a map of the Q samples, zero where the bool drop[r]
+    holds.
     """
     theta = sphere.theta_eps(cfg.eps, dim)
     if dim == 2:
@@ -796,10 +736,8 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
 
 def _sizes(a) -> tuple:
-    """(nonzero weights, bytes stored) of a _PairTable or a CSR matrix; the
-    latter is counted on a copy, as counting sorts its indices in place."""
-    if isinstance(a, _PairTable):
-        return a.count_nonzero(), a.nbytes
+    """(nonzero weights, bytes stored) of a CSR matrix, counted on a copy,
+    as counting sorts its indices in place."""
     return int(a.copy().count_nonzero()), a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
@@ -822,23 +760,20 @@ class _Kernel:
     appended.  Nodes whose samples all lie in the domain ("deep" nodes,
     `deep_idx`; sampled only where `holds_balls` leaves it open, POINTS
     samples at a time, so that the build's transients do not grow with Q)
-    then need only the merged map cover @ samp, which takes the gathered
-    values straight to cover's rows (step sums and shortest arcs on the
-    circle, cap-pair averages on the sphere).  The other ("rim" nodes,
-    `rim_idx`) form all Q samples with samp, zero those outside the domain
-    and apply cover.  Both maps have nonnegative weights and are applied
-    with `@` in an order that does not depend on the data, so the sweep
-    stays exactly monotone.  A block's gathered values and samples are
-    formed once, in the padded layout that a _PairTable reads (the tables
-    carry the slot's row and padding columns, samp an empty column and,
-    where cover reads one, an empty last row), and a sweep holds one
-    block's rows at a time.  That is the circle's sweep, and policy_matrix
-    on both.  On the sphere the sweep takes deep and rim nodes down one
-    path, where only the mask differs: a block's samples go with each
-    node's hint (the Paul axis nearest the centre's direction, fixed per
-    node, so that sweep(u) is a function of u alone) to the pruned
-    `maxmin`, which forms full Paul rows for the hint and the axes that
-    can still win; no block of all pair rows is formed.
+    read `merged`, the map from their gathered values to what `maxmin`
+    reads: on the circle cover @ samp, which takes them straight to cover's
+    rows, and on the sphere, whose `maxmin` reads samples, samp itself.  The
+    other ("rim" nodes, `rim_idx`) form all Q samples with samp and zero
+    those outside the domain.  Every map has nonnegative weights and is
+    applied with `@` in an order that does not depend on the data, so the
+    sweep stays exactly monotone, and a sweep holds one block's rows at a
+    time.  On the circle deep blocks apply merged and rim blocks cover.  On
+    the sphere deep and rim nodes take one path, where only the mask
+    differs: a block's samples go with each node's hint (the Paul axis
+    nearest the centre's direction, fixed per node, so that sweep(u) is a
+    function of u alone) to the pruned `maxmin`, which forms full Paul rows
+    for the hint and the axes that can still win; no block of all pair rows
+    is formed.
     """
 
     # nodes per block of a sweep
@@ -866,22 +801,18 @@ class _Kernel:
         nz = w > 0.0
         offsets, col = np.unique(offs[nz], return_inverse=True)
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
-        # cover's zero row, if it reads one, and column offsets.size (the
-        # slot's row of the index tables) stay empty
-        self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())),
-                                      shape=(bell.cover.shape[1], offsets.size + 1))
-        if isinstance(bell.cover, _PairTable):
-            # one block on all offsets, so deep products are padded the same way
-            S = self.samp.copy()
-            S.resize(S.shape[0], offsets.size + -offsets.size % 8)
-            merged = bell.cover @ S.toarray()
-            self.merged = _PairTable([(merged[:, : offsets.size], np.arange(offsets.size))],
-                                     offsets.size)
+        self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())), shape=(Q, offsets.size))
+        # for the solve manifest: the sizes of the maps the kernel stores
+        if isinstance(bell, _SphereBellman):
+            self.merged = self.samp
+            self.nnz_cover = self.nnz_merged = None
+            self.table_bytes = bell.member.nbytes + bell.denom.nbytes
+            # each interior node's Paul axis nearest the centre's direction
+            self.hint = np.argmax((np.asarray(domain.center) - pts) @ bell.axes.T, axis=1)
         else:
             self.merged = bell.cover @ self.samp
-        # for the solve manifest
-        self.nnz_cover, self.table_bytes = _sizes(bell.cover)
-        self.nnz_merged = _sizes(self.merged)[0]
+            self.nnz_cover, self.table_bytes = _sizes(bell.cover)
+            self.nnz_merged = _sizes(self.merged)[0]
         # deep: every x + eps v_q is inside; surely so if the eps-ball is
         deep = domain.holds_balls(pts, cfg.eps * (1.0 + 1e-9))
         near = np.flatnonzero(~deep)
@@ -897,18 +828,9 @@ class _Kernel:
         slot = np.full(math.prod(grid.shape), n, dtype=np.int32)
         slot[self.int_flat] = np.arange(n)
         self.deep, self.rim = np.flatnonzero(deep), np.flatnonzero(~deep)
-
-        def table(v):
-            # offsets x nodes v, one more row and columns up to a multiple
-            # of 8 reading the slot: a block gathers in the padded layout
-            idx = np.full((offsets.size + 1, v.size + -v.size % 8), n, dtype=np.int32)
-            idx[:-1, : v.size] = slot[self.int_flat[v] + offsets[:, None]]
-            return idx
-
-        self.deep_idx, self.rim_idx = table(self.deep), table(self.rim)
-        if isinstance(bell, _SphereBellman):
-            # each interior node's Paul axis nearest the centre's direction
-            self.hint = np.argmax((np.asarray(domain.center) - pts) @ bell.axes.T, axis=1)
+        # offsets x nodes: where each node's offsets read u
+        self.deep_idx, self.rim_idx = (slot[self.int_flat[v] + offsets[:, None]]
+                                       for v in (self.deep, self.rim))
 
     def values(self, field: ValueField) -> np.ndarray:
         """The field's interior values; InvalidParameterError unless the
@@ -929,17 +851,14 @@ class _Kernel:
     def _rows(self, u: np.ndarray):
         """(interior positions, maxmin's arguments) of the interior values
         u, one node block at a time, deep blocks first; the caller drops a
-        block's arguments before it asks for the next.  The gathered values
-        of a block, and its samples, come in the padded layout that a
-        _PairTable reads: columns up to a multiple of 8 (the slot's) and,
-        where the map reads one, a zero last row.  On the circle the
+        block's arguments before it asks for the next.  On the circle the
         arguments are the block's cover rows: merged @ gathered values at
         deep nodes, cover @ samples, those outside the domain zeroed, at
         rim nodes.  On the sphere deep and rim nodes take one path and only
         the mask differs: the arguments are the samples, one row of Q per
         node, and the nodes' hints."""
         ext = np.append(u, 0.0)
-        B, Q = self.BLOCK, self.outside.shape[0]
+        B = self.BLOCK
         bell = self.bellman
         sphere = isinstance(bell, _SphereBellman)
         for nodes, idx, outside in ((self.deep, self.deep_idx, None),
@@ -947,16 +866,15 @@ class _Kernel:
             for s in range(0, nodes.size, B):
                 pos, g = nodes[s : s + B], ext[idx[:, s : s + B]]
                 if outside is None and not sphere:
-                    yield pos, ((self.merged @ g)[:, : pos.size],)
+                    yield pos, (self.merged @ g,)
                     continue
                 V = self.samp @ g
                 if outside is not None:
-                    V[:Q, : pos.size][outside[:, s : s + B]] = 0.0
+                    V[outside[:, s : s + B]] = 0.0
                 if sphere:
-                    V = np.ascontiguousarray(V[:Q, : pos.size].T)  # one row per node
-                    yield pos, (V, self.hint[pos])
+                    yield pos, (np.ascontiguousarray(V.T), self.hint[pos])  # one row per node
                 else:
-                    yield pos, ((bell.cover @ V)[:, : pos.size],)
+                    yield pos, (bell.cover @ V,)
 
     def sweep(self, u: np.ndarray) -> tuple:
         """(T(u), ids): the Bellman right-hand sides of the interior values
@@ -975,18 +893,19 @@ class _Kernel:
         """The linear part of the sweep with each node's pair id fixed:
         a nonnegative, substochastic map of the interior values, shape
         (n_interior, n_interior).  A row is the pair's band weights composed
-        with samp (deep nodes through merged; rim nodes through cover with
-        the samples outside the domain dropped), with its columns read from
-        deep_idx or rim_idx; the exterior slot, which holds 0, is dropped.
-        Assembled BLOCK nodes at a time; a CSR matrix."""
+        with samp: deep nodes' through merged, rim nodes' over the Q samples
+        with those outside the domain dropped, then times samp; its columns
+        are read from deep_idx or rim_idx, and the exterior slot, which
+        holds 0, is dropped.  Assembled BLOCK nodes at a time; a CSR
+        matrix."""
         from scipy import sparse
 
         bell, B, n = self.bellman, self.BLOCK, self.n_interior
         parts = [(np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.int32), np.zeros(0))]
-        for nodes, idx, table, drop in ((self.deep, self.deep_idx, self.merged, None),
-                                        (self.rim, self.rim_idx, bell.cover, self.outside.T)):
+        for nodes, idx, A, drop in ((self.deep, self.deep_idx, self.merged, None),
+                                    (self.rim, self.rim_idx, None, self.outside.T)):
             for s in range(0, nodes.size, B):
-                R = bell.pair_rows(table, ids[nodes[s : s + B]],
+                R = bell.pair_rows(A, ids[nodes[s : s + B]],
                                    None if drop is None else drop[s : s + B])
                 R = sparse.coo_matrix(R if drop is None else R @ self.samp)
                 parts.append((nodes[s + R.row], idx[R.col, s + R.row], R.data))

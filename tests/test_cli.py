@@ -236,6 +236,7 @@ def test_malformed_command_line_exits_one(tmp_path, capsys):
     out = ["--out", str(tmp_path / "out")]
     for argv in (["solve", "--eps", "abc"], ["solve", "--bogus"], ["bogus"],
                  ["simulate", "--x0", "a,b"], ["solve", "--eps", "0.5", "--seed", "1", *out],
+                 ["solve", "--eps", "0.5", "--K", "inf", *out],
                  ["levelset", "--field", str(field), "--L", "2", *out],
                  ["simulate", "--mode", "diagnostic", "--eps", "0.5", "--n", "4",
                   "--trace", "t.jsonl", *out], []):
@@ -248,13 +249,14 @@ def test_malformed_command_line_exits_one(tmp_path, capsys):
         assert exc.value.code == 0
 
 
-def test_levelset_refuses_a_negative_level(tmp_path):
-    """A negative level is a usage error, superlevel_set's own rule: exit
-    1 with nothing written."""
+@pytest.mark.parametrize("levels", ["-0.1,0.1", "0.1,nan"])
+def test_levelset_refuses_a_negative_level(tmp_path, levels):
+    """A negative or NaN level is a usage error, superlevel_set's own rule:
+    exit 1 with nothing written."""
     assert run("solve", "--eps", "0.5", "--out", str(tmp_path / "fld")) == 0
     out = tmp_path / "out"
     assert run("levelset", "--field", str(tmp_path / "fld" / "field.json"),
-               "--t-list=-0.1,0.1", "--out", str(out)) == 1
+               f"--t-list={levels}", "--out", str(out)) == 1
     assert not out.exists()
 
 

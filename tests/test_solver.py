@@ -174,6 +174,10 @@ def test_resolve_config_validation():
     with pytest.raises(InvalidParameterError):
         cfg2(0.2, tol_iter=0.0)
     with pytest.raises(InvalidParameterError):
+        cfg2(0.2, tol_iter=math.inf)
+    with pytest.raises(InvalidParameterError):
+        cfg2(0.2, K=math.inf)
+    with pytest.raises(InvalidParameterError):
         cfg2(0.2, max_iter=0)
 
 
@@ -557,11 +561,11 @@ def test_ball3_solve_end_to_end():
     assert err.max() <= 0.05
     again = solver.value_iteration(ball, c)
     assert again.values.tobytes() == f.values.tobytes()
-    # the pair table, stored on each Paul cap's support, holds the dense
-    # table's nonzero weights in less than its M(M+1)/2 x Q float64 bytes
+    # the sphere stores its memberships, M x Q, and denominators, M x M,
+    # and no map of pair rows
     tel = solver.solve(ball, c).telemetry
-    assert tel["nnz_cover"] == 206_622
-    assert 0 < tel["table_bytes"] < 64 * 65 // 2 * 16**2 * 8
+    assert tel["table_bytes"] == (64 * 16**2 + 64 * 64) * 8 == 163_840
+    assert tel["nnz_cover"] is None and tel["nnz_merged"] is None
     # the pruned max-min forms fewer than two of the 64 Paul rows per node
     assert all(tel["interior"] <= e["rows"] < 2 * tel["interior"] for e in tel["sweep_log"])
 
@@ -576,18 +580,20 @@ BALL3 = solver.resolve_config(
 @pytest.mark.parametrize("domain, c", [(DISK, cfg2(0.2)), (solver.unit_ball(3), BALL3)])
 def test_kernels_are_freed_by_reference_counting(domain, c):
     """A dropped kernel, swept and assembled once, is freed at once with the
-    garbage collector off, and so are its Bellman, pair table and merged
-    map: none of them is in a reference cycle, so no table outlives its
-    kernel until a collector pass."""
+    garbage collector off, and so are its Bellman, its largest table (the
+    circle's cover, the sphere's memberships), samp and the merged map:
+    none of them is in a reference cycle, so no table outlives its kernel
+    until a collector pass."""
     enabled = gc.isenabled()
     gc.disable()
     try:
         kernel = solver._Kernel(domain, c)
         kernel.policy_matrix(kernel.sweep(np.zeros(kernel.n_interior))[1])
-        refs = [weakref.ref(a) for a in (kernel, kernel.bellman, kernel.bellman.cover,
-                                         kernel.merged)]
-        del kernel
-        assert [ref() for ref in refs] == [None] * 4
+        bell = kernel.bellman
+        table = bell.member if domain.dim == 3 else bell.cover
+        refs = [weakref.ref(a) for a in (kernel, bell, table, kernel.samp, kernel.merged)]
+        del kernel, bell, table
+        assert [ref() for ref in refs] == [None] * 5
     finally:
         if enabled:
             gc.enable()
@@ -609,7 +615,7 @@ def _traced(fn) -> tuple:
 
 def test_a_sweep_holds_one_block_of_pair_rows():
     """A 3D sweep at the ball3-solve config allocates, above what it
-    returns, more than one node block's samples, (Q + 1) float64 per node,
+    returns, more than one node block's samples, Q float64 per node,
     and less than one block of all pair rows, M(M + 1)/2 float64 per node,
     which it no longer forms: the pruned max-min forms a block's full rows
     m at a time."""
@@ -617,7 +623,8 @@ def test_a_sweep_holds_one_block_of_pair_rows():
     u = np.random.default_rng(5).random(kernel.n_interior)
     B, M = kernel.BLOCK, BALL3.axis_count
     _, transient = _traced(lambda: kernel.sweep(u))
-    assert B * kernel.bellman.cover.shape[1] * 8 < transient < B * M * (M + 1) // 2 * 8
+    Q = kernel.bellman.nodes.shape[0]
+    assert B * Q * 8 < transient < B * M * (M + 1) // 2 * 8
 
 
 def test_kernel_build_transient_is_bounded():
@@ -641,16 +648,15 @@ def _kernel_at_fixed_point(domain, c):
 def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     """The pair ids that the sweep returns, its policy, reproduce its
     values: the chosen pair's row from pair_rows reproduces each value from
-    the cover rows, and the policy matrix reproduces the sweep as
-    P u + eps^2 K."""
+    what maxmin reads (the circle's cover rows, the sphere's samples), and
+    the policy matrix reproduces the sweep as P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
     u = f.values.ravel()[kernel.int_flat]
     values, ids = kernel.sweep(u)
     bell = kernel.bellman
     for pos, args in kernel._rows(u):
-        # the circle's cover rows, or the sphere's from its samples, with
-        # the zero row that cover reads
-        R = args[0] if len(args) == 1 else bell.cover @ np.pad(args[0], ((0, 0), (0, 1))).T
+        # the circle's cover rows, or the sphere's samples, one column per node
+        R = args[0] if len(args) == 1 else args[0].T
         picked = bell.pair_rows(R, ids[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
@@ -718,17 +724,21 @@ def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
 
 
 def test_sphere_kernel_is_monotone_and_its_pair_map_averages():
-    """The 3D kernel, whose pair map is one block per Paul axis: w <= w'
-    node-wise (random gaps, 1-ulp bumps and ties) gives sweep(w) <=
-    sweep(w'); and every pair row is a nonnegative average (weights summing
-    to 1) stored on its Paul cap's support."""
+    """The 3D kernel: w <= w' node-wise (random gaps, 1-ulp bumps and ties)
+    gives sweep(w) <= sweep(w'); and every pair's row from pair_rows is a
+    nonnegative average (weights summing to 1) that is zero off its Paul
+    cap i, bit for bit the literal (member_i w) member_j / denom_ij."""
     ball = solver.unit_ball(3)
     kernel = solver._Kernel(ball, BALL3)
     bell = kernel.bellman
-    for i, (block, cols) in enumerate(zip(bell.cover.blocks, bell.cover.cols)):
-        assert block.shape[0] == BALL3.axis_count - i and block.min() >= 0.0
-        assert np.max(np.abs(block.sum(axis=1) - 1.0)) <= 1e-14
-        assert np.array_equal(cols, np.flatnonzero(bell.member[i] > 0.0))
+    # every pair (i, j), i <= j, asked for last first, so rows are gathered
+    first, second = np.triu_indices(BALL3.axis_count)
+    rows = bell.pair_rows(None, bell.pair[first, second][::-1])[::-1]
+    assert rows.min() >= 0.0 and np.max(np.abs(rows.sum(axis=1) - 1.0)) <= 1e-14
+    for row, i, j in zip(rows, first, second):
+        want = bell.member[i] * bell.weights * bell.member[j] / bell.denom[i, j]
+        assert row.tobytes() == want.tobytes()
+        assert not row[bell.member[i] == 0.0].any()
     rng = np.random.default_rng(8)
     n = kernel.n_interior
     for trial in range(4):
@@ -798,8 +808,6 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
     kernel = solver._Kernel(domain, c)
     u = np.random.default_rng(3).random(kernel.n_interior)
     digest = hashlib.sha256()
-    for block in kernel.merged.blocks:
-        digest.update(block.tobytes())
     bell = kernel.bellman
     for _, (V, hint) in kernel._rows(u):
         digest.update(V.tobytes())
@@ -807,7 +815,9 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
             digest.update(bell.paul_rows(np.full(V.shape[0], i), V).tobytes())
         values, ids, rows = bell.maxmin(V, hint)
         digest.update(values.tobytes() + ids.tobytes() + str(rows).encode())
-    for a in kernel.sweep(u):
+    T, ids = kernel.sweep(u)
+    P = kernel.policy_matrix(ids)
+    for a in (T, ids, P.data, P.indices, P.indptr):
         digest.update(a.tobytes())
     print(digest.hexdigest())
     print(hashlib.sha256(solver.solve(domain, c).values.tobytes()).hexdigest())
@@ -815,17 +825,15 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
 
 
 def test_sphere_kernel_rows_do_not_depend_on_blas_threads():
-    """The BLAS products of the 3D build and sweep carry the same bytes at
-    one and two BLAS threads: the merged map, every node block's samples,
-    every Paul axis's full rows at the block's nodes, the pruned max-min
-    (values, ids and the count of rows it formed, which the product of
-    Carol's reply decides), the sweep and the 3D solve's field.  Checked on
-    the ball3-solve config, on the off-centre ellipse at 32 axes and at
-    quadrature order 32, where each Paul block spans more than 384 nodes.
-    This needs blocks of at most 256 nodes (OpenBLAS gave other bytes at
-    two threads for 362) and _PairTable's padding: unpadded, the
-    per-Paul-block products of the ball3 merged build (124 offset columns)
-    and the order-32 pair rows and field gave other bytes at two threads."""
+    """The BLAS products of the 3D sweep carry the same bytes at one and
+    two BLAS threads: every node block's samples, every Paul axis's full
+    rows at the block's nodes, the pruned max-min (values, ids and the
+    count of rows it formed, which the product of Carol's reply decides),
+    the sweep, the policy matrix of its pairs (data, indices and indptr)
+    and the 3D solve's field.  Checked on the ball3-solve config, on the
+    off-centre ellipse at 32 axes and at quadrature order 32.  This needs
+    blocks of at most 256 nodes: OpenBLAS gave other bytes at two threads
+    for 362."""
     src = str(Path(solver.__file__).resolve().parents[1])
     digests = set()
     for threads in ("1", "2"):

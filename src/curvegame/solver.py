@@ -22,19 +22,22 @@ next pairs, and repeat (3 to 7 sweeps).  The last step's scaled values are
 a subsolution, which their sweep certifies exactly, and they are the result;
 when the steps stop short, the same monotone iteration polishes the last
 certified field.  One sweep kernel serves 2D and 3D, and each Bellman's
-`maxmin` turns a node's samples into the max over Paul's axes of the min
-over Carol's axes and the id of the pair that attains it, which the
-policy steps read.  On the circle a nonnegative sparse map `cover` takes
-the samples to axis-step sums and shortest arcs, which `maxmin` folds into
-bands; for nodes whose samples all lie in the domain, `cover` is merged with
-the interpolation weights into one map of the gathered node values.  On the sphere a pair (i, j)'s value is
-(member_j @ (member_i w V)) / denom_ij, from the cap memberships, and the
-sweep does not form all M(M+1)/2 of them: `maxmin` prunes exactly
+`maxmin` turns what its `reads` makes of a node block's samples into the
+max over Paul's axes of the min over Carol's axes and the id of the pair
+that attains it, which the policy steps read.  On the circle `reads` is a
+nonnegative sparse map `cover` to axis-step sums and shortest arcs, which
+`maxmin` folds into bands; for nodes whose samples all lie in the domain,
+it is merged with the interpolation weights into one map of the gathered
+node values.  On the sphere `reads` is the identity, a pair (i, j)'s
+value is (member_j @ (member_i w V)) / denom_ij, from the cap memberships,
+and the sweep does not form all M(M+1)/2 of them: `maxmin` prunes exactly
 (alpha-beta).  From a node's samples it forms the full row over Carol's
-axes of one hint axis of Paul's, whose min is a floor, and then only those
-of the axes that one product with Carol's reply to the hint leaves able to
-reach the floor: about 1.1 of the M Paul rows per node.  The policy matrix
-forms each chosen pair's row over the samples from the same memberships.
+axes of one hint axis of Paul's, the axis nearest the samples' first
+moment (along eps grad u), whose min is a floor, and then only those of
+the axes that one product with Carol's reply to the hint leaves able to
+reach the floor: about 1.1 of the M Paul rows per node on balls.  The
+policy matrix forms each chosen pair's row over the samples from the same
+memberships.
 
 The default 2D grid spacing is h = (eps/2) min(1, sqrt(eps/0.2)).  Multilinear
 interpolation costs O(h^2/eps^2) of the value at the fixed point; under this
@@ -106,9 +109,10 @@ class Ellipse:
         c = np.asarray(self.center, dtype=float)
         s = np.asarray(self.semi_axes, dtype=float)
         if c.shape != s.shape or c.ndim != 1 or c.size not in (2, 3):
-            raise InvalidParameterError("center and semi_axes must be matching 2- or 3-vectors")
-        if not np.all(s > 0):
-            raise InvalidParameterError("semi-axes must be positive")
+            raise InvalidParameterError("center must be a 2- or 3-vector, one entry per semi-axis")
+        if not (np.all(np.isfinite(c)) and np.all((s > 0) & np.isfinite(s))):
+            raise InvalidParameterError(
+                "center must be finite, semi-axes (a ball's radius) positive and finite")
         object.__setattr__(self, "center", tuple(float(v) for v in c))
         object.__setattr__(self, "semi_axes", tuple(float(v) for v in s))
 
@@ -163,12 +167,7 @@ class Ball(Ellipse):
     semi_axes: tuple = _field(init=False, repr=False)
 
     def __post_init__(self):
-        c = np.asarray(self.center, dtype=float)
-        if c.ndim != 1 or c.size not in (2, 3):
-            raise InvalidParameterError("ball center must be a 2- or 3-vector")
-        if not self.radius > 0:
-            raise InvalidParameterError("ball radius must be positive")
-        object.__setattr__(self, "semi_axes", (self.radius,) * c.size)
+        object.__setattr__(self, "semi_axes", (self.radius,) * np.size(self.center))
         super().__post_init__()
 
     def as_dict(self) -> dict:
@@ -416,6 +415,12 @@ def interpolate(field: ValueField, p):
 # shared-grid averaging kernels
 
 
+def _sizes(a) -> tuple:
+    """(nonzero weights, bytes stored) of a CSR matrix, counted on a copy,
+    as counting sorts its indices in place."""
+    return int(a.copy().count_nonzero()), a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+
+
 def _choose(inner: np.ndarray, pick: Callable) -> tuple:
     """The policy tail of both max-mins.  inner (M, m) holds each Paul
     axis's min over Carol's; pick(paul) gives, for Paul's axis paul[c] at
@@ -481,6 +486,7 @@ class _CircleBellman:
         data[first] = np.maximum(np.where(count == 1, ub - ua, fa + 0.5 - ua), 0.0)
         cols = (fa.astype(np.int64)[rows] + np.arange(rows.size) - first[rows]) % Q
         self.cover = sparse.csr_matrix((data, (rows, cols)), shape=(ua.size, Q))
+        self.nnz_cover, self.table_bytes = _sizes(self.cover)
         # 1 / (band length in cells) per separation k: both arcs of the band
         length = lambda k: max(2.0 * W - k * Q / M, 0.0) if k <= kmax else 0.0
         h = M // 2
@@ -526,6 +532,10 @@ class _CircleBellman:
                 else:
                     np.multiply(arc, self.scale[k], out=band)
                 yield k, band
+
+    def reads(self, S):
+        """What maxmin reads of samples S, (Q, m): cover @ S."""
+        return self.cover @ S
 
     def maxmin(self, R: np.ndarray) -> tuple:
         """R = cover @ samples, shape (rows, m); returns (values, ids,
@@ -573,14 +583,17 @@ class _SphereBellman:
     A cap pair (i, j), i <= j, has pair id `pair[i, j]`, its place in the
     row-major upper triangle.  Its band average of samples V is
     sum_q member_i member_j w_q V_q / denom_ij, with denom_ij = sum_q
-    member_i member_j w_q.  `maxmin` takes a node's samples V and forms Paul
-    i's full row R(i, .) over all Carol axes as (member_j @ (member_i w V))
-    / denom_ij, one BLAS product per node and row (`paul_rows`), only for
-    the hint's axis and the axes that the product of Carol's reply to it
-    leaves able to win: about 1.1 of M rows per node at the 3D configs
-    measured.  `pair_rows` gives a pair's weights over the samples,
-    (member_i w) member_j / denom_ij.  Every factor is nonnegative and
-    nothing is subtracted, so each row, and the max-min of the rows, is
+    member_i member_j w_q.  `maxmin` reads the samples themselves (`reads`
+    is the identity) and forms Paul i's full row R(i, .) over all Carol
+    axes as (member_j @ (member_i w V)) / denom_ij, one BLAS product per
+    node and row (`paul_rows`), only for a hint axis and the axes that the
+    product of Carol's reply to it leaves able to win.  The hint is the
+    Paul axis nearest the samples' first moment sum_q w_q V_q v_q, which
+    is proportional to eps grad u for smooth u, the direction that Paul's
+    best cap faces: about 1.1 of M rows per node on balls, and under 10 on
+    the ellipses measured.  `pair_rows` gives a pair's weights over the
+    samples, (member_i w) member_j / denom_ij.  Every factor is nonnegative
+    and nothing is subtracted, so each row, and the max-min of the rows, is
     monotone in the samples exactly in floating point.
     """
 
@@ -599,6 +612,7 @@ class _SphereBellman:
         sphi = np.tile(np.sin(phis), order)
         self.nodes = np.stack([s * cphi, s * sphi, t], axis=-1)
         self.weights = wq
+        self.moment = self.nodes * wq[:, None]  # V @ moment: sum_q w_q V_q v_q
         # local cell extents for the fractional membership ramp
         dv_dt = np.stack(
             [
@@ -628,6 +642,7 @@ class _SphereBellman:
             self.denom[i, i:] = self.denom[i:, i] = Y.sum(axis=1)
         if not np.all(self.denom > 1e-12):
             raise InvalidParameterError("degenerate cap pair on the quadrature grid")
+        self.nnz_cover, self.table_bytes = None, self.member.nbytes + self.denom.nbytes
         # 2 gamma_K, K = Q + 64: two products of one pair value over the Q
         # samples, 3 roundings per term and a division, part by at most
         # about 2 gamma_(Q+4) max|V|; the 60 more terms cover the rounding
@@ -653,10 +668,22 @@ class _SphereBellman:
         R /= self.denom[paul]
         return R
 
-    def maxmin(self, V: np.ndarray, hint: np.ndarray) -> tuple:
+    def reads(self, S):
+        """What maxmin reads of samples S: S itself."""
+        return S
+
+    def maxmin(self, X: np.ndarray) -> tuple:
+        """The max-min at m nodes from their samples X, one column per
+        node, (Q, m), pruned exactly from each node's hint, the Paul axis
+        with the largest dot product with its first moment: see
+        `_pruned`."""
+        V = np.ascontiguousarray(X.T)  # one row per node
+        return self._pruned(V, ((V @ self.moment) @ self.axes.T).argmax(axis=1))
+
+    def _pruned(self, V: np.ndarray, hint: np.ndarray) -> tuple:
         """The max-min at m nodes, pruned exactly (alpha-beta; Knuth and
         Moore 1975), from their samples V (m, Q) and a Paul axis per node,
-        hint (m,).
+        hint (m); any hint gives the same result.
 
         The hint's full row gives the floor L = min_j R(hint, j) <= T and
         Carol's reply to it, j*.  One product gives every Paul axis i's
@@ -715,30 +742,24 @@ def _make_bellman(dim: int, cfg: SolverConfig):
 
     Both have `nodes`, the (Q, dim) unit directions v_q at which the field
     is sampled (at x + eps v_q).  A cap pair is named by one integer, its
-    pair id.  `maxmin` gives (values, ids, rows) at m nodes: the (m,) max
-    over Paul's axes of the min over Carol's axes, the id of each node's
-    chosen pair, Paul's first maximizing axis against the first minimum
-    among his candidates, in a tie order fixed per Bellman, and the count
-    of Paul rows it formed.  On the circle it takes R = cover @ samples,
-    shape (rows, m), where `cover` is a nonnegative CSR map from the Q
-    samples to step sums and shortest arcs; on the sphere the samples
-    themselves, one row per node, and a hint axis per node.
-    `pair_rows(A, ids, drop=None)` gives row r as the band average of the
-    pair ids[r], as a map of the columns of A (A has the rows of what
-    `maxmin` reads: cover's on the circle, the samples' on the sphere), or
-    with A None as a map of the Q samples, zero where the bool drop[r]
-    holds.
+    pair id.  `reads(S)` maps samples S, (Q, m), to what `maxmin` reads:
+    on the circle cover @ S, where `cover` is a nonnegative CSR map from
+    the Q samples to step sums and shortest arcs, and on the sphere S
+    itself.  `maxmin(reads(S))` gives (values, ids, rows) at the m nodes:
+    the (m,) max over Paul's axes of the min over Carol's axes, the id of
+    each node's chosen pair, Paul's first maximizing axis against the first
+    minimum among his candidates, in a tie order fixed per Bellman, and the
+    count of Paul rows it formed.  `pair_rows(A, ids, drop=None)` gives row
+    r as the band average of the pair ids[r], as a map of the columns of A
+    (A has the rows of what `maxmin` reads), or with A None as a map of the
+    Q samples, zero where the bool drop[r] holds.  For the solve manifest,
+    `nnz_cover` is cover's nonzero count (None on the sphere, which has no
+    cover) and `table_bytes` the bytes of the Bellman's largest tables.
     """
     theta = sphere.theta_eps(cfg.eps, dim)
     if dim == 2:
         return _CircleBellman(theta, cfg.axis_count, cfg.quad_order)
     return _SphereBellman(theta, sphere.fibonacci_axes(cfg.axis_count), cfg.quad_order)
-
-
-def _sizes(a) -> tuple:
-    """(nonzero weights, bytes stored) of a CSR matrix, counted on a copy,
-    as counting sorts its indices in place."""
-    return int(a.copy().count_nonzero()), a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
 
 
 class _Kernel:
@@ -760,20 +781,14 @@ class _Kernel:
     appended.  Nodes whose samples all lie in the domain ("deep" nodes,
     `deep_idx`; sampled only where `holds_balls` leaves it open, POINTS
     samples at a time, so that the build's transients do not grow with Q)
-    read `merged`, the map from their gathered values to what `maxmin`
-    reads: on the circle cover @ samp, which takes them straight to cover's
-    rows, and on the sphere, whose `maxmin` reads samples, samp itself.  The
-    other ("rim" nodes, `rim_idx`) form all Q samples with samp and zero
-    those outside the domain.  Every map has nonnegative weights and is
-    applied with `@` in an order that does not depend on the data, so the
-    sweep stays exactly monotone, and a sweep holds one block's rows at a
-    time.  On the circle deep blocks apply merged and rim blocks cover.  On
-    the sphere deep and rim nodes take one path, where only the mask
-    differs: a block's samples go with each node's hint (the Paul axis
-    nearest the centre's direction, fixed per node, so that sweep(u) is a
-    function of u alone) to the pruned `maxmin`, which forms full Paul rows
-    for the hint and the axes that can still win; no block of all pair rows
-    is formed.
+    read `merged` = bell.reads(samp), the map from their gathered values to
+    what `maxmin` reads (on the sphere samp itself).  The other ("rim"
+    nodes, `rim_idx`) form all Q samples with samp, zero those outside the
+    domain and pass them through bell.reads.  Every map has nonnegative
+    weights and is applied with `@` in an order that does not depend on the
+    data, so the sweep stays exactly monotone, and a sweep holds one
+    block's rows at a time.  The kernel knows no geometry of the Bellman:
+    each block yields one array, which its `maxmin` reads.
     """
 
     # nodes per block of a sweep
@@ -802,17 +817,8 @@ class _Kernel:
         offsets, col = np.unique(offs[nz], return_inverse=True)
         rows = np.repeat(np.arange(Q), 1 << dim)[nz]
         self.samp = sparse.csr_matrix((w[nz], (rows, col.ravel())), shape=(Q, offsets.size))
-        # for the solve manifest: the sizes of the maps the kernel stores
-        if isinstance(bell, _SphereBellman):
-            self.merged = self.samp
-            self.nnz_cover = self.nnz_merged = None
-            self.table_bytes = bell.member.nbytes + bell.denom.nbytes
-            # each interior node's Paul axis nearest the centre's direction
-            self.hint = np.argmax((np.asarray(domain.center) - pts) @ bell.axes.T, axis=1)
-        else:
-            self.merged = bell.cover @ self.samp
-            self.nnz_cover, self.table_bytes = _sizes(bell.cover)
-            self.nnz_merged = _sizes(self.merged)[0]
+        self.merged = bell.reads(self.samp)
+        self.nnz_merged = _sizes(self.merged)[0]  # for the solve manifest
         # deep: every x + eps v_q is inside; surely so if the eps-ball is
         deep = domain.holds_balls(pts, cfg.eps * (1.0 + 1e-9))
         near = np.flatnonzero(~deep)
@@ -849,32 +855,19 @@ class _Kernel:
         return ValueField(self.grid.domain, self.grid.lo, self.grid.h, vals, n, increment)
 
     def _rows(self, u: np.ndarray):
-        """(interior positions, maxmin's arguments) of the interior values
+        """(interior positions, what maxmin reads) of the interior values
         u, one node block at a time, deep blocks first; the caller drops a
-        block's arguments before it asks for the next.  On the circle the
-        arguments are the block's cover rows: merged @ gathered values at
-        deep nodes, cover @ samples, those outside the domain zeroed, at
-        rim nodes.  On the sphere deep and rim nodes take one path and only
-        the mask differs: the arguments are the samples, one row of Q per
-        node, and the nodes' hints."""
+        block's array before it asks for the next.  Deep nodes read
+        merged @ gathered values; rim nodes form their samples, zero those
+        outside the domain and pass them through bell.reads."""
         ext = np.append(u, 0.0)
         B = self.BLOCK
-        bell = self.bellman
-        sphere = isinstance(bell, _SphereBellman)
-        for nodes, idx, outside in ((self.deep, self.deep_idx, None),
-                                    (self.rim, self.rim_idx, self.outside)):
-            for s in range(0, nodes.size, B):
-                pos, g = nodes[s : s + B], ext[idx[:, s : s + B]]
-                if outside is None and not sphere:
-                    yield pos, (self.merged @ g,)
-                    continue
-                V = self.samp @ g
-                if outside is not None:
-                    V[outside[:, s : s + B]] = 0.0
-                if sphere:
-                    yield pos, (np.ascontiguousarray(V.T), self.hint[pos])  # one row per node
-                else:
-                    yield pos, (bell.cover @ V,)
+        for s in range(0, self.deep.size, B):
+            yield self.deep[s : s + B], self.merged @ ext[self.deep_idx[:, s : s + B]]
+        for s in range(0, self.rim.size, B):
+            V = self.samp @ ext[self.rim_idx[:, s : s + B]]
+            V[self.outside[:, s : s + B]] = 0.0
+            yield self.rim[s : s + B], self.bellman.reads(V)
 
     def sweep(self, u: np.ndarray) -> tuple:
         """(T(u), ids): the Bellman right-hand sides of the interior values
@@ -883,10 +876,10 @@ class _Kernel:
         out = np.empty(self.n_interior)
         ids = np.empty(self.n_interior, dtype=np.intp)
         self.rows = 0
-        for pos, args in self._rows(u):
-            out[pos], ids[pos], rows = self.bellman.maxmin(*args)
+        for pos, X in self._rows(u):
+            out[pos], ids[pos], rows = self.bellman.maxmin(X)
             self.rows += rows
-            del args
+            del X
         return out + self.payoff, ids
 
     def policy_matrix(self, ids: np.ndarray):
@@ -1163,10 +1156,10 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
         "stop": stop,
         "interior": kernel.n_interior,
         "rim": int(kernel.rim.size),
-        "nnz_cover": kernel.nnz_cover,
+        "nnz_cover": kernel.bellman.nnz_cover,
         "nnz_merged": kernel.nnz_merged,
         "nnz_P": nnz_P,
-        "table_bytes": kernel.table_bytes,
+        "table_bytes": kernel.bellman.table_bytes,
         # the sup of the last sweep from v, which is v's
         "residual": increment,
     }
@@ -1307,6 +1300,12 @@ def load_field(path) -> tuple:
     if header.get("format") != "valuefield/1":
         raise InvalidParameterError("not a value field file")
     domain = domain_from_dict(header["domain"])
+    h = float(header["grid_h"])
+    if not (h > 0 and math.isfinite(h)):
+        raise InvalidParameterError(f"grid_h {h} is not positive and finite")
+    lo = np.asarray(header["box_lo"], dtype=float)
+    if lo.shape != (domain.dim,) or not np.all(np.isfinite(lo)):
+        raise InvalidParameterError(f"box_lo must be {domain.dim} finite numbers")
     shape = tuple(header["grid_shape"])
     name = header["values_file"]
     if Path(name).name != name:
@@ -1327,8 +1326,7 @@ def load_field(path) -> tuple:
             )
         vals = vals.reshape(shape)
     field = ValueField(
-        domain, np.asarray(header["box_lo"], dtype=float), float(header["grid_h"]),
-        vals,
+        domain, lo, h, vals,
         iterations=header.get("iterations"),
         final_increment=header.get("final_increment"),
     )

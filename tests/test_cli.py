@@ -465,6 +465,21 @@ def test_solve_config_file_and_flag_override(tmp_path):
     assert read_json(out / "solve_manifest.json")["config"]["eps"] == 0.3
 
 
+@pytest.mark.parametrize("domain", [
+    {"shape": "ball", "center": [0, 0], "radius": math.inf},
+    {"shape": "ellipse", "center": [0, 0], "semi_axes": [1, math.inf]},
+    {"shape": "ball", "center": [math.nan, 0], "radius": 1},
+])
+def test_solve_on_a_non_finite_domain_exits_one(tmp_path, domain):
+    """A config domain with an infinite radius or semi-axis, or a NaN
+    centre (JSON Infinity and NaN), is a usage error: exit 1, nothing
+    written."""
+    out = tmp_path / "out"
+    assert run("solve", "--config", write_json(tmp_path / "c.json", {"domain": domain}),
+               "--eps", "0.5", "--out", str(out)) == 1
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -721,6 +736,23 @@ def test_a_grid_shape_the_values_cannot_hold_exits_one(tmp_path):
     assert run("simulate", "--field", str(path), "--n", "5",
                "--out", str(tmp_path / "out")) == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key, value", [("grid_h", -0.25), ("grid_h", 0.0),
+                                        ("box_lo", [-1.5])])
+def test_bad_header_geometry_exits_one(tmp_path, key, value):
+    """A field header whose grid_h is not positive or whose box_lo is
+    short is a usage error for simulate and levelset: exit 1, nothing
+    written."""
+    cfg = solver.resolve_config(solver.SolverConfig(eps=0.3), 2)
+    path = tmp_path / "f.json"
+    solver.save_field(solver.empty_field(solver.unit_ball(2), cfg), path, cfg=cfg)
+    write_json(path, {**read_json(path), key: value})
+    out = tmp_path / "out"
+    assert run("simulate", "--field", str(path), "--paul", "gradient", "--carol", "gradient",
+               "--n", "5", "--out", str(out)) == 1
+    assert run("levelset", "--field", str(path), "--t-list", "0.1", "--out", str(out)) == 1
+    assert not out.exists()
 
 
 def test_simulate_manifest_counts(tmp_path):

@@ -124,6 +124,15 @@ def test_domain_validation():
         solver.Ellipse(center=(0.0, 0.0), semi_axes=(1.0, -1.0))
     with pytest.raises(InvalidParameterError):
         solver.domain_from_dict({"shape": "square"})
+    # a finite centre and finite semi-axes: an infinite ball has no grid,
+    # and an infinite semi-axis made a grid of one row far off the centre
+    for make in (lambda: solver.Ball((math.nan, 0.0), 1.0),
+                 lambda: solver.Ball((0.0, math.inf, 0.0), 1.0),
+                 lambda: solver.Ball((0.0, 0.0), math.inf),
+                 lambda: solver.Ellipse((0.0, -math.inf), (1.0, 0.5)),
+                 lambda: solver.Ellipse((0.0, 0.0), (1.0, math.inf))):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            make()
 
 
 def test_domain_dict_round_trip():
@@ -329,7 +338,7 @@ def test_sphere_reduce_matches_pair_sum(M, eps):
             w = bell.member[i] * bell.member[j] * bell.weights
             avg[i, j] = w @ V / w.sum()
     expected = avg.min(axis=1).max(axis=0)
-    got = bell.maxmin(V.T, np.zeros(V.shape[1], dtype=np.intp))[0]
+    got = bell.maxmin(V)[0]
     assert np.all(np.abs(got - expected) <= 1e-12 * np.abs(expected))
 
 
@@ -562,12 +571,25 @@ def test_ball3_solve_end_to_end():
     again = solver.value_iteration(ball, c)
     assert again.values.tobytes() == f.values.tobytes()
     # the sphere stores its memberships, M x Q, and denominators, M x M,
-    # and no map of pair rows
+    # and no map of pair rows; its merged map is samp
     tel = solver.solve(ball, c).telemetry
     assert tel["table_bytes"] == (64 * 16**2 + 64 * 64) * 8 == 163_840
-    assert tel["nnz_cover"] is None and tel["nnz_merged"] is None
+    assert tel["nnz_cover"] is None
+    assert tel["nnz_merged"] == solver._Kernel(ball, c).samp.count_nonzero() > 0
     # the pruned max-min forms fewer than two of the 64 Paul rows per node
     assert all(tel["interior"] <= e["rows"] < 2 * tel["interior"] for e in tel["sweep_log"])
+
+
+def test_pruning_hint_follows_the_gradient_off_the_ball():
+    """On the off-centre ellipse at eps = 0.3, M = 64 and order 16, the
+    hint from each node's samples (along eps grad u) leaves fewer than 3 of
+    the 64 Paul rows per node in every sweep of solve; the axis nearest the
+    direction to the centre left 5.2 to 6.9."""
+    e = solver.Ellipse((0.1, 0.0, -0.2), (1.0, 0.7, 0.5))
+    c = solver.resolve_config(solver.SolverConfig(eps=0.3, axis_count=64, quad_order=16), 3)
+    tel = solver.solve(e, c).telemetry
+    assert tel["interior"] == 443
+    assert all(tel["interior"] <= s["rows"] < 3 * tel["interior"] for s in tel["sweep_log"])
 
 
 # ---------------------------------------------------------------------------
@@ -648,16 +670,15 @@ def _kernel_at_fixed_point(domain, c):
 def test_policy_sweep_and_matrix_reproduce_the_sweep(domain, c):
     """The pair ids that the sweep returns, its policy, reproduce its
     values: the chosen pair's row from pair_rows reproduces each value from
-    what maxmin reads (the circle's cover rows, the sphere's samples), and
-    the policy matrix reproduces the sweep as P u + eps^2 K."""
+    what maxmin reads (the circle's cover rows, the sphere's samples, one
+    column per node), and the policy matrix reproduces the sweep as
+    P u + eps^2 K."""
     kernel, f = _kernel_at_fixed_point(domain, c)
     u = f.values.ravel()[kernel.int_flat]
     values, ids = kernel.sweep(u)
     bell = kernel.bellman
-    for pos, args in kernel._rows(u):
-        # the circle's cover rows, or the sphere's samples, one column per node
-        R = args[0] if len(args) == 1 else args[0].T
-        picked = bell.pair_rows(R, ids[pos])
+    for pos, X in kernel._rows(u):
+        picked = bell.pair_rows(X, ids[pos])
         got = picked[np.arange(pos.size), np.arange(pos.size)]
         assert np.allclose(got + c.eps**2 * c.K, values[pos], rtol=1e-13, atol=0)
     P = kernel.policy_matrix(ids)
@@ -701,24 +722,23 @@ _FROZEN_POLICY = [
 def test_maxmin_policy_is_frozen(dim, M, Q, eps, digests):
     """Values and pair ids of both max-mins, ties included, stay those
     recorded: the circle at (M, Q, eps) and the sphere at the ball3-solve
-    config.  The sphere's max-min reads samples, not rows: V random, 0/1,
-    zero and constant (ties everywhere), with axis 0 as every node's
-    hint."""
+    config.  The sphere's max-min reads samples, one column per node, not
+    rows: V random, 0/1, zero and constant (ties everywhere), each node
+    pruned from the hint its samples give."""
     c = solver.resolve_config(
         solver.SolverConfig(eps=eps, axis_count=M, quad_order=Q), dim)
     bell = solver._make_bellman(dim, c)
     rng = np.random.default_rng(M + Q)
     n = bell.nodes.shape[0]
     if dim == 3:
-        blocks = [(V, np.zeros(V.shape[0], dtype=np.intp)) for V in
-                  (rng.random((200, n)), rng.integers(0, 2, (200, n)).astype(float),
-                   np.zeros((3, n)), np.full((3, n), 0.25))]
+        blocks = [V.T for V in (rng.random((200, n)), rng.integers(0, 2, (200, n)).astype(float),
+                                np.zeros((3, n)), np.full((3, n), 0.25))]
     else:
         R = bell.cover
-        blocks = [(R @ rng.random((n, 200)),), (R @ rng.integers(0, 2, (n, 200)).astype(float),),
-                  (R @ np.zeros((n, 3)),), (rng.integers(0, 2, (R.shape[0], 200)).astype(float),)]
-    for args, digest in zip(blocks, digests):
-        values, ids = bell.maxmin(*args)[:2]
+        blocks = [R @ rng.random((n, 200)), R @ rng.integers(0, 2, (n, 200)).astype(float),
+                  R @ np.zeros((n, 3)), rng.integers(0, 2, (R.shape[0], 200)).astype(float)]
+    for X, digest in zip(blocks, digests):
+        values, ids = bell.maxmin(X)[:2]
         got = hashlib.sha256(values.tobytes() + ids.astype(np.int64).tobytes())
         assert got.hexdigest() == digest
 
@@ -767,29 +787,30 @@ def test_pruned_maxmin_equals_the_exhaustive_one(c):
     """The pruned max-min gives the max-min of every Paul axis's full row,
     bit for bit in values and pair ids, and it skips rows: on each node
     block of random u and of the seed b (the enclosing ball's arrival
-    time), with the kernel's hints and with wrong ones, and on V random,
-    0/1, zero, constant at each node (ties everywhere) and 0.7 plus 1e-16
-    noise, with random hints.  At the last two, all pair values at a node
-    lie within a few ulps of each other, and without its slack the pruning
-    skips axes that tie or win there."""
+    time), and on V random, 0/1, zero, constant at each node (ties
+    everywhere) and 0.7 plus 1e-16 noise; each with the hints that maxmin
+    takes from the samples, and through _pruned with random ones.  At the
+    last two, all pair values at a node lie within a few ulps of each
+    other, and without its slack the pruning skips axes that tie or win
+    there."""
     ball = solver.unit_ball(3)
     kernel = solver._Kernel(ball, c)
     bell = kernel.bellman
     n, Q = kernel.n_interior, bell.nodes.shape[0]
     rng = np.random.default_rng(11)
     seed = solver._ball_time(ball, c, kernel.grid.node_points()[kernel.int_flat])
+    blocks = [np.ascontiguousarray(X.T) for u in (0.3 * rng.random(n), seed)
+              for _, X in kernel._rows(u)]
+    blocks += [rng.random((20, Q)), rng.integers(0, 2, (20, Q)).astype(float),
+               np.zeros((3, Q)), np.ones((200, Q)) * rng.random((200, 1)),
+               0.7 + 1e-16 * rng.random((200, Q))]
     cases = []
-    for u in (0.3 * rng.random(n), seed):
-        for _, (V, hint) in kernel._rows(u):
-            cases += [(V, hint), (V, (hint + 5) % bell.M)]
-    for V in (rng.random((20, Q)), rng.integers(0, 2, (20, Q)).astype(float),
-              np.zeros((3, Q)), np.ones((200, Q)) * rng.random((200, 1)),
-              0.7 + 1e-16 * rng.random((200, Q))):
-        cases.append((V, rng.integers(0, bell.M, V.shape[0])))
+    for V in blocks:
+        hint = rng.integers(0, bell.M, V.shape[0])
+        cases += [(V, bell.maxmin(V.T)), (V, bell._pruned(V, hint))]
     skipped = 0
-    for case, (V, hint) in enumerate(cases):
+    for case, (V, (got, got_ids, rows)) in enumerate(cases):
         values, ids = _exhaustive_maxmin(bell, V)
-        got, got_ids, rows = bell.maxmin(V, hint)
         assert got.tobytes() == values.tobytes(), case
         assert np.array_equal(got_ids, ids), case
         assert V.shape[0] <= rows <= V.shape[0] * bell.M
@@ -809,11 +830,12 @@ for domain, eps, M, order in ((solver.unit_ball(3), 0.4, 64, 16),
     u = np.random.default_rng(3).random(kernel.n_interior)
     digest = hashlib.sha256()
     bell = kernel.bellman
-    for _, (V, hint) in kernel._rows(u):
+    for _, X in kernel._rows(u):
+        V = np.ascontiguousarray(X.T)  # one row per node
         digest.update(V.tobytes())
         for i in range(bell.M):  # every Paul axis's full rows
             digest.update(bell.paul_rows(np.full(V.shape[0], i), V).tobytes())
-        values, ids, rows = bell.maxmin(V, hint)
+        values, ids, rows = bell.maxmin(X)
         digest.update(values.tobytes() + ids.tobytes() + str(rows).encode())
     T, ids = kernel.sweep(u)
     P = kernel.policy_matrix(ids)
@@ -1159,6 +1181,24 @@ def test_load_rejects_a_negative_grid_shape(tmp_path):
     header["grid_shape"] = [-f.shape[0], f.shape[1]]
     path.write_text(json.dumps(header))
     with pytest.raises(InvalidParameterError, match="grid_shape"):
+        solver.load_field(path)
+
+
+@pytest.mark.parametrize("key, value", [("grid_h", -0.25), ("grid_h", 0.0),
+                                        ("grid_h", math.inf), ("grid_h", math.nan),
+                                        ("box_lo", [-1.5]), ("box_lo", [-1.5, -1.5, -1.5]),
+                                        ("box_lo", [math.nan, -1.5]),
+                                        ("box_lo", [-1.5, -math.inf])])
+def test_load_rejects_bad_header_geometry(tmp_path, key, value):
+    """A header whose grid_h is not positive and finite, or whose box_lo is
+    not dim finite numbers, is refused: a negative h read the gradient
+    sign-flipped, and a short box_lo failed only where it was indexed."""
+    path = tmp_path / "f.json"
+    solver.save_field(solver.empty_field(DISK, cfg2(0.3)), path)
+    header = json.loads(path.read_text())
+    header[key] = value
+    path.write_text(json.dumps(header))
+    with pytest.raises(InvalidParameterError, match=key):
         solver.load_field(path)
 
 

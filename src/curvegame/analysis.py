@@ -1,8 +1,9 @@
 """Analytic oracles and numerical verification of the supporting lemmas.
 
-The centered ball is the one domain with a closed-form arrival time,
-u(x) = L (R^2 - |x|^2) / (2(N-1)), so it anchors every convergence check:
-solved fields are compared against this oracle in sup norm, the boundary
+The ball is the one domain with a closed-form arrival time, the
+BallOracle u(x) = L (R^2 - |x - c|^2) / (2(N-1)) that solver.py defines and
+this module re-exports, so it anchors every convergence check: solved
+fields are compared against this oracle in sup norm, the boundary
 collar maximum measures how the discrete field attains u = 0, and superlevel
 sets are compared in Hausdorff distance against the shrinking concentric
 balls of radius sqrt(R^2 - 2(N-1) t / L).
@@ -21,7 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import CriticalPointError, InvalidParameterError
-from .solver import SolverConfig, ValueField, resolve_config, solve
+from .solver import BallOracle, SolverConfig, ValueField, _iteration_config, solve
 from .sphere import (
     Cap,
     constant_C,
@@ -32,55 +33,6 @@ from .sphere import (
     theta_eps,
     theta_from_delta,
 )
-
-
-# ---------------------------------------------------------------------------
-# ball oracle
-
-
-@dataclass(frozen=True)
-class BallOracle:
-    """Closed-form arrival time for the centered ball of radius R.
-
-    u(x) = L (R^2 - |x|^2) / (2(N-1)) solves Delta u - <D^2 u ghat, ghat> = -L
-    with u = 0 on |x| = R; its superlevel set {u > t} is the concentric ball
-    of radius sqrt(R^2 - 2(N-1) t / L).
-    """
-
-    R: float
-    L: float
-    N: int
-
-    def __post_init__(self):
-        if not self.R > 0:
-            raise InvalidParameterError("oracle radius must be positive")
-        if not self.L > 0:
-            raise InvalidParameterError("oracle source constant must be positive")
-        if self.N not in (2, 3):
-            raise InvalidParameterError("oracle dimension must be 2 or 3")
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(
-            self.L * (self.R**2 - float(x @ x)) / (2.0 * (self.N - 1))
-        )
-
-    def values(self, points: np.ndarray) -> np.ndarray:
-        """Vectorized value on an (m, N) array of points."""
-        p = np.asarray(points, dtype=float)
-        r2 = np.einsum("ij,ij->i", p, p)
-        return self.L * (self.R**2 - r2) / (2.0 * (self.N - 1))
-
-    def gradient(self, x) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return -self.L / (self.N - 1) * x
-
-    def hessian(self, x) -> np.ndarray:
-        return -self.L / (self.N - 1) * np.eye(self.N)
-
-    def level_radius(self, t: float) -> float:
-        """Radius of the superlevel set {u > t}; 0 once the set is gone."""
-        return math.sqrt(max(0.0, self.R**2 - 2.0 * (self.N - 1) * t / self.L))
 
 
 # ---------------------------------------------------------------------------
@@ -156,11 +108,10 @@ def verify_band_lemma(f, eps_list, family: str = "mirrored", N: int = 3,
 
 @dataclass(frozen=True)
 class QuadraticFunction:
-    """phi(x) = x'Ax/2 + b'x + c with exact gradient and Hessian."""
+    """phi(x) = x'Ax/2 + b'x, up to a constant, by its exact gradient and Hessian."""
 
     A: np.ndarray
     b: np.ndarray
-    c: float = 0.0
 
     def __post_init__(self):
         A = np.asarray(self.A, dtype=float)
@@ -169,10 +120,6 @@ class QuadraticFunction:
             raise InvalidParameterError("quadratic needs A (n, n) and b (n,)")
         object.__setattr__(self, "A", 0.5 * (A + A.T))
         object.__setattr__(self, "b", b)
-
-    def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
-        return float(0.5 * x @ self.A @ x + self.b @ x + self.c)
 
     def gradient(self, x) -> np.ndarray:
         return self.A @ np.asarray(x, dtype=float) + self.b
@@ -262,15 +209,10 @@ def superlevel_set(field: ValueField, t: float) -> LevelSetMask:
 
 def oracle_superlevel_set(field: ValueField, oracle: BallOracle,
                           t: float) -> LevelSetMask:
-    """Oracle counterpart of superlevel_set on the same grid.
-
-    The oracle is radial about the domain center, so node coordinates are
-    shifted there before evaluation.
-    """
+    """Oracle counterpart of superlevel_set on the same grid."""
     if not t >= 0:
         raise InvalidParameterError("level threshold must be nonnegative")
-    pts = field.node_points() - np.asarray(field.domain.center, dtype=float)
-    vals = oracle.values(pts).reshape(field.shape)
+    vals = oracle.values(field.node_points()).reshape(field.shape)
     mask = (vals > t) & field.interior_mask
     return LevelSetMask(lo=tuple(field.lo), h=field.h, mask=mask)
 
@@ -302,26 +244,21 @@ def hausdorff_distance(a: LevelSetMask, b: LevelSetMask) -> float:
 # convergence study
 
 
-def _study_row(domain, eps: float, template: SolverConfig | None, t_values) -> dict:
+def _study_row(domain, cfg: SolverConfig, t_values) -> dict:
     """One convergence_study row; a payoff eps^2 K gives the oracle source K / C(N)."""
-    base = template if template is not None else SolverConfig(eps=eps)
-    # tol_iter and grid_h reset to their per-eps defaults; a template's
-    # absolute values would not scale across the sweep.
-    cfg = resolve_config(
-        replace(base, eps=float(eps), tol_iter=None, grid_h=None), domain.dim
-    )
     field = solve(domain, cfg)
-    oracle = BallOracle(R=domain.radius, L=cfg.K / constant_C(domain.dim), N=domain.dim)
+    oracle = BallOracle(R=domain.radius, L=cfg.K / constant_C(domain.dim), N=domain.dim,
+                        center=domain.center)
     pts = field.node_points()
-    centered = pts - np.asarray(domain.center)
-    exact = oracle.values(centered).reshape(field.shape)
+    exact = oracle.values(pts).reshape(field.shape)
     inner = field.interior_mask
     sup_error = float(np.abs(field.values - exact)[inner].max())
+    centered = pts - np.asarray(domain.center)
     radii = np.sqrt(np.einsum("ij,ij->i", centered, centered))
-    collar = np.abs(radii - domain.radius).reshape(field.shape) <= 2.0 * eps
+    collar = np.abs(radii - domain.radius).reshape(field.shape) <= 2.0 * cfg.eps
     boundary_max = float(field.values[collar].max()) if collar.any() else 0.0
     row = {
-        "eps": float(eps),
+        "eps": cfg.eps,
         "grid_h": cfg.grid_h,
         "iterations": field.iterations,
         "sup_error": sup_error,
@@ -353,4 +290,12 @@ def convergence_study(domain, eps_list, template: SolverConfig | None = None,
     eps_list = [float(e) for e in eps_list]
     if not eps_list:
         raise InvalidParameterError("need at least one eps")
-    return [_study_row(domain, e, template, t_values) for e in eps_list]
+    # every eps and level is refused before the first solve; tol_iter and
+    # grid_h reset to their per-eps defaults, since a template's absolute
+    # values would not scale across the sweep
+    base = template if template is not None else SolverConfig(eps=0.0)
+    cfgs = [_iteration_config(replace(base, eps=e, tol_iter=None, grid_h=None), domain.dim)
+            for e in eps_list]
+    if not all(t >= 0 for t in t_values):
+        raise InvalidParameterError("level threshold must be nonnegative")
+    return [_study_row(domain, cfg, t_values) for cfg in cfgs]

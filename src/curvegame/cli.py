@@ -287,14 +287,12 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
     t0 = time.perf_counter()
     episodes = game.run_episodes(x0, sp, sc, n, eps, domain, seed)
     wall = time.perf_counter() - t0
-    payoffs = np.array([e.payoff for e in episodes])
-    mean = float(np.mean(payoffs))
-    stderr = float(np.std(payoffs, ddof=1) / np.sqrt(n))
+    est = game.mc_estimate(episodes)
     fallbacks = int(sum(e.fallbacks for e in episodes))
     artifact = {
         "mode": "estimate",
-        "mean": mean,
-        "stderr": stderr,
+        "mean": est.mean,
+        "stderr": est.stderr,
         "n": n,
         "mean_rounds": float(np.mean([e.tau for e in episodes])),
         "fallback_rounds": fallbacks,
@@ -310,7 +308,7 @@ def cmd_simulate(cfg: dict, out: Path) -> int:
         _write(out / str(cfg["trace"]), "\n".join(lines) + "\n")
     _write_simulate_manifest(out, "estimate", n, sum(e.tau for e in episodes),
                              fallbacks, wall)
-    print(f"simulate: mean={mean:.17g} stderr={stderr:.17g} n={n}")
+    print(f"simulate: mean={est.mean:.17g} stderr={est.stderr:.17g} n={n}")
     return EXIT_OK
 
 
@@ -398,9 +396,9 @@ def cmd_verify(cfg: dict, out: Path) -> int:
     })
     # the arrival time, at double the source, of the ball about the domain's
     # centre with twice its support radius: a strict supersolution
-    center = np.asarray(domain.center, dtype=float)
-    big = analysis.BallOracle(R=2.0 * domain.support_radius(center), L=2.0, N=domain.dim)
-    barrier = solver.field_from_function(domain, scfg, lambda pts: big.values(pts - center))
+    big = analysis.BallOracle(R=2.0 * domain.support_radius(domain.center), L=2.0,
+                              N=domain.dim, center=domain.center)
+    barrier = solver.field_from_function(domain, scfg, big.values)
     ok_super, worst_super = solver.check_dpp_supersolution(barrier, scfg)
     below = bool(np.all(field.values <= barrier.values + scfg.tol_iter))
     checks.append({
@@ -411,9 +409,10 @@ def cmd_verify(cfg: dict, out: Path) -> int:
         "field_below_barrier": below,
     })
     if hasattr(domain, "radius"):
-        oracle = analysis.BallOracle(R=domain.radius, L=1.0, N=domain.dim)
-        got = solver.interpolate(field, center)
-        want = oracle.value(np.zeros(domain.dim))
+        oracle = analysis.BallOracle(R=domain.radius, L=1.0, N=domain.dim,
+                                     center=domain.center)
+        got = solver.interpolate(field, domain.center)
+        want = oracle.value(domain.center)
         # generous: the coarse default grid underestimates by several percent,
         # while a wrong payoff constant is off by a factor
         checks.append({
@@ -451,7 +450,8 @@ def cmd_levelset(cfg: dict, out: Path) -> int:
     eps, K = map((header.get("config") or {}).get, ("eps", "K"))
     # the oracle's source is K / C(N); a field saved without its K had K = C(N)
     L = 1.0 if K is None else K / sphere.constant_C(field.domain.dim)
-    oracle = (analysis.BallOracle(R=field.domain.radius, L=L, N=field.domain.dim)
+    oracle = (analysis.BallOracle(R=field.domain.radius, L=L, N=field.domain.dim,
+                                  center=field.domain.center)
               if hasattr(field.domain, "radius") else None)
     # a negative level is refused by superlevel_set, before anything is written
     lines = ["eps,t,count,hausdorff_vs_oracle"]

@@ -54,7 +54,6 @@ class Episode:
     positions: np.ndarray  # (tau + 1, N), first row x0, last row the exit point
     tau: int
     payoff: float
-    eps: float
     seed: int | None = None
     index: int | None = None
     fallbacks: int = 0
@@ -274,7 +273,7 @@ def _play(x0, sp: Strategy, sc: Strategy, eps: float, domain, rngs: list, *,
     paths = np.split(positions, np.cumsum(tau + 1)[:-1])
     return [
         Episode(positions=p, tau=int(t), payoff=eps * eps * K * int(t),
-                eps=eps, seed=seed, index=i, fallbacks=int(f))
+                seed=seed, index=i, fallbacks=int(f))
         for p, t, f, i in zip(paths, tau, fallbacks, indices)
     ]
 
@@ -316,11 +315,15 @@ def estimate_value(x0, sp: Strategy, sc: Strategy, n: int, eps: float,
     """Monte Carlo estimate of the expected payoff from x0."""
     if n < 2:
         raise InvalidParameterError("n must be at least 2 for a stderr")
-    episodes = run_episodes(x0, sp, sc, n, eps, domain, seed)
+    return mc_estimate(run_episodes(x0, sp, sc, n, eps, domain, seed))
+
+
+def mc_estimate(episodes: list) -> McEstimate:
+    """Mean payoff of two or more episodes and its standard error."""
     payoffs = np.array([e.payoff for e in episodes])
-    mean = float(np.mean(payoffs))
+    n = len(payoffs)
     stderr = float(np.std(payoffs, ddof=1) / math.sqrt(n))
-    return McEstimate(mean=mean, stderr=stderr, n=n)
+    return McEstimate(mean=float(np.mean(payoffs)), stderr=stderr, n=n)
 
 
 def martingale_diagnostic(x0, z, sc: Strategy | None = None,

@@ -78,8 +78,6 @@ from .errors import (
     OutOfBoundsError,
 )
 
-TWO_PI = 2.0 * math.pi
-
 # Monotone iterates stay below the explicit quadratic supersolution only for
 # eps below this threshold; value_iteration and solve refuse larger eps.
 SUPERSOLUTION_EPS_MAX = 0.5
@@ -172,6 +170,42 @@ class Ball(Ellipse):
 
     def as_dict(self) -> dict:
         return {"shape": "ball", "center": list(self.center), "radius": self.radius}
+
+
+@dataclass(frozen=True)
+class BallOracle:
+    """Closed-form arrival time for the ball of radius R about center c
+    (default the origin).
+
+    u(x) = L (R^2 - |x - c|^2) / (2(N-1)) solves Delta u - <D^2 u ghat, ghat>
+    = -L with u = 0 on |x - c| = R; its superlevel set {u > t} is the
+    concentric ball of radius sqrt(R^2 - 2(N-1) t / L).
+    """
+
+    R: float
+    L: float
+    N: int
+    center: tuple | None = None
+
+    def __post_init__(self):
+        if not self.R > 0:
+            raise InvalidParameterError("oracle radius must be positive")
+        if not self.L > 0:
+            raise InvalidParameterError("oracle source constant must be positive")
+        if self.N not in (2, 3):
+            raise InvalidParameterError("oracle dimension must be 2 or 3")
+        c = (0.0,) * self.N if self.center is None else self.center
+        object.__setattr__(self, "center", tuple(float(v) for v in c))
+
+    def value(self, x) -> float:
+        d = np.asarray(x, dtype=float) - self.center
+        return float(self.L * (self.R**2 - float(d @ d)) / (2.0 * (self.N - 1)))
+
+    def values(self, points: np.ndarray) -> np.ndarray:
+        """Vectorized value on an (m, N) array of points."""
+        d = np.asarray(points, dtype=float) - self.center
+        r2 = np.einsum("ij,ij->i", d, d)
+        return self.L * (self.R**2 - r2) / (2.0 * (self.N - 1))
 
 
 def domain_from_dict(d: dict):
@@ -460,10 +494,8 @@ class _CircleBellman:
     def __init__(self, theta: float, M: int, Q: int):
         from scipy import sparse
 
-        self.theta = theta
         self.M = M
-        self.Q = Q
-        dphi = TWO_PI / Q
+        dphi = sphere.TWO_PI / Q
         phis = dphi * np.arange(Q)
         self.nodes = np.stack([np.cos(phis), np.sin(phis)], axis=-1)
         w = math.acos(-theta)
@@ -598,15 +630,14 @@ class _SphereBellman:
     """
 
     def __init__(self, theta: float, axes: np.ndarray, order: int):
-        self.theta = theta
         self.axes = axes
         M = axes.shape[0]
         self.M = M
         xt, wt = np.polynomial.legendre.leggauss(order)
         nphi = order
-        phis = TWO_PI * np.arange(nphi) / nphi
+        phis = sphere.TWO_PI * np.arange(nphi) / nphi
         t = np.repeat(xt, nphi)
-        wq = np.repeat(wt, nphi) * (TWO_PI / nphi)
+        wq = np.repeat(wt, nphi) * (sphere.TWO_PI / nphi)
         s = np.sqrt(np.clip(1.0 - t**2, 0.0, None))
         cphi = np.tile(np.cos(phis), order)
         sphi = np.tile(np.sin(phis), order)
@@ -626,7 +657,7 @@ class _SphereBellman:
         dots = self.nodes @ axes.T  # (Q3, M)
         span = (
             np.abs(dv_dt @ axes.T) * np.repeat(wt, nphi)[:, None]
-            + np.abs(dv_dphi @ axes.T) * (TWO_PI / nphi)
+            + np.abs(dv_dphi @ axes.T) * (sphere.TWO_PI / nphi)
         )
         np.clip(span, 1e-15, None, out=span)
         member = np.clip((dots + theta) / span + 0.5, 0.0, 1.0)
@@ -985,26 +1016,6 @@ def value_iteration(domain, cfg: SolverConfig, start: ValueField | None = None,
 _EVAL_TOL = 1e-9
 
 
-def _ball_time(domain, cfg: SolverConfig, x: np.ndarray) -> np.ndarray:
-    """(K / C(N)) (R^2 - |x - c|^2) / (2 (N - 1)) at the rows of x: the
-    arrival time of the ball about the domain's centre c whose radius R is
-    the domain's support radius about c.  That ball holds the domain, so
-    this bounds the field, and its optimal cap pairs are radial."""
-    N = domain.dim
-    d = x - np.asarray(domain.center)
-    R = domain.support_radius(domain.center)
-    return cfg.K / sphere.constant_C(N) * (R**2 - sphere.row_dot(d, d)) / (2.0 * (N - 1))
-
-
-def _stop(domain, cfg: SolverConfig) -> float:
-    """The policy steps' stop: tol_iter * _EVAL_TOL, but no less than 8 units
-    in the last place of the ball's arrival time at its centre, which bounds
-    the field (`_ball_time`); a residual cannot settle much below the
-    rounding of values that size."""
-    bound = _ball_time(domain, cfg, np.asarray(domain.center))
-    return max(cfg.tol_iter * _EVAL_TOL, 8.0 * float(np.spacing(bound)))
-
-
 def _evaluate(P, w: np.ndarray, c: float, stop: float, budget: int) -> tuple:
     """Solve (I - P) x = c 1 by BiCGSTAB (van der Vorst 1992) from x = w until
     the true sup residual |c - (x - P x)| is below stop; the recurrence
@@ -1053,26 +1064,31 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
     iteration, certified by its last sweep; same stop rule, exit meaning and
     field format (cfg's grid) as value_iteration.
 
-    0. Seed: one sweep of b, the ball's arrival time of `_ball_time`,
-       gives the first policy; only its pair ids are used.
-       b's optimal pairs are radial, so this policy is near-optimal where
-       the domain is near that ball, and policy iteration converges fast
-       from a near-optimal policy (Puterman and Brumelle 1979).
+    0. Seed: one sweep of b gives the first policy; only its pair ids are
+       used.  b is the BallOracle, of source K / C(N), of the ball about the
+       domain's centre whose radius is the domain's support radius about it.
+       That ball holds the domain, so b bounds the field, and b's optimal
+       pairs are radial, so this policy is near-optimal where the domain is
+       near that ball, and policy iteration converges fast from a
+       near-optimal policy (Puterman and Brumelle 1979).
     1. Policy steps.  A sweep also returns each interior node's pair id:
        Paul's maximizing axis and Carol's minimizing axis against it.  With
        the pairs fixed the sweep is a nonnegative substochastic linear map P;
        _evaluate solves (I - P) u = c, c = eps^2 K, from the last u to a
-       sup residual below `_stop`.  The step then sweeps s = lam u for the
-       next policy, with lam = c / (c + 2 stop) fixed.  The operator is
-       positively homogeneous up to its payoff, T(lam u) = lam T(u) + (1 -
-       lam) c, so the steps end when |T(s) - s - (1 - lam) c| < stop, which
-       is |T(u) - u| < stop scaled by lam (tied pairs can flip forever, so
-       the pairs are not compared).  Then T(s) - s is about stop at every
-       node.  A sweep that checks s <= T(s) exactly makes (s, T(s)) the
-       certified pair; the values of earlier policies generally fail the
-       check.  The first pair is (0, T(0)): every band average of 0 is 0,
-       so T(0) = c needs no sweep.  An evaluation that does not settle
-       (max_iter matvecs spent, or a BiCGSTAB breakdown) ends the steps.
+       sup residual below stop, tol_iter * _EVAL_TOL but no less than 8
+       units in the last place of b's peak (a residual cannot settle much
+       below the rounding of values that size).  The step then sweeps s =
+       lam u for the next policy, with lam = c / (c + 2 stop) fixed.  The
+       operator is positively homogeneous up to its payoff, T(lam u) =
+       lam T(u) + (1 - lam) c, so the steps end when |T(s) - s - (1 - lam)
+       c| < stop, which is |T(u) - u| < stop scaled by lam (tied pairs can
+       flip forever, so the pairs are not compared).  Then T(s) - s is
+       about stop at every node.  A sweep that checks s <= T(s) exactly
+       makes (s, T(s)) the certified pair; the values of earlier policies
+       generally fail the check.  The first pair is (0, T(0)): every band
+       average of 0 is 0, so T(0) = c needs no sweep.  An evaluation that
+       does not settle (max_iter matvecs spent, or a BiCGSTAB breakdown)
+       ends the steps.
     2. Polish: value iteration from the certified pair, with the monotone
        check on every sweep.  After a converged last step, T(s) - s is
        below tol_iter and it runs no sweep.
@@ -1107,16 +1123,18 @@ def solve(domain, cfg: SolverConfig) -> ValueField:
                     "rows": kernel.rows})
         return Tx, ids
 
+    b = BallOracle(R=domain.support_radius(domain.center),
+                   L=cfg.K / sphere.constant_C(domain.dim), N=domain.dim,
+                   center=domain.center)
     c = kernel.payoff
-    stop = _stop(domain, cfg)
+    stop = max(cfg.tol_iter * _EVAL_TOL, 8.0 * float(np.spacing(b.value(domain.center))))
     lam = c / (c + 2.0 * stop)
 
     m = kernel.n_interior
     u = v = np.zeros(m)
     Tv = np.full(m, c)
     t = clock()
-    _, ids = logged(_ball_time(domain, cfg, kernel.grid.node_points()[kernel.int_flat]),
-                    "seed")
+    _, ids = logged(b.values(kernel.grid.node_points()[kernel.int_flat]), "seed")
     phase["policy_extraction"] += clock() - t
     n, nnz_P, matvecs = 1, 0, []  # matvecs: one count per evaluation
     while n < cfg.max_iter:
@@ -1307,6 +1325,13 @@ def load_field(path) -> tuple:
     if lo.shape != (domain.dim,) or not np.all(np.isfinite(lo)):
         raise InvalidParameterError(f"box_lo must be {domain.dim} finite numbers")
     shape = tuple(header["grid_shape"])
+    # a grid that misses the domain sends strategies and level sets past its
+    # box, where they extrapolate and wrap
+    d_lo, d_hi = domain.bounds()
+    if len(shape) != domain.dim or not (
+            np.all(lo <= d_lo) and np.all(lo + h * (np.asarray(shape) - 1) >= d_hi)):
+        raise InvalidParameterError(f"grid_shape {list(shape)} from box_lo at grid_h "
+                                    "does not hold the domain")
     name = header["values_file"]
     if Path(name).name != name:
         raise InvalidParameterError(f"values_file {name!r} is not a plain file name")

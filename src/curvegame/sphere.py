@@ -19,9 +19,9 @@ Scalar functions integrated over regions are called with an (m, N) array of
 unit vectors and must return an (m,) array.
 
 The primitives of a game round are row-wise, and Cap and CapIntersection
-call them on one row: unit_axes normalizes axes, row_dot and in_bands test
-membership, and sample_bands draws once from each of m bands (on the circle
-by arc arithmetic, on S^2 uniformly on the first cap, kept in the second).
+call them on one row: unit_axes normalizes axes, in_bands tests membership,
+and sample_bands draws once from each of m bands (on the circle by arc
+arithmetic, on S^2 uniformly on the first cap, kept in the second).
 """
 
 from __future__ import annotations
@@ -101,11 +101,10 @@ def theta_eps(eps: float, N: int) -> float:
 
 
 def constant_C(N: int) -> float:
-    """Game payoff constant K: half the equator average of v_1 squared."""
+    """Game payoff constant K: half the equator average of v_1 squared,
+    which is 1/(N-1) on the equator S^{N-2}: 1/2 on S^1, 1/4 on S^2."""
     _check_dim(N)
-    axis = np.zeros(N)
-    axis[-1] = 1.0
-    return 0.5 * equator_average(axis, lambda v: v[:, 0] ** 2, N)
+    return 1.0 / (2.0 * (N - 1))
 
 
 @dataclass(frozen=True)
@@ -134,12 +133,6 @@ class Cap:
     @property
     def measure(self) -> float:
         return cap_measure(self.theta, self.dim)
-
-    def contains(self, v):
-        """Membership; a single vector gives a bool, a batch gives a mask."""
-        v = np.asarray(v, dtype=float)
-        inside = row_dot(v, self.axis) >= -self.theta
-        return bool(inside) if v.ndim == 1 else inside
 
 
 @lru_cache(maxsize=64)

@@ -30,21 +30,17 @@ def test_oracle_vectorized_matches_scalar():
     assert np.allclose(batch, [o.value(p) for p in pts])
 
 
-def test_oracle_derivatives():
-    o = analysis.BallOracle(R=1.0, L=1.0, N=3)
-    x = np.array([0.2, -0.1, 0.4])
-    assert np.allclose(o.gradient(x), -0.5 * x)
-    assert np.allclose(o.hessian(x), -0.5 * np.eye(3))
-
-
-def test_oracle_level_radius():
-    o = analysis.BallOracle(R=1.0, L=1.0, N=2)
-    # r(t) = sqrt(R^2 - 2 (N-1) t / L); extinction at t = u(0)
-    assert o.level_radius(0.0) == pytest.approx(1.0)
-    assert o.level_radius(0.25) == pytest.approx(math.sqrt(0.5))
-    assert o.level_radius(0.5) == pytest.approx(0.0, abs=1e-12)
-    # past extinction the set is empty, reported as radius zero
-    assert o.level_radius(0.6) == 0.0
+def test_centred_oracle_is_the_origin_oracle_shifted():
+    """An oracle about c equals the origin oracle at x - c, bit for bit, in
+    value and values, in 2D and 3D, at c itself too."""
+    rng = np.random.default_rng(4)
+    for c in ((0.3, -0.2), (0.1, 0.0, -0.2)):
+        o = analysis.BallOracle(R=0.8, L=1.5, N=len(c), center=c)
+        o0 = analysis.BallOracle(R=0.8, L=1.5, N=len(c))
+        pts = np.vstack([c, np.asarray(c) + 0.4 * rng.normal(size=(30, len(c)))])
+        assert o.values(pts).tobytes() == o0.values(pts - np.asarray(c)).tobytes()
+        assert [o.value(p) for p in pts] == [o0.value(p - np.asarray(c)) for p in pts]
+        assert o.value(c) == o0.value(np.zeros(len(c))) == 1.5 * 0.8**2 / (2.0 * (len(c) - 1))
 
 
 def test_oracle_validation():
@@ -121,13 +117,12 @@ def test_band_lemma_unknown_family():
 
 
 def test_quadratic_function_symmetrizes():
-    # phi = x'Ax/2 + b'x + c with A stored symmetrized, hessian(x) = A
+    # phi = x'Ax/2 + b'x with A stored symmetrized, hessian(x) = A
     q = analysis.QuadraticFunction(
-        A=np.array([[1.0, 2.0], [0.0, 1.0]]), b=np.array([0.5, 0.0]), c=2.0
+        A=np.array([[1.0, 2.0], [0.0, 1.0]]), b=np.array([0.5, 0.0])
     )
     x = np.array([0.3, -0.5])
     assert np.allclose(q.hessian(x), [[1.0, 1.0], [1.0, 1.0]])
-    assert q.value(x) == pytest.approx(0.5 * x @ q.A @ x + q.b @ x + 2.0)
     assert np.allclose(q.gradient(x), q.A @ x + q.b)
     with pytest.raises(InvalidParameterError):
         analysis.QuadraticFunction(A=np.eye(3), b=np.zeros(2))
@@ -135,22 +130,20 @@ def test_quadratic_function_symmetrizes():
 
 def test_operator_equivalence_on_paraboloid():
     # phi = |x|^2: gradient 2x, hessian 2I; both forms must agree
-    q = analysis.QuadraticFunction(A=np.eye(2), b=np.array([0.0, 0.0]), c=0.0)
+    q = analysis.QuadraticFunction(A=np.eye(2), b=np.array([0.0, 0.0]))
     f1, f2 = analysis.mc_operator_residual(q, np.array([0.5, 0.2]), N=2)
     assert f1 == pytest.approx(f2, abs=1e-12)
 
 
 def test_operator_equivalence_linear_function():
-    q = analysis.QuadraticFunction(
-        A=np.zeros((2, 2)), b=np.array([1.0, -2.0]), c=3.0
-    )
+    q = analysis.QuadraticFunction(A=np.zeros((2, 2)), b=np.array([1.0, -2.0]))
     f1, f2 = analysis.mc_operator_residual(q, np.zeros(2), N=2)
     assert f1 == pytest.approx(0.0, abs=1e-12)
     assert f2 == pytest.approx(0.0, abs=1e-12)
 
 
 def test_operator_critical_point_rejected():
-    q = analysis.QuadraticFunction(A=np.eye(2), b=np.zeros(2), c=0.0)
+    q = analysis.QuadraticFunction(A=np.eye(2), b=np.zeros(2))
     with pytest.raises(CriticalPointError):
         analysis.mc_operator_residual(q, np.zeros(2), N=2)
 
@@ -175,10 +168,7 @@ def test_operator_on_oracle_recovers_source():
     # solution, so the normalized averaged form must return -1 exactly
     for N in (2, 3):
         o = analysis.BallOracle(R=1.0, L=1.0, N=N)
-        q = analysis.QuadraticFunction(
-            A=-o.L / (N - 1) * np.eye(N), b=np.zeros(N),
-            c=o.L * o.R**2 / (2 * (N - 1)),
-        )
+        q = analysis.QuadraticFunction(A=-o.L / (N - 1) * np.eye(N), b=np.zeros(N))
         x = np.zeros(N)
         x[0] = 0.4
         f1, f2 = analysis.mc_operator_residual(q, x, N=N)

@@ -314,6 +314,21 @@ def test_converge_empty_eps_list_exits_one(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_refuses_its_inputs_before_the_first_solve(tmp_path, capsys,
+                                                           monkeypatch):
+    def no_solve(*a, **kw):
+        raise AssertionError("converge solved before it checked its inputs")
+
+    monkeypatch.setattr(analysis, "solve", no_solve)
+    out = tmp_path / "out"
+    for argv, message in ((["--eps-list", "0.05", "--t-list=-0.1"], "level threshold"),
+                          (["--eps-list", "0.05", "--t-list=nan"], "level threshold"),
+                          (["--eps-list", "0.05,0.6"], "eps must be at most 0.5")):
+        assert run("converge", *argv, "--out", str(out)) == 1
+        assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_invalid_grid_exits_one_without_output(tmp_path):
     out = tmp_path / "out"
     code = run("solve", "--eps", "0.2", "--grid-h", "0.3", "--out", str(out))
@@ -519,6 +534,21 @@ def test_simulate_starts_at_the_centre_of_an_off_centre_disk(tmp_path):
                "--n", "20", "--out", str(diag)) == 0
     conf = read_json(diag / "diagnostic.json")["effective_config"]
     assert conf["x0"] == conf["z"] == [3.0, 0.0]
+
+
+def test_simulate_refuses_a_field_whose_grid_misses_its_domain(tmp_path, capsys):
+    # a unit-disk field at eps = 0.3 (box +-1.65) relabelled as radius 2: a
+    # start at 1.5 would read the gradient past the box
+    fld = tmp_path / "fld"
+    assert run("solve", "--eps", "0.3", "--out", str(fld)) == 0
+    header = read_json(fld / "field.json")
+    header["domain"]["radius"] = 2.0
+    write_json(fld / "field.json", header)
+    out = tmp_path / "out"
+    assert run("simulate", "--field", str(fld / "field.json"), "--x0=1.5,0",
+               "--n", "50", "--out", str(out)) == 1
+    assert "does not hold the domain" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_simulate_with_field_and_determinism(tmp_path):

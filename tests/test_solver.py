@@ -798,7 +798,8 @@ def test_pruned_maxmin_equals_the_exhaustive_one(c):
     bell = kernel.bellman
     n, Q = kernel.n_interior, bell.nodes.shape[0]
     rng = np.random.default_rng(11)
-    seed = solver._ball_time(ball, c, kernel.grid.node_points()[kernel.int_flat])
+    seed = solver.BallOracle(R=1.0, L=c.K / sphere.constant_C(3), N=3).values(
+        kernel.grid.node_points()[kernel.int_flat])
     blocks = [np.ascontiguousarray(X.T) for u in (0.3 * rng.random(n), seed)
               for _, X in kernel._rows(u)]
     blocks += [rng.random((20, Q)), rng.integers(0, 2, (20, Q)).astype(float),
@@ -1199,6 +1200,23 @@ def test_load_rejects_bad_header_geometry(tmp_path, key, value):
     header[key] = value
     path.write_text(json.dumps(header))
     with pytest.raises(InvalidParameterError, match=key):
+        solver.load_field(path)
+
+
+@pytest.mark.parametrize("key, edit", [
+    ("domain", lambda h: h["domain"].update(radius=2.0)),
+    ("box_lo", lambda h: h.update(box_lo=[h["box_lo"][0] + 1.0, h["box_lo"][1]])),
+    ("grid_shape", lambda h: h.update(grid_shape=h["grid_shape"] + [1]))])
+def test_load_rejects_a_grid_that_does_not_hold_the_domain(tmp_path, key, edit):
+    """A header whose grid misses part of its domain, or has more axes than
+    the domain, is refused: strategies and level sets would read past the
+    box, where the gradient extrapolates and negative cells wrap."""
+    path = tmp_path / "f.json"
+    solver.save_field(solver.empty_field(DISK, cfg2(0.3)), path)
+    header = json.loads(path.read_text())
+    edit(header)
+    path.write_text(json.dumps(header))
+    with pytest.raises(InvalidParameterError, match="does not hold the domain"):
         solver.load_field(path)
 
 
